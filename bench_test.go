@@ -126,10 +126,6 @@ func BenchmarkA2GroupCommit(b *testing.B) {
 	runTable(b, func() (*exp.Table, error) { return exp.A2GroupCommit(quickCfg(), []int{1, 16}) })
 }
 
-func BenchmarkA3Claims(b *testing.B) {
-	runTable(b, func() (*exp.Table, error) { return exp.A3Claims(quickCfg()) })
-}
-
 func BenchmarkE17RedoScalability(b *testing.B) {
 	runTable(b, func() (*exp.Table, error) { return exp.E17RedoScalability(quickCfg()) })
 }

@@ -43,11 +43,10 @@
 // drop only CLEAN stamped frames when forced. Crash recovery is
 // exactly-once whether the crash lands mid-snapshot or mid-write-back:
 // the on-disk image is always a consistent page at a known LSN and
-// ARIES redo-skip does the rest. dora.Config.LatchedOwnerWrites keeps
-// the exclusive-latch write protocol as the measurement baseline, and
-// the open-loop arrival-rate driver (workload.OpenLoop over
-// dora.ExecAsync: Poisson arrivals, bounded in-flight cap, drop and
-// latency accounting) measures behaviour past the saturation knee.
+// ARIES redo-skip does the rest. The open-loop arrival-rate driver
+// (workload.OpenLoop over dora.ExecAsync: Poisson arrivals, bounded
+// in-flight cap, drop and latency accounting) measures behaviour past
+// the saturation knee.
 //
 // Cross-partition execution is asynchronous end to end (experiment
 // E14): a foreign operation ships to its owner together with a
@@ -56,9 +55,8 @@
 // while their worker keeps draining its inbox, the flow-graph executor
 // advances phases purely by rendezvous-point countdowns
 // (dora.ExecAsync), and abort compensation rides the same path
-// (sm.RollbackAsync). No sender is ever parked, so arbitrary action
-// bodies are deadlock-safe by construction; dora.Config.BlockingShips
-// restores the parked-sender baseline for measurement.
+// (sm.RollbackAsync). No worker is ever parked on a ship, so arbitrary
+// action bodies are deadlock-safe by construction.
 //
 // Replication (internal/repl, experiment E16) turns the group-commit
 // log into a replication stream: the clog flush daemon's hardened group

@@ -6,11 +6,12 @@ import (
 
 // Continuation-passing access to owned subtrees.
 //
-// The blocking protocol (runAt, ExecAt) parks the calling goroutine for
-// the full round trip of every foreign operation: enqueue on the owner's
-// inbox, wait behind whatever the owner is doing, run, wake up. When the
-// caller is itself a partition worker, that round trip idles a whole
-// micro-engine — and a cycle of such ships deadlocks.
+// The synchronous protocol (runAt, ExecAt) parks the calling goroutine
+// for the full round trip of every foreign operation: enqueue on the
+// owner's inbox, wait behind whatever the owner is doing, run, wake up.
+// Non-worker callers (plain sessions, maintenance) use it. When the
+// caller is a partition worker, that round trip would idle a whole
+// micro-engine — and a cycle of such ships would deadlock.
 //
 // The async protocol below never parks. A foreign operation is shipped
 // through the subtree's OwnerExecAsync hook together with a continuation;
@@ -20,7 +21,7 @@ import (
 // cyclic ship graph merely round-trips messages — nobody is parked, so
 // nothing can wedge.
 //
-// The stale-hop discipline is identical to the blocking path: a shipped
+// The stale-hop discipline is identical to the synchronous path: a shipped
 // operation landing on a worker whose ownership moved on (split/merge
 // raced the hand-off) does not run; the failure travels back through the
 // continuation and the ORIGINAL caller re-resolves. Ships stay a single
@@ -29,8 +30,8 @@ import (
 // ExecAtAsync implements AccessMethod (see the interface comment). When
 // key's subtree is unowned or owned by the caller, fn and done run inline
 // and ExecAtAsync returns only after both — the aligned path is exactly
-// ExecAt plus one function call. A foreign subtree without an async hook
-// (blocking-ships configuration) falls back to the parked-sender path.
+// ExecAt plus one function call. A foreign subtree must carry an async
+// hook (ClaimRange.ExecAsync).
 func (pt *PartitionedTree) ExecAtAsync(caller *Owner, key int64, home ContExec, fn func(tok *Owner), done func()) {
 	for attempt := 0; ; attempt++ {
 		pt.mu.RLock()
@@ -39,11 +40,6 @@ func (pt *PartitionedTree) ExecAtAsync(caller *Owner, key int64, home ContExec, 
 		pt.mu.RUnlock()
 		if owner == nil || owner == caller {
 			fn(owner)
-			done()
-			return
-		}
-		if execAsync == nil {
-			pt.ExecAt(caller, key, fn)
 			done()
 			return
 		}
@@ -80,7 +76,7 @@ func (pt *PartitionedTree) ExecAtAsync(caller *Owner, key int64, home ContExec, 
 // Local segments scan inline in a loop; a foreign segment ships to its
 // owner and the walk resumes from the delivered continuation. fn runs on
 // whichever thread scans each segment (sequentially, never concurrently);
-// like the blocking scan, the whole walk is fuzzy — point consistency
+// like the synchronous scan, the whole walk is fuzzy — point consistency
 // comes from the lock protocol above.
 func (pt *PartitionedTree) AscendRangeAsync(caller *Owner, lo, hi int64, home ContExec, fn func(key int64, val uint64) bool, done func()) {
 	cur := lo
@@ -113,13 +109,6 @@ func (pt *PartitionedTree) AscendRangeAsync(caller *Owner, lo, hi int64, home Co
 		}
 		execAsync := st.execAsync
 		pt.mu.RUnlock()
-		if execAsync == nil {
-			// Blocking-ships configuration: finish the rest of the walk on
-			// the parked-sender path.
-			pt.ascendAs(caller, cur, hi, fn)
-			done()
-			return
-		}
 		from := cur // resolved start of the foreign segment
 		ran := false
 		segEnd := int64(0)

@@ -173,28 +173,3 @@ func TestAscendRangeAsyncMixedOwnership(t *testing.T) {
 		t.Fatalf("stopped scan visited %d keys, want 71", n)
 	}
 }
-
-// TestExecAtAsyncNoHookFallsBack: a claim without an async hook keeps
-// the blocking path working under ExecAtAsync (the BlockingShips
-// configuration).
-func TestExecAtAsyncNoHookFallsBack(t *testing.T) {
-	pt := NewPartitioned(nil)
-	for i := int64(0); i < 100; i++ {
-		if err := pt.InsertAs(nil, i, uint64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	a := newFakeWorker()
-	defer a.stop()
-	pt.Claim([]ClaimRange{{Lo: 0, Hi: 99, Owner: a.tok, Exec: a.exec()}})
-	ran, completed := false, false
-	pt.ExecAtAsync(nil, 42, nil, func(tok *Owner) {
-		if tok != a.tok {
-			t.Error("fallback ran without the owner token")
-		}
-		ran = true
-	}, func() { completed = true })
-	if !ran || !completed {
-		t.Fatalf("fallback path: ran=%v completed=%v", ran, completed)
-	}
-}

@@ -469,9 +469,10 @@ func (pt *PartitionedTree) OwnedSubtrees() int {
 }
 
 // ClaimRange assigns [Lo, Hi] (in index-key space) to Owner, whose
-// foreign-access executor is Exec. ExecAsync, when non-nil, additionally
-// enables continuation-passing ships into the range: async operations
-// (ExecAtAsync, AscendRangeAsync) use it instead of parking on Exec.
+// foreign-access executor is Exec. ExecAsync is the continuation-passing
+// executor async operations (ExecAtAsync, AscendRangeAsync) ship
+// through; a claim that leaves it nil supports only the synchronous
+// operations.
 type ClaimRange struct {
 	Lo, Hi    int64
 	Owner     *Owner
@@ -542,7 +543,8 @@ func (pt *PartitionedTree) Release() {
 // overlaps are physically extracted into fresh subtrees. Unowned subtrees
 // in the interval stay shared (nothing to hand over). Must be called on
 // the owning worker's goroutine, so no latch-free access can be in
-// flight. newAsync may be nil (blocking-ships configuration).
+// flight. newAsync may be nil only if no async operation reaches the
+// range (see ClaimRange).
 func (pt *PartitionedTree) MoveRange(caller *Owner, lo, hi int64, newOwner *Owner, newExec OwnerExec, newAsync OwnerExecAsync) {
 	pt.mu.Lock()
 	defer pt.mu.Unlock()
@@ -588,7 +590,8 @@ func (pt *PartitionedTree) MoveRange(caller *Owner, lo, hi int64, newOwner *Owne
 // ReassignOwner points every subtree owned by from at to (merge
 // evacuation: the adopting worker takes the retiring worker's subtrees
 // wholesale, no data movement). Must be called on the retiring owner's
-// goroutine. execAsync may be nil (blocking-ships configuration).
+// goroutine. execAsync may be nil only if no async operation reaches the
+// moved subtrees (see ClaimRange).
 func (pt *PartitionedTree) ReassignOwner(from, to *Owner, exec OwnerExec, execAsync OwnerExecAsync) {
 	pt.mu.Lock()
 	defer pt.mu.Unlock()

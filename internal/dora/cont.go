@@ -9,10 +9,10 @@ import (
 	"dora/internal/xct"
 )
 
-// Continuation-passing ships (the default execution model; the blocking
-// baseline remains selectable with Config.BlockingShips).
+// Continuation-passing ships: the execution model of every partition
+// worker.
 //
-// A cross-partition operation no longer parks its sender for the round
+// A cross-partition operation does not park its sender for the round
 // trip. The sender enqueues a contMsg — the operation plus a
 // continuation plus the hop chain — on the owner's inbox and immediately
 // returns to draining its own queue. The owner runs the operation on its
@@ -29,7 +29,7 @@ import (
 // cycle detector's fail-fast job (it still diagnoses cycles, see
 // shipcheck.go). It also changes the rebalance interplay: a worker with
 // a suspended action keeps processing split/evacuate messages, so
-// repartitioning no longer relies on senders being parked — continuation
+// repartitioning does not rely on senders being parked — continuation
 // delivery follows the forwarding chain a merge leaves behind.
 
 // contReply is the completion side shared by every continuation ship:
@@ -119,16 +119,6 @@ func (p *partition) ownerExecAsync() btree.OwnerExecAsync {
 		}
 		return p.in.pushChecked(m)
 	}
-}
-
-// asyncHookFor returns the async owner-exec hook for partition q, or nil
-// in the blocking-ships configuration (no hook installed means the
-// btree layer falls back to the parked-sender path).
-func (e *Dora) asyncHookFor(q *partition) btree.OwnerExecAsync {
-	if e.cfg.BlockingShips {
-		return nil
-	}
-	return q.ownerExecAsync()
 }
 
 // actionHost implements xct.AsyncHost for one action execution: the

@@ -72,12 +72,9 @@ func xferFlow2(acct, ledger *catalog.Table, k int64) *xct.Flow {
 			if err := env.Ses.Mutate(env.Txn, acct, k, bump); err != nil {
 				return err
 			}
-			if env.Async != nil {
-				resume := env.Async.Suspend()
-				env.Ses.MutateAsync(env.Txn, ledger, k, bump, env.Async.Home(), resume)
-				return nil
-			}
-			return env.Ses.Mutate(env.Txn, ledger, k, bump)
+			resume := env.Async.Suspend()
+			env.Ses.MutateAsync(env.Txn, ledger, k, bump, env.Async.Home(), resume)
+			return nil
 		},
 	})
 }
@@ -128,28 +125,6 @@ func TestContinuationShipCommits(t *testing.T) {
 	}
 	if got := sumCol(t, s, ledger, 50); got != txns {
 		t.Fatalf("ledger total = %d, want %d", got, txns)
-	}
-}
-
-// TestBlockingShipsConfig: the escape hatch — with Config.BlockingShips
-// the same flow runs entirely on the parked-sender path (bodies get no
-// AsyncHost) and still commits correctly.
-func TestBlockingShipsConfig(t *testing.T) {
-	s, acct, ledger, e := rig2(t, 50, 2, Config{BlockingShips: true})
-	for i := 0; i < 100; i++ {
-		if err := e.Exec(0, xferFlow2(acct, ledger, int64(i%50)+1)); err != nil {
-			t.Fatalf("xfer %d: %v", i, err)
-		}
-	}
-	ss := e.ShipSnapshot()
-	if ss.ContShips != 0 || ss.KontsRun != 0 || ss.OverlapExec != 0 {
-		t.Fatalf("continuation machinery active under BlockingShips: %+v", ss)
-	}
-	if ss.BlockingShips == 0 {
-		t.Fatal("no blocking ships recorded")
-	}
-	if got := sumCol(t, s, ledger, 50); got != 100 {
-		t.Fatalf("ledger total = %d, want 100", got)
 	}
 }
 

@@ -17,8 +17,6 @@
 // inbox, and phases advance purely by RVP countdowns (ExecAsync) — no
 // goroutine ever waits on another partition's work, which makes
 // arbitrary action bodies deadlock-safe by construction.
-// Config.BlockingShips restores the parked-sender protocol as a
-// measurement baseline.
 //
 // Each partition's private lock table is hierarchical (hierlock.go): a
 // partition root, 256-key granules, and key nodes, with the classic
@@ -32,8 +30,7 @@
 // back to key granularity (re-materializing the holder's keys), with an
 // adaptive backoff that suppresses re-escalation after a conflict.
 // Because the table is thread-private, all of this is latch-free: no
-// lock-manager mutex exists at any granularity. Config.FlatLocks keeps
-// the per-key flat table as the measurement baseline (experiment E19).
+// lock-manager mutex exists at any granularity.
 package dora
 
 import (
@@ -68,17 +65,6 @@ type Config struct {
 	LocalTimeout time.Duration
 	// TickEvery is the timeout-sweep period (default 250ms).
 	TickEvery time.Duration
-	// DisableClaims turns off the up-front lock claims for later-phase
-	// actions (the deadlock-avoidance protocol). Only the ablation
-	// experiment uses this: without claims, multi-phase workloads
-	// deadlock across partitions and fall back to timeout aborts.
-	DisableClaims bool
-	// SharedAccessPath keeps every index on the shared latched B+tree
-	// path instead of claiming per-partition subtrees for the workers.
-	// Only the access-path experiment (E12) uses this: it is the
-	// measurement baseline that shows how much node latching the
-	// partitioned access path removes.
-	SharedAccessPath bool
 	// DebugShipCheck enables the ship-graph cycle detector: every
 	// owner-thread ship — blocking or continuation — carries its chain
 	// of traversed workers, and a ship targeting a worker already in the
@@ -88,38 +74,15 @@ type Config struct {
 	// diagnosis when it is not (continuation hops cannot wedge). Debug
 	// mode: it costs a goroutine-id lookup per ship.
 	DebugShipCheck bool
-	// BlockingShips selects the legacy parked-sender ship protocol:
-	// every cross-partition operation blocks its sender for the full
-	// round trip, action bodies never receive an AsyncHost, and the
-	// committers roll back synchronously. The measurement baseline for
-	// experiment E14; continuation-passing ships are the default.
-	BlockingShips bool
-	// LatchedOwnerWrites forces owner mutations of stamped heap pages
-	// back onto the exclusive frame-latch path (the pre-copy-on-write
-	// protocol). The measurement baseline for experiment E15; latch-free
-	// owner writes are the default. Page cleaning still runs through the
-	// snapshot ship either way.
-	LatchedOwnerWrites bool
 	// Tracer, when non-nil, samples transactions for end-to-end latency
 	// attribution: admission, inbox queue wait, action execution, ship
 	// hops, and the commit pipeline all record spans against it. Give
 	// the same tracer to sm.Options.Spans so the log stages join in.
 	Tracer *trace.Tracer
-	// FlatLocks selects the flat per-key local lock tables instead of
-	// the multigranularity hierarchy (hierlock.go). Only the lock-
-	// hierarchy ablation (E19) uses this: it is the baseline that shows
-	// what coarse range locks, one-intent maintenance gating and lock
-	// escalation save.
-	FlatLocks bool
 	// EscalateAt is the per-(transaction, granule) key-lock count that
 	// triggers lock escalation in the hierarchical tables (default 16;
 	// negative disables escalation).
 	EscalateAt int
-	// NoPinWorkers leaves partition workers on the Go scheduler's
-	// default placement instead of pinning each to its OS thread. The
-	// baseline for the thread-migration counters: unpinned workers'
-	// ThreadSwitches show the migrations pinning avoids.
-	NoPinWorkers bool
 }
 
 func (c *Config) fill() {
@@ -228,20 +191,14 @@ func New(s *sm.SM, cfg Config) *Dora {
 	// than the stamped hot set could run out of victims. Embedders may
 	// run additional cleaners (doramon, E15); they compose.
 	s.Pool.SetSnapshotter(e.snapshotPage)
-	if !cfg.BlockingShips {
-		// Pipelined checkpoint ships: FlushAll fans one async copy request
-		// per stamped page out through the owners' inboxes and hardens the
-		// replies from a completion queue, instead of parking on each owner
-		// round-trip in turn. The blocking-ships baseline keeps the legacy
-		// one-at-a-time protocol everywhere.
-		s.Pool.SetSnapshotterAsync(e.snapshotPageAsync)
-	}
+	// Pipelined checkpoint ships: FlushAll fans one async copy request per
+	// stamped page out through the owners' inboxes and hardens the
+	// replies from a completion queue, instead of parking on each owner
+	// round-trip in turn.
+	s.Pool.SetSnapshotterAsync(e.snapshotPageAsync)
 	e.cleaner = buffer.NewCleaner(s.Pool, buffer.CleanerConfig{Interval: 10 * time.Millisecond})
 	e.cleaner.Start()
 	for _, tbl := range s.Cat.Tables() {
-		if cfg.LatchedOwnerWrites {
-			tbl.Heap.SetLatchedOwnerWrites(true)
-		}
 		lo, hi := int64(0), int64(1)<<31
 		if d, ok := cfg.Domains[tbl.Name]; ok {
 			lo, hi = d[0], d[1]
@@ -257,9 +214,7 @@ func New(s *sm.SM, cfg Config) *Dora {
 			go p.loop()
 		}
 		e.routers[tbl.ID] = router.NewUniform(tbl.PartitionField(), lo, hi, handles)
-		if !cfg.SharedAccessPath {
-			e.claimAccessPaths(tbl)
-		}
+		e.claimAccessPaths(tbl)
 	}
 	for i := 0; i < cfg.Committers; i++ {
 		e.commitWG.Add(1)
@@ -291,7 +246,7 @@ func (e *Dora) claimAccessPaths(tbl *catalog.Table) {
 	targets := make([]tgt, len(ranges))
 	for i, r := range ranges {
 		if p := e.byWorker[r.Part]; p != nil {
-			targets[i] = tgt{p.token, p.ownerExec(), e.asyncHookFor(p)}
+			targets[i] = tgt{p.token, p.ownerExec(), p.ownerExecAsync()}
 		}
 	}
 	e.topoMu.RUnlock()
@@ -405,7 +360,7 @@ func (e *Dora) dispatchPhase(run *flowRun, phase int) {
 	// action whose key is static and aligned, so the transaction's whole
 	// (static) lock set enters all queues in one atomic canonical batch —
 	// the paper's deadlock-avoidance protocol.
-	if phase == 0 && len(run.flow.Phases) > 1 && !e.cfg.DisableClaims {
+	if phase == 0 && len(run.flow.Phases) > 1 {
 		for _, ph := range run.flow.Phases[1:] {
 			for _, a := range ph.Actions {
 				if a.LateKey {
@@ -491,7 +446,7 @@ func (e *Dora) dispatchPhase(run *flowRun, phase int) {
 			continue
 		}
 		e.noteUnaligned(tbl.ID, a.KeyField)
-		if a.ResolveAsync != nil && !e.cfg.BlockingShips {
+		if a.ResolveAsync != nil {
 			i := i
 			pending.Add(1)
 			e.AsyncResolves.Inc()
@@ -563,25 +518,20 @@ func (e *Dora) committer() {
 			// logically — and physically, the committer's compensations
 			// ship to the owning partition workers through the
 			// partitioned trees' owner executors (thread-to-data is
-			// preserved under rollback). With continuation ships the
-			// whole undo chain rides the async path: the committer fires
-			// it and moves to the next run; the final continuation
-			// releases the locks and reports the abort.
+			// preserved under rollback). The whole undo chain rides the
+			// async path: the committer fires it and moves to the next
+			// run; the final continuation releases the locks and reports
+			// the abort.
 			run := run
 			ferr := ferr
-			fin := func(rbErr error) {
+			e.sm.RollbackAsync(nil, run.txn, nil, func(rbErr error) {
 				if rbErr != nil {
 					panic(fmt.Sprintf("dora: rollback of txn %d failed: %v", run.txn.ID, rbErr))
 				}
 				e.Aborted.Inc()
 				e.broadcastRelease(run)
 				run.finish(ferr)
-			}
-			if e.cfg.BlockingShips {
-				fin(e.sm.Rollback(run.txn))
-			} else {
-				e.sm.RollbackAsync(nil, run.txn, nil, fin)
-			}
+			})
 			continue
 		}
 		e.sm.CommitAsync(run.txn, func(err error) {

@@ -33,13 +33,12 @@ import (
 //     interval are locked whole. Conservative, never incorrect — an
 //     extra writer may wait that strictly need not.
 //   - Grants never overtake a conflicting parked waiter at the same
-//     node (FIFO fairness per node, like the flat table). A promoted
-//     waiter that is still blocked re-parks at whichever level blocks
-//     it now, so cross-node ordering is approximate.
+//     node (FIFO fairness per node). A promoted waiter that is still
+//     blocked re-parks at whichever level blocks it now, so cross-node
+//     ordering is approximate.
 //   - Blocked requests keep their partial grants (intents, range
-//     prefixes); the transaction's release drops them. That mirrors the
-//     flat table's held-prefix behaviour for ranges and guarantees that
-//     every blocker's release re-triggers promotion at the nodes it
+//     prefixes); the transaction's release drops them. That guarantees
+//     that every blocker's release re-triggers promotion at the nodes it
 //     held.
 type hierLockTable struct {
 	root     hnode
@@ -146,16 +145,16 @@ type txnLocks struct {
 	last   *txnGran
 }
 
-// hierMoved is hierarchical lock state in flight between partitions.
+// hierMoved is lock state in flight between partitions (split/merge).
 type hierMoved struct {
-	root     llEntry
+	root     hnode
 	granules map[int64]*hierGranMoved
 }
 
 // hierGranMoved is one migrated granule's state.
 type hierGranMoved struct {
-	node llEntry
-	keys map[int64]*llEntry
+	node hnode
+	keys map[int64]*hnode
 }
 
 func newHierLockTable(escalateAt int) *hierLockTable {
@@ -366,7 +365,10 @@ func (th *txnLocks) eachGran(f func(gid int64, tg *txnGran)) {
 	}
 }
 
-// acquire implements lockTable.
+// acquire attempts to grant am's lock (point or ranged). On failure it
+// records where the request blocked (am.wnLevel/wnID) so wait can park
+// the action there; partial grants (range prefixes, intents) are
+// retained — the transaction's release drops them.
 func (lt *hierLockTable) acquire(am *actionMsg) bool {
 	if am.act.Ranged {
 		return lt.acquireRange(am)
@@ -639,16 +641,17 @@ func (lt *hierLockTable) nodeFor(level uint8, id int64) *hnode {
 	}
 }
 
-// wait implements lockTable.
+// wait parks am at the node acquire blocked it on.
 func (lt *hierLockTable) wait(am *actionMsg) {
 	n := lt.nodeFor(am.wnLevel, am.wnID)
 	n.waiters = append(n.waiters, am)
 	lt.waiting++
 }
 
-// release implements lockTable: drop every hold of txn (counting
-// de-escalations), drop its still-waiting claims, promote at every node
-// that changed, and garbage-collect empty granules.
+// release drops every hold of txn (counting de-escalations) and its
+// still-waiting claims, promotes at every node that changed, and
+// garbage-collects empty granules. It returns the actions that became
+// grantable (their locks are already granted).
 func (lt *hierLockTable) release(txn uint64) []*actionMsg {
 	th := lt.byTxn[txn]
 	delete(lt.byTxn, txn)
@@ -815,7 +818,8 @@ func (lt *hierLockTable) dropEmptyGranule(gid int64) {
 	}
 }
 
-// sweepWaiters implements lockTable.
+// sweepWaiters visits every parked waiter; judge returning false removes
+// it (the caller has already reported/aborted it).
 func (lt *hierLockTable) sweepWaiters(judge func(*actionMsg) bool) {
 	sweep := func(n *hnode) {
 		kept := n.waiters[:0]
@@ -850,19 +854,15 @@ func (lt *hierLockTable) sweepWaiters(judge func(*actionMsg) bool) {
 // by the key).
 func waiterMovesAbove(w *actionMsg, cut int64) bool { return w.routeKey >= cut }
 
-func exportNode(n *hnode) llEntry {
-	return llEntry{holders: n.holders, waiters: n.waiters}
-}
-
-// extractAbove implements lockTable: hand the hierarchy's state for
-// keys >= cut to a split target. Granules wholly above the cut move
-// wholesale — the O(granules) transfer the flat table's O(keys) copy
-// becomes. The straddling granule splits its key nodes at the cut and
-// DUPLICATES its granule-node holders to both sides: a coarse hold
-// covered both halves, so both partitions must keep enforcing it (the
-// release broadcast reaches every partition of the table and clears
-// both copies). Root holders are duplicated for the same reason.
-func (lt *hierLockTable) extractAbove(cut int64) *movedLocks {
+// extractAbove hands the hierarchy's state for keys >= cut to a split
+// target. Granules wholly above the cut move wholesale, an O(granules)
+// transfer, and waiter actions travel with the state. The straddling
+// granule splits its key nodes at the cut and DUPLICATES its
+// granule-node holders to both sides: a coarse hold covered both halves,
+// so both partitions must keep enforcing it (the release broadcast
+// reaches every partition of the table and clears both copies). Root
+// holders are duplicated for the same reason.
+func (lt *hierLockTable) extractAbove(cut int64) *hierMoved {
 	cutG := granuleOf(cut)
 	mv := &hierMoved{granules: make(map[int64]*hierGranMoved)}
 	for gid, g := range lt.granules {
@@ -870,10 +870,10 @@ func (lt *hierLockTable) extractAbove(cut int64) *movedLocks {
 			continue
 		}
 		if gid > cutG {
-			mg := &hierGranMoved{node: exportNode(&g.node), keys: make(map[int64]*llEntry, len(g.keys))}
+			mg := &hierGranMoved{node: g.node, keys: make(map[int64]*hnode, len(g.keys))}
 			lt.waiting -= len(g.node.waiters)
 			for k, kn := range g.keys {
-				mg.keys[k] = &llEntry{holders: kn.holders, waiters: kn.waiters}
+				mg.keys[k] = kn
 				lt.waiting -= len(kn.waiters)
 			}
 			mv.granules[gid] = mg
@@ -882,7 +882,7 @@ func (lt *hierLockTable) extractAbove(cut int64) *movedLocks {
 			continue
 		}
 		// The straddling granule.
-		mg := &hierGranMoved{keys: make(map[int64]*llEntry)}
+		mg := &hierGranMoved{keys: make(map[int64]*hnode)}
 		mg.node.holders = append([]llHold(nil), g.node.holders...)
 		keepW := g.node.waiters[:0]
 		for _, w := range g.node.waiters {
@@ -896,7 +896,7 @@ func (lt *hierLockTable) extractAbove(cut int64) *movedLocks {
 		g.node.waiters = keepW
 		for k, kn := range g.keys {
 			if k >= cut {
-				mg.keys[k] = &llEntry{holders: kn.holders, waiters: kn.waiters}
+				mg.keys[k] = kn
 				lt.waiting -= len(kn.waiters)
 				g.dropKey(k)
 			}
@@ -920,19 +920,19 @@ func (lt *hierLockTable) extractAbove(cut int64) *movedLocks {
 	}
 	lt.root.waiters = keepW
 	lt.rebuildTxnIndex()
-	return &movedLocks{hier: mv}
+	return mv
 }
 
-// extractAll implements lockTable (merge/evacuate).
-func (lt *hierLockTable) extractAll() *movedLocks {
+// extractAll removes and returns everything (merge/evacuate).
+func (lt *hierLockTable) extractAll() *hierMoved {
 	mv := &hierMoved{
-		root:     exportNode(&lt.root),
+		root:     lt.root,
 		granules: make(map[int64]*hierGranMoved, len(lt.granules)),
 	}
 	for gid, g := range lt.granules {
-		mg := &hierGranMoved{node: exportNode(&g.node), keys: make(map[int64]*llEntry, len(g.keys))}
+		mg := &hierGranMoved{node: g.node, keys: make(map[int64]*hnode, len(g.keys))}
 		for k, kn := range g.keys {
-			mg.keys[k] = &llEntry{holders: kn.holders, waiters: kn.waiters}
+			mg.keys[k] = kn
 		}
 		mv.granules[gid] = mg
 	}
@@ -941,20 +941,15 @@ func (lt *hierLockTable) extractAll() *movedLocks {
 	lt.byTxn = make(map[uint64]*txnLocks)
 	lt.waiting = 0
 	lt.keyNodes = 0
-	return &movedLocks{hier: mv}
+	return mv
 }
 
-// adopt implements lockTable: merge migrated hierarchy state in.
-// Adopted waiters keep their seniority (prepended); a holder already
-// present for the same transaction (a coarse duplicate from a split, or
-// a lock granted here during the hand-off window) merges by lub.
-func (lt *hierLockTable) adopt(mv *movedLocks) []*actionMsg {
-	if mv.keys != nil {
-		// The engine configures every partition with the same table kind;
-		// flat state can only arrive here through a bug.
-		panic("dora: flat lock state adopted into a hierarchical table")
-	}
-	in := mv.hier
+// adopt merges migrated hierarchy state in, returning newly grantable
+// actions. Adopted waiters keep their seniority (prepended); a holder
+// already present for the same transaction (a coarse duplicate from a
+// split, or a lock granted here during the hand-off window) merges by
+// lub.
+func (lt *hierLockTable) adopt(in *hierMoved) []*actionMsg {
 	if in == nil {
 		return nil
 	}
@@ -1017,8 +1012,8 @@ func (lt *hierLockTable) rebuildTxnIndex() {
 	}
 }
 
-// keyBusy implements lockTable: any lock state covering routing value v.
-// One granule probe plus one key probe in the common case — never a
+// keyBusy reports any lock state (held or waited) covering routing value
+// v: one granule probe plus one key probe in the common case — never a
 // table sweep. Conservative at coarse levels: a granule-level hold or
 // waiter of any kind reports the whole granule busy.
 func (lt *hierLockTable) keyBusy(v int64) bool {
@@ -1041,8 +1036,8 @@ func (lt *hierLockTable) keyBusy(v int64) bool {
 	return g.keys[v] != nil
 }
 
-// rangeBusy implements lockTable: any lock state intersecting [lo, hi],
-// in O(granules-with-state) — the one-intent maintenance gate.
+// rangeBusy reports any lock state intersecting [lo, hi] in
+// O(granules-with-state) — the one-intent maintenance gate.
 func (lt *hierLockTable) rangeBusy(lo, hi int64) bool {
 	lt.stats.rangeProbes++
 	if lt.rootCoarse() {
@@ -1077,11 +1072,11 @@ func (lt *hierLockTable) rootCoarse() bool {
 	return len(lt.root.waiters) > 0
 }
 
-// heldKeys implements lockTable: key nodes plus coarse summaries, the
-// monitor's "how much is locked" gauge. It is mirrored after every
-// batch, so it must be O(1): key nodes come from the maintained
-// counter, and every live granule counts as one summary (granules only
-// exist while they hold state — empties are dropped eagerly).
+// heldKeys counts key nodes plus coarse summaries, the monitor's "how
+// much is locked" gauge. It is mirrored after every batch, so it must be
+// O(1): key nodes come from the maintained counter, and every live
+// granule counts as one summary (granules only exist while they hold
+// state — empties are dropped eagerly).
 func (lt *hierLockTable) heldKeys() int {
 	n := lt.keyNodes + len(lt.granules)
 	if len(lt.root.holders) > 0 {
@@ -1091,7 +1086,5 @@ func (lt *hierLockTable) heldKeys() int {
 }
 
 func (lt *hierLockTable) waitingCount() int { return lt.waiting }
-
-func (lt *hierLockTable) coarseProbes() bool { return true }
 
 func (lt *hierLockTable) snapshotStats() lockStats { return lt.stats }

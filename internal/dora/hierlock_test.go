@@ -172,7 +172,7 @@ func TestHierExtractAdopt(t *testing.T) {
 	}
 	lt.wait(w)
 	moved := lt.extractAbove(512)
-	if moved.hier == nil || moved.hier.granules[granuleOf(600)] == nil {
+	if moved.granules[granuleOf(600)] == nil {
 		t.Fatal("high granule state not extracted")
 	}
 	if lt.keyNodes != 1 {

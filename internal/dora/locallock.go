@@ -9,73 +9,18 @@ import "dora/internal/xct"
 // absence is exactly how DORA eliminates the lock manager's critical
 // sections.
 //
-// Two implementations exist behind the lockTable interface:
-//
-//   - flatLockTable: the historical per-key map. Every logical lock is a
-//     key-level entry; a ranged action expands to one lock per routing
-//     value in its interval, and maintenance gates key by key. The
-//     Config.FlatLocks measurement baseline (experiment E19).
-//   - hierLockTable (hierlock.go): a multigranularity hierarchy,
-//     partition → granule (key range) → key, with IS/IX/S/SIX/X modes,
-//     one-coarse-lock range scans, and per-transaction lock escalation.
-//     The default.
-//
-// Keys are values of the table's current partitioning field. Entries
-// track granted (transaction, mode) pairs and FIFO waiter queues of
-// undispatched actions.
-
-// lockTable is what a partition worker requires of its private table.
-// All methods run on the owning worker's thread only.
-type lockTable interface {
-	// acquire attempts to grant am's lock (point or ranged). On failure
-	// it records where the request blocked (am.wnLevel/wnID) so wait can
-	// park the action there; partial grants (range prefixes, hierarchy
-	// intents) are retained — the transaction's release drops them.
-	acquire(am *actionMsg) bool
-	// wait parks am at the node acquire blocked it on.
-	wait(am *actionMsg)
-	// release drops every hold of txn — and any still-waiting claims it
-	// has — and returns the actions that became grantable (their locks
-	// are already granted).
-	release(txn uint64) []*actionMsg
-	// extractAbove removes and returns the lock state for keys >= cut
-	// (split migration); extractAll removes everything (merge/evacuate).
-	// Waiter actions travel with the state; coarse holds covering both
-	// sides of a split are duplicated so coverage is preserved.
-	extractAbove(cut int64) *movedLocks
-	extractAll() *movedLocks
-	// adopt merges state migrated from another partition, returning
-	// newly grantable actions.
-	adopt(mv *movedLocks) []*actionMsg
-	// sweepWaiters visits every parked waiter; keep=false removes it
-	// (the caller has already reported/aborted it).
-	sweepWaiters(judge func(am *actionMsg) (keep bool))
-	// keyBusy reports whether routing value v has any lock state (held
-	// or waited, at any granularity covering it); rangeBusy asks the
-	// same for an inclusive interval with O(active-granules) probes —
-	// the maintenance daemon's one-intent gate. Both may over-report
-	// (coarse coverage), never under-report.
-	keyBusy(v int64) bool
-	rangeBusy(lo, hi int64) bool
-	// coarseProbes reports whether rangeBusy is cheap (hierarchical
-	// table: O(granules-with-state)). The flat table answers false — its
-	// range probe sweeps every entry, so maintenance sticks to per-key
-	// probes there.
-	coarseProbes() bool
-	// heldKeys / waitingCount mirror table size and parked waiters for
-	// the monitor.
-	heldKeys() int
-	waitingCount() int
-	// snapshotStats copies the table's accounting.
-	snapshotStats() lockStats
-}
+// The table is hierarchical (hierLockTable, hierlock.go): partition →
+// granule (key range) → key, with IS/IX/S/SIX/X modes, one-coarse-lock
+// range scans, and per-transaction lock escalation. Keys are values of
+// the table's current partitioning field. Nodes track granted
+// (transaction, mode) pairs and FIFO waiter queues of undispatched
+// actions.
 
 // lockStats is the single-threaded accounting every table keeps; the
 // partition mirrors it into atomic gauges after each inbox batch.
 type lockStats struct {
-	// acquisitions counts lock-table grant operations: per key for the
-	// flat table, per hierarchy node touched for the hierarchical one —
-	// the O(keys) vs O(1) signal of experiment E19.
+	// acquisitions counts lock-table grant operations, one per hierarchy
+	// node touched — O(1) in a range scan's width (experiment E19).
 	acquisitions int64
 	// rangeLocks counts coarse (granule- or partition-level) S/X grants
 	// taken by ranged actions.
@@ -91,400 +36,15 @@ type lockStats struct {
 	rangeProbes int64
 }
 
-// movedLocks is lock state in flight between partitions (split/merge).
-// Exactly one of keys (flat) or hier (hierarchical) is set; the engine
-// configures all partitions with the same table kind.
-type movedLocks struct {
-	keys map[int64]*llEntry
-	hier *hierMoved
-}
-
-// waiters counts parked actions travelling with the state.
-func (mv *movedLocks) waiters() int {
-	n := 0
-	if mv == nil {
-		return 0
-	}
-	for _, e := range mv.keys {
-		n += len(e.waiters)
-	}
-	if mv.hier != nil {
-		n += len(mv.hier.root.waiters)
-		for _, g := range mv.hier.granules {
-			n += len(g.node.waiters)
-			for _, kn := range g.keys {
-				n += len(kn.waiters)
-			}
-		}
-	}
-	return n
-}
-
-// newLockTable builds the configured table kind.
-func newLockTable(cfg *Config) lockTable {
-	if cfg.FlatLocks {
-		return newFlatLockTable()
-	}
-	return newHierLockTable(cfg.EscalateAt)
-}
-
-// llHold is one granted (transaction, mode) pair. The flat table only
-// uses LockS/LockX; the hierarchy uses all five modes.
+// llHold is one granted (transaction, mode) pair.
 type llHold struct {
 	txn  uint64
 	mode xct.LockMode
 }
 
-// llEntry is one lock-table node: granted holds plus a FIFO waiter queue.
-// The flat table keys them per routing value; the hierarchy reuses the
-// shape for its nodes and for migration transfer.
-type llEntry struct {
-	holders []llHold
-	waiters []*actionMsg
-}
-
 // wnLevel values: where a blocked action parked (actionMsg.wnLevel).
 const (
-	wnKey     = 0 // key node (flat: always; hier: key level), id = key
-	wnGranule = 1 // hier granule node, id = granule id
-	wnRoot    = 2 // hier partition root, id unused
+	wnKey     = 0 // key node, id = key
+	wnGranule = 1 // granule node, id = granule id
+	wnRoot    = 2 // partition root, id unused
 )
-
-// flatLockTable is the historical per-key table.
-type flatLockTable struct {
-	entries map[int64]*llEntry
-	// byTxn indexes the keys each transaction holds, for O(held) release.
-	byTxn map[uint64][]int64
-	// waiting counts parked waiters across all entries — the partition's
-	// real congestion signal (the inbox drains fast; contention parks
-	// actions here). Single-threaded like the rest of the table.
-	waiting int
-	stats   lockStats
-}
-
-func newFlatLockTable() *flatLockTable {
-	return &flatLockTable{
-		entries: make(map[int64]*llEntry),
-		byTxn:   make(map[uint64][]int64),
-	}
-}
-
-// acquire implements lockTable: a point lock on the routing key, or —
-// for a ranged action — one lock per value of the interval, ascending.
-// A blocked range keeps its prefix (the cursor am.rangeNext resumes
-// after the blocking key is granted by promotion).
-func (lt *flatLockTable) acquire(am *actionMsg) bool {
-	txn := am.run.txn.ID
-	a := am.act
-	if !a.Ranged {
-		if lt.tryAcquire(am.routeKey, txn, a.Mode) {
-			return true
-		}
-		am.wnLevel, am.wnID = wnKey, am.routeKey
-		return false
-	}
-	k := a.RangeLo
-	if am.rangeNext > k {
-		k = am.rangeNext
-	}
-	for ; k <= a.RangeHi; k++ {
-		if !lt.tryAcquire(k, txn, a.Mode) {
-			am.rangeNext = k
-			am.wnLevel, am.wnID = wnKey, k
-			return false
-		}
-	}
-	am.rangeNext = a.RangeHi + 1
-	return true
-}
-
-// compatible reports whether a new request in access mode m conflicts
-// with an existing hold h by a different transaction.
-func compatible(h llHold, m xct.Mode) bool {
-	return xct.LockCompatible(h.mode, m.LockFor())
-}
-
-// tryAcquire attempts to grant (txn, mode) on key. FIFO fairness: a new
-// request never overtakes existing waiters it conflicts with. A repeated
-// request by a holding transaction is granted (upgrading Read→Write only
-// when no other holder exists).
-func (lt *flatLockTable) tryAcquire(key int64, txn uint64, mode xct.Mode) bool {
-	lt.stats.acquisitions++
-	e := lt.entries[key]
-	if e == nil {
-		e = &llEntry{}
-		lt.entries[key] = e
-	}
-	mine := -1
-	for i, h := range e.holders {
-		if h.txn == txn {
-			mine = i
-			continue
-		}
-		if !compatible(h, mode) {
-			return false
-		}
-	}
-	if mine >= 0 {
-		// Already holding: possibly upgrade. Other-holder conflicts were
-		// checked above.
-		if mode == xct.Write && e.holders[mine].mode == xct.LockS {
-			e.holders[mine].mode = xct.LockX
-		}
-		return true
-	}
-	// FIFO: conflicting waiters ahead of us block the grant.
-	for _, w := range e.waiters {
-		if w.run.txn.ID == txn {
-			continue
-		}
-		if !xct.LockCompatible(w.act.Mode.LockFor(), mode.LockFor()) {
-			return false
-		}
-	}
-	e.holders = append(e.holders, llHold{txn: txn, mode: mode.LockFor()})
-	lt.byTxn[txn] = append(lt.byTxn[txn], key)
-	return true
-}
-
-// wait parks an action at the tail of the blocking key's waiter queue.
-func (lt *flatLockTable) wait(am *actionMsg) {
-	key := am.wnID
-	e := lt.entries[key]
-	if e == nil {
-		e = &llEntry{}
-		lt.entries[key] = e
-	}
-	e.waiters = append(e.waiters, am)
-	lt.waiting++
-}
-
-// release drops every hold of txn — and any still-waiting claims it has
-// (an aborted transaction may never have collected claims for phases
-// that never ran) — and returns the actions that became grantable.
-func (lt *flatLockTable) release(txn uint64) []*actionMsg {
-	keys := lt.byTxn[txn]
-	delete(lt.byTxn, txn)
-	var runnable []*actionMsg
-	seen := make(map[int64]bool, len(keys))
-	for _, key := range keys {
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		e := lt.entries[key]
-		if e == nil {
-			continue
-		}
-		for i := 0; i < len(e.holders); {
-			if e.holders[i].txn == txn {
-				e.holders = append(e.holders[:i], e.holders[i+1:]...)
-			} else {
-				i++
-			}
-		}
-		lt.dropClaimsOf(e, txn)
-		runnable = append(runnable, lt.promoteWaiters(key, e)...)
-		if len(e.holders) == 0 && len(e.waiters) == 0 {
-			delete(lt.entries, key)
-		}
-	}
-	// Claims may wait on keys the transaction never held; sweep the rest.
-	for key, e := range lt.entries {
-		if seen[key] {
-			continue
-		}
-		before := len(e.waiters)
-		lt.dropClaimsOf(e, txn)
-		if len(e.waiters) != before {
-			runnable = append(runnable, lt.promoteWaiters(key, e)...)
-			if len(e.holders) == 0 && len(e.waiters) == 0 {
-				delete(lt.entries, key)
-			}
-		}
-	}
-	return runnable
-}
-
-// dropClaimsOf removes every waiting claim of txn on e (the real actions
-// of txn always resolve before release; claims may not).
-func (lt *flatLockTable) dropClaimsOf(e *llEntry, txn uint64) {
-	kept := e.waiters[:0]
-	for _, w := range e.waiters {
-		if w.claim && w.run.txn.ID == txn {
-			lt.waiting--
-			continue
-		}
-		kept = append(kept, w)
-	}
-	e.waiters = kept
-}
-
-// promoteWaiters grants waiters from the queue front while compatible.
-// A promoted ranged waiter additionally resumes acquiring the rest of
-// its interval; when a later key blocks it, it re-parks there instead of
-// becoming runnable.
-func (lt *flatLockTable) promoteWaiters(key int64, e *llEntry) []*actionMsg {
-	var out []*actionMsg
-	for len(e.waiters) > 0 {
-		w := e.waiters[0]
-		txn := w.run.txn.ID
-		ok := true
-		for _, h := range e.holders {
-			if h.txn != txn && !compatible(h, w.act.Mode) {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			break
-		}
-		e.waiters = e.waiters[:copy(e.waiters, e.waiters[1:])]
-		lt.waiting--
-		// Grant in place (mirrors tryAcquire's same-txn handling).
-		granted := false
-		for i := range e.holders {
-			if e.holders[i].txn == txn {
-				if w.act.Mode == xct.Write {
-					e.holders[i].mode = xct.LockX
-				}
-				granted = true
-				break
-			}
-		}
-		if !granted {
-			e.holders = append(e.holders, llHold{txn: txn, mode: w.act.Mode.LockFor()})
-			lt.byTxn[txn] = append(lt.byTxn[txn], key)
-		}
-		if w.act.Ranged && key >= w.rangeNext {
-			// Resume the interval past the key just granted; a block at a
-			// later key re-parks the waiter there (never at this key
-			// again — the cursor only ascends).
-			w.rangeNext = key + 1
-			if !lt.acquire(w) {
-				lt.wait(w)
-				continue
-			}
-		}
-		out = append(out, w)
-	}
-	return out
-}
-
-// sweepWaiters implements lockTable.
-func (lt *flatLockTable) sweepWaiters(judge func(*actionMsg) bool) {
-	for key, e := range lt.entries {
-		kept := e.waiters[:0]
-		for _, w := range e.waiters {
-			if judge(w) {
-				kept = append(kept, w)
-			} else {
-				lt.waiting--
-			}
-		}
-		e.waiters = kept
-		if len(e.holders) == 0 && len(e.waiters) == 0 {
-			delete(lt.entries, key)
-		}
-	}
-}
-
-// extractAbove removes and returns all entries with key >= cut (split
-// migration). Waiter actions travel with their entries.
-func (lt *flatLockTable) extractAbove(cut int64) *movedLocks {
-	moved := make(map[int64]*llEntry)
-	for key, e := range lt.entries {
-		if key >= cut {
-			moved[key] = e
-			lt.waiting -= len(e.waiters)
-			delete(lt.entries, key)
-		}
-	}
-	// Fix the byTxn index.
-	for txn, keys := range lt.byTxn {
-		kept := keys[:0]
-		for _, k := range keys {
-			if k < cut {
-				kept = append(kept, k)
-			}
-		}
-		if len(kept) == 0 {
-			delete(lt.byTxn, txn)
-		} else {
-			lt.byTxn[txn] = kept
-		}
-	}
-	return &movedLocks{keys: moved}
-}
-
-// extractAll removes and returns every entry (merge/evacuate migration).
-func (lt *flatLockTable) extractAll() *movedLocks {
-	moved := lt.entries
-	lt.entries = make(map[int64]*llEntry)
-	lt.byTxn = make(map[uint64][]int64)
-	lt.waiting = 0
-	return &movedLocks{keys: moved}
-}
-
-// adopt merges entries migrated from another partition. Key spaces are
-// disjoint by construction (the ranges were disjoint), but the map may
-// already hold an entry if an action for a migrated key arrived during
-// the hand-off window; the adopted holders/waiters are then prepended,
-// preserving their seniority.
-func (lt *flatLockTable) adopt(mv *movedLocks) []*actionMsg {
-	if mv.hier != nil {
-		// The engine configures every partition with the same table kind;
-		// hierarchical state can only arrive here through a bug.
-		panic("dora: hierarchical lock state adopted into a flat table")
-	}
-	var runnable []*actionMsg
-	for key, in := range mv.keys {
-		lt.waiting += len(in.waiters)
-		cur := lt.entries[key]
-		if cur == nil {
-			lt.entries[key] = in
-		} else {
-			// Adopted state is older: it goes first.
-			in.holders = append(in.holders, cur.holders...)
-			in.waiters = append(in.waiters, cur.waiters...)
-			lt.entries[key] = in
-		}
-		e := lt.entries[key]
-		for _, h := range e.holders {
-			lt.byTxn[h.txn] = append(lt.byTxn[h.txn], key)
-		}
-		runnable = append(runnable, lt.promoteWaiters(key, e)...)
-	}
-	return runnable
-}
-
-// keyBusy reports whether the routing value has any entry (held or
-// waited). Maintenance skips records of busy values: an in-flight
-// transaction may hold undo entries naming their current RIDs, and
-// migration would invalidate them.
-func (lt *flatLockTable) keyBusy(v int64) bool {
-	lt.stats.keyProbes++
-	return lt.entries[v] != nil
-}
-
-// rangeBusy reports whether any value of [lo, hi] has an entry. The flat
-// table has no coarse summary, so this is an O(entries) sweep — the
-// per-key cost the hierarchy's granule nodes remove.
-func (lt *flatLockTable) rangeBusy(lo, hi int64) bool {
-	lt.stats.rangeProbes++
-	for key := range lt.entries {
-		if lo <= key && key <= hi {
-			return true
-		}
-	}
-	return false
-}
-
-// heldKeys reports how many keys are currently locked (statistics).
-func (lt *flatLockTable) heldKeys() int { return len(lt.entries) }
-
-func (lt *flatLockTable) waitingCount() int { return lt.waiting }
-
-func (lt *flatLockTable) coarseProbes() bool { return false }
-
-func (lt *flatLockTable) snapshotStats() lockStats { return lt.stats }

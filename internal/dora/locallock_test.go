@@ -15,73 +15,85 @@ func mkMsg(txnID uint64, mode xct.Mode, claim bool) *actionMsg {
 	}
 }
 
-// park queues am as a waiter on key (the park position acquire would
-// have recorded).
-func park(lt lockTable, key int64, am *actionMsg) {
+// The TestLocalLock* cases drive the hierarchical table through its
+// point-lock path only (escalation off), checking the per-key behaviours
+// every local lock table must keep.
+
+// grant asks lt for txn's point lock on key.
+func grant(lt *hierLockTable, txn uint64, key int64, mode xct.Mode) bool {
+	return lt.acquire(hierPoint(txn, key, mode))
+}
+
+// park queues am on key at the node its acquire blocks on.
+func park(t *testing.T, lt *hierLockTable, key int64, am *actionMsg) {
+	t.Helper()
 	am.routeKey = key
-	am.wnLevel, am.wnID = wnKey, key
+	if lt.acquire(am) {
+		t.Fatalf("txn %d granted on key %d, expected to wait", am.run.txn.ID, key)
+	}
 	lt.wait(am)
 }
 
 func TestLocalLockReadersShare(t *testing.T) {
-	lt := newFlatLockTable()
-	if !lt.tryAcquire(1, 10, xct.Read) {
+	lt := newHierLockTable(-1)
+	if !grant(lt, 10, 1, xct.Read) {
 		t.Fatal("first reader refused")
 	}
-	if !lt.tryAcquire(1, 11, xct.Read) {
+	if !grant(lt, 11, 1, xct.Read) {
 		t.Fatal("second reader refused")
 	}
-	if lt.tryAcquire(1, 12, xct.Write) {
+	if grant(lt, 12, 1, xct.Write) {
 		t.Fatal("writer admitted alongside readers")
 	}
 }
 
 func TestLocalLockWriterExcludes(t *testing.T) {
-	lt := newFlatLockTable()
-	if !lt.tryAcquire(1, 10, xct.Write) {
+	lt := newHierLockTable(-1)
+	if !grant(lt, 10, 1, xct.Write) {
 		t.Fatal("writer refused on free key")
 	}
-	if lt.tryAcquire(1, 11, xct.Read) || lt.tryAcquire(1, 11, xct.Write) {
+	if grant(lt, 11, 1, xct.Read) || grant(lt, 11, 1, xct.Write) {
 		t.Fatal("conflicting grant under writer")
 	}
 	// Same transaction re-acquires freely.
-	if !lt.tryAcquire(1, 10, xct.Read) || !lt.tryAcquire(1, 10, xct.Write) {
+	if !grant(lt, 10, 1, xct.Read) || !grant(lt, 10, 1, xct.Write) {
 		t.Fatal("same-txn re-acquire refused")
 	}
 }
 
 func TestLocalLockUpgrade(t *testing.T) {
-	lt := newFlatLockTable()
-	if !lt.tryAcquire(5, 20, xct.Read) {
+	lt := newHierLockTable(-1)
+	if !grant(lt, 20, 5, xct.Read) {
 		t.Fatal("reader refused")
 	}
 	// Sole holder upgrades.
-	if !lt.tryAcquire(5, 20, xct.Write) {
+	if !grant(lt, 20, 5, xct.Write) {
 		t.Fatal("sole-holder upgrade refused")
 	}
-	if lt.tryAcquire(5, 21, xct.Read) {
+	if grant(lt, 21, 5, xct.Read) {
 		t.Fatal("reader admitted under upgraded writer")
 	}
 	// Shared holders cannot upgrade.
-	lt2 := newFlatLockTable()
-	lt2.tryAcquire(7, 30, xct.Read)
-	lt2.tryAcquire(7, 31, xct.Read)
-	if lt2.tryAcquire(7, 30, xct.Write) {
+	lt2 := newHierLockTable(-1)
+	grant(lt2, 30, 7, xct.Read)
+	grant(lt2, 31, 7, xct.Read)
+	if grant(lt2, 30, 7, xct.Write) {
 		t.Fatal("upgrade granted with co-holders")
 	}
 }
 
 func TestLocalLockFIFOWaiters(t *testing.T) {
-	lt := newFlatLockTable()
-	lt.tryAcquire(1, 10, xct.Write)
+	lt := newHierLockTable(-1)
+	grant(lt, 10, 1, xct.Read)
 	w1 := mkMsg(11, xct.Write, false)
-	park(lt, 1, w1)
-	// A reader arriving later must not overtake the queued writer.
-	if lt.tryAcquire(1, 12, xct.Read) {
+	park(t, lt, 1, w1)
+	// A reader arriving later must not overtake the queued writer, even
+	// though it is compatible with the current holder.
+	if grant(lt, 12, 1, xct.Read) {
 		t.Fatal("reader overtook queued writer")
 	}
 	w2 := mkMsg(12, xct.Read, false)
-	park(lt, 1, w2)
+	park(t, lt, 1, w2)
 	if lt.waiting != 2 {
 		t.Fatalf("waiting = %d", lt.waiting)
 	}
@@ -99,11 +111,11 @@ func TestLocalLockFIFOWaiters(t *testing.T) {
 }
 
 func TestLocalLockBatchedReaderGrant(t *testing.T) {
-	lt := newFlatLockTable()
-	lt.tryAcquire(1, 10, xct.Write)
+	lt := newHierLockTable(-1)
+	grant(lt, 10, 1, xct.Write)
 	r1, r2 := mkMsg(11, xct.Read, false), mkMsg(12, xct.Read, false)
-	park(lt, 1, r1)
-	park(lt, 1, r2)
+	park(t, lt, 1, r1)
+	park(t, lt, 1, r2)
 	runnable := lt.release(10)
 	if len(runnable) != 2 {
 		t.Fatalf("released %d readers, want both", len(runnable))
@@ -111,12 +123,12 @@ func TestLocalLockBatchedReaderGrant(t *testing.T) {
 }
 
 func TestLocalLockReleaseDropsWaitingClaims(t *testing.T) {
-	lt := newFlatLockTable()
-	lt.tryAcquire(1, 10, xct.Write)
+	lt := newHierLockTable(-1)
+	grant(lt, 10, 1, xct.Write)
 	cl := mkMsg(11, xct.Write, true)
-	park(lt, 1, cl)
+	park(t, lt, 1, cl)
 	// Txn 11 aborts elsewhere; its release must purge the parked claim
-	// even though it holds nothing.
+	// even though it holds no key lock.
 	_ = lt.release(11)
 	if lt.waiting != 0 {
 		t.Fatalf("claim leaked: waiting = %d", lt.waiting)
@@ -130,24 +142,27 @@ func TestLocalLockReleaseDropsWaitingClaims(t *testing.T) {
 	}
 }
 
+// TestLocalLockExtractAndAdopt splits inside one granule: the key above
+// the cut travels with its waiter, the key below stays.
 func TestLocalLockExtractAndAdopt(t *testing.T) {
-	lt := newFlatLockTable()
-	lt.tryAcquire(10, 1, xct.Write)
-	lt.tryAcquire(90, 2, xct.Write)
+	lt := newHierLockTable(-1)
+	grant(lt, 1, 10, xct.Write)
+	grant(lt, 2, 90, xct.Write)
 	w := mkMsg(3, xct.Write, false)
-	park(lt, 90, w)
+	park(t, lt, 90, w)
 	moved := lt.extractAbove(50)
-	if len(moved.keys) != 1 || moved.keys[90] == nil {
-		t.Fatalf("moved = %v", moved.keys)
+	mg := moved.granules[granuleOf(90)]
+	if mg == nil || len(mg.keys) != 1 || mg.keys[90] == nil {
+		t.Fatalf("moved = %+v", moved.granules)
 	}
 	if lt.waiting != 0 {
 		t.Fatalf("waiting after extract = %d", lt.waiting)
 	}
-	if _, ok := lt.entries[10]; !ok {
+	if g := lt.granules[granuleOf(10)]; g == nil || g.keys[10] == nil {
 		t.Fatal("low key lost in split")
 	}
 
-	dst := newFlatLockTable()
+	dst := newHierLockTable(-1)
 	runnable := dst.adopt(moved)
 	if len(runnable) != 0 {
 		t.Fatal("waiter granted while holder still present")

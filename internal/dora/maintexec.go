@@ -60,16 +60,11 @@ func (c *OwnerCtx) Ranges() []router.Range {
 func (c *OwnerCtx) KeyBusy(v int64) bool { return c.p.locks.keyBusy(v) }
 
 // RangeBusy reports whether any routing value of [lo, hi] has lock
-// state — the one-intent maintenance gate: with a hierarchical table a
-// whole page's record interval is cleared in O(granules-with-state)
-// instead of a KeyBusy probe per record. Conservative: coarse coverage
-// may report busy for values nothing touches.
+// state — the one-intent maintenance gate: a whole page's record
+// interval is cleared in O(granules-with-state) instead of a KeyBusy
+// probe per record. Conservative: coarse coverage may report busy for
+// values nothing touches.
 func (c *OwnerCtx) RangeBusy(lo, hi int64) bool { return c.p.locks.rangeBusy(lo, hi) }
-
-// CoarseProbes reports whether RangeBusy/PartitionBusy are cheap on
-// this worker's lock table (hierarchical: yes; flat baseline: a range
-// probe sweeps every entry, so callers should prefer per-key probes).
-func (c *OwnerCtx) CoarseProbes() bool { return c.p.locks.coarseProbes() }
 
 // PartitionBusy reports whether the partition has any lock state at all
 // (held or waiting) — the gate for whole-partition maintenance such as
@@ -156,14 +151,8 @@ func (e *Dora) ExecOnOwner(table string, v int64, fn func(*OwnerCtx)) bool {
 // Repartition still never interleaves with an in-flight maintenance
 // operation. The maintenance daemon uses this to fan one operation out
 // to several owners concurrently (e.g. compaction across all partitions
-// of a table) instead of parking on each round trip in turn. Under
-// Config.BlockingShips it degrades to the parked-sender ExecOnOwner so
-// the measurement baseline keeps the legacy protocol everywhere.
+// of a table) instead of parking on each round trip in turn.
 func (e *Dora) ExecOnOwnerAsync(table string, v int64, fn func(*OwnerCtx), done func(ok bool)) {
-	if e.cfg.BlockingShips {
-		done(e.ExecOnOwner(table, v, fn))
-		return
-	}
 	e.execGate.RLock()
 	finish := func(ok bool) {
 		e.execGate.RUnlock()

@@ -34,9 +34,9 @@ type actionMsg struct {
 	claim bool
 	// wnLevel/wnID record where the lock table blocked this action (the
 	// node wait() parks it at): a key, a granule, or the partition root.
-	// rangeNext is a ranged acquire's resume cursor — the next key (flat
-	// table) or granule id (hierarchical) not yet locked, so a promoted
-	// range continues instead of restarting.
+	// rangeNext is a ranged acquire's resume cursor — the next granule id
+	// not yet locked, so a promoted range continues instead of
+	// restarting.
 	wnLevel   uint8
 	wnID      int64
 	rangeNext int64
@@ -55,7 +55,7 @@ type splitMsg struct {
 }
 
 // adoptMsg delivers migrated lock-table state.
-type adoptMsg struct{ locks *movedLocks }
+type adoptMsg struct{ locks *hierMoved }
 
 // evacuateMsg tells a partition to hand everything to partition to and
 // enter forwarding mode (merge).
@@ -131,7 +131,7 @@ type partition struct {
 	worker int // global worker id; also the routing handle
 	token  *btree.Owner
 	in     *inbox
-	locks  lockTable
+	locks  *hierLockTable
 	ses    *sm.Session
 
 	// forward is non-nil after evacuation (merge): everything is
@@ -167,7 +167,7 @@ type partition struct {
 	// OverlapExec counts actions this worker executed while at least one
 	// of its earlier actions was suspended on an in-flight foreign
 	// operation — the proof that continuation ships keep the sender
-	// draining its inbox (structurally zero under blocking ships).
+	// draining its inbox.
 	OverlapExec metrics.Counter
 	// HeldKeys mirrors the local lock table size for the monitor;
 	// WaitingNow mirrors its parked-waiter count (congestion signal);
@@ -186,30 +186,22 @@ type partition struct {
 	MaintKeyProbes   metrics.Gauge
 	MaintRangeProbes metrics.Gauge
 	// ThreadSwitches counts OS-thread migrations observed at timeout
-	// ticks (tid changed since the previous tick). Zero while the worker
-	// is pinned (the default); the NoPinWorkers baseline shows what
-	// pinning avoids.
+	// ticks (tid changed since the previous tick). Workers are pinned, so
+	// it stays zero; a non-zero value means the pin was lost.
 	ThreadSwitches metrics.Counter
 	lastTID        int64
 }
 
 func newPartition(e *Dora, tbl *catalog.Table, worker int, adoptWait bool) *partition {
 	tok := btree.NewOwner()
-	ses := e.sm.OwnedSession(worker, tok)
-	if e.cfg.SharedAccessPath {
-		// The E12 measurement baseline: no subtree claims, and a plain
-		// session so no heap page is ever owner-stamped either — the
-		// pre-PLP physical behaviour, exactly.
-		ses = e.sm.Session(worker)
-	}
 	p := &partition{
 		eng:       e,
 		tbl:       tbl,
 		worker:    worker,
 		token:     tok,
 		in:        newInbox(),
-		locks:     newLockTable(&e.cfg),
-		ses:       ses,
+		locks:     newHierLockTable(e.cfg.EscalateAt),
+		ses:       e.sm.OwnedSession(worker, tok),
 		adoptWait: adoptWait,
 	}
 	p.homeExec = p.deliverHome
@@ -239,18 +231,14 @@ func (p *partition) ownerExec() btree.OwnerExec {
 }
 
 // loop is the worker body: batch-drain the inbox (one mutex round per
-// batch), process serially. By default the goroutine is pinned to its
-// OS thread for its whole life: a micro-engine's cache/NUMA locality is
-// the point of thread-to-data, and the scheduler migrating it between
-// threads (and with them, cores) forfeits it. Config.NoPinWorkers opts
-// out (measurement baseline; ThreadSwitches then counts the migrations
-// pinning would have avoided).
+// batch), process serially. The goroutine is pinned to its OS thread
+// for its whole life: a micro-engine's cache/NUMA locality is the point
+// of thread-to-data, and the scheduler migrating it between threads (and
+// with them, cores) forfeits it.
 func (p *partition) loop() {
 	defer p.eng.wg.Done()
-	if !p.eng.cfg.NoPinWorkers {
-		runtime.LockOSThread()
-		defer runtime.UnlockOSThread()
-	}
+	runtime.LockOSThread()
+	defer runtime.UnlockOSThread()
 	p.lastTID = osThreadID()
 	if det := p.eng.shipDet; det != nil {
 		p.frame = det.register(p.worker)
@@ -447,7 +435,7 @@ func (p *partition) handle(m msg) bool {
 		// ranges, so the exclusivity promise transfers intact.
 		for _, ix := range p.tbl.Indexes() {
 			if pt := ix.Partitioned(); pt != nil {
-				pt.ReassignOwner(p.token, t.to.token, t.to.ownerExec(), p.eng.asyncHookFor(t.to))
+				pt.ReassignOwner(p.token, t.to.token, t.to.ownerExec(), t.to.ownerExecAsync())
 			}
 		}
 		p.tbl.Heap.ReassignStamps(p.token, t.to.token)
@@ -460,7 +448,7 @@ func (p *partition) handle(m msg) bool {
 		// cumulative accounting into the engine's retired totals first so
 		// LockSnapshot never goes backward.
 		p.eng.retiredLocks.fold(p.locks.snapshotStats())
-		p.locks = newLockTable(&p.eng.cfg)
+		p.locks = newHierLockTable(p.eng.cfg.EscalateAt)
 		p.mirrorLockStats()
 		close(t.ack)
 	case tickMsg:
@@ -514,7 +502,7 @@ func (p *partition) moveAccessPaths(at, hi int64, q *partition) {
 			continue
 		}
 		keyLo, keyHi := rr(at, hi)
-		pt.MoveRange(p.token, keyLo, keyHi, q.token, q.ownerExec(), p.eng.asyncHookFor(q))
+		pt.MoveRange(p.token, keyLo, keyHi, q.token, q.ownerExec(), q.ownerExecAsync())
 	}
 }
 
@@ -541,10 +529,10 @@ func (p *partition) handleAction(am *actionMsg) {
 // execute runs a granted action and reports to its RVP. Granted claims
 // have nothing to run: the lock is now held for the future action.
 //
-// In continuation mode the body receives an AsyncHost: it may suspend
-// itself on a foreign operation, in which case the worker moves on
-// (draining its inbox while the foreign op is in flight) and the
-// action's resume continuation reports to the RVP instead.
+// The body receives an AsyncHost: it may suspend itself on a foreign
+// operation, in which case the worker moves on (draining its inbox while
+// the foreign op is in flight) and the action's resume continuation
+// reports to the RVP instead.
 func (p *partition) execute(am *actionMsg) {
 	if am.claim {
 		return
@@ -569,23 +557,13 @@ func (p *partition) execute(am *actionMsg) {
 		execAt = time.Now()
 		tt.Span(trace.StageQueueWait, p.worker, am.at, execAt.Sub(am.at))
 	}
-	env := &xct.Env{Txn: am.run.txn, Ses: p.ses}
-	if !p.eng.cfg.BlockingShips {
-		host := &actionHost{p: p, am: am}
-		env.Async = host
-		err := am.act.Run(env)
-		if tt != nil {
-			tt.Span(trace.StageExec, p.worker, execAt, time.Since(execAt))
-		}
-		if host.suspended {
-			return // the resume continuation owns the RVP report
-		}
-		p.eng.report(am.rvp, err)
-		return
-	}
-	err := am.act.Run(env)
+	host := &actionHost{p: p, am: am}
+	err := am.act.Run(&xct.Env{Txn: am.run.txn, Ses: p.ses, Async: host})
 	if tt != nil {
 		tt.Span(trace.StageExec, p.worker, execAt, time.Since(execAt))
+	}
+	if host.suspended {
+		return // the resume continuation owns the RVP report
 	}
 	p.eng.report(am.rvp, err)
 }

@@ -168,9 +168,8 @@ func (e *Dora) ShipSnapshot() ShipStats {
 // LockStats aggregates the local lock tables' hierarchy accounting
 // across all live partitions plus retired history (monitor, E19).
 type LockStats struct {
-	// Acquisitions counts lock-table grant operations: per key in the
-	// flat tables, per hierarchy node in the hierarchical ones — the
-	// O(keys) vs O(1) range-scan signal.
+	// Acquisitions counts lock-table grant operations, one per hierarchy
+	// node touched — O(1) in a range scan's width.
 	Acquisitions int64 `json:"acquisitions"`
 	// RangeLocks counts coarse (granule- or partition-level) S/X grants
 	// taken by ranged actions.
@@ -184,7 +183,7 @@ type LockStats struct {
 	KeyProbes   int64 `json:"key_probes"`
 	RangeProbes int64 `json:"range_probes"`
 	// ThreadSwitches counts worker OS-thread migrations observed at
-	// ticks (zero while pinned, the default).
+	// ticks (zero while the workers stay pinned).
 	ThreadSwitches int64 `json:"thread_switches"`
 }
 
@@ -382,9 +381,7 @@ func (e *Dora) Repartition(table, field string, lo, hi int64) error {
 	// index declares a RouteRange for). Indexes not routable on it stay
 	// released on the shared latched path. claimAccessPaths filters by
 	// the table's current partition field, which is already `field`.
-	if !e.cfg.SharedAccessPath {
-		e.claimAccessPaths(tbl)
-	}
+	e.claimAccessPaths(tbl)
 	e.fireRebalance(table, RebalanceRepartition)
 	return nil
 }

@@ -4,13 +4,11 @@ import (
 	"time"
 
 	"dora/internal/dora"
-	"dora/internal/engine"
 	"dora/internal/metrics"
 	"dora/internal/sm"
 	"dora/internal/wal"
 	"dora/internal/workload"
 	"dora/internal/workload/tatp"
-	"dora/internal/workload/tpcc"
 )
 
 // A1PartitionCount ablates the number of micro-engines per table: too
@@ -113,52 +111,6 @@ func A2GroupCommit(c Config, clients []int) (*Table, error) {
 		tb.Rows = append(tb.Rows, []string{
 			d2(int64(n)), f1(res.Throughput), d2(syncs), f1(pct),
 		})
-	}
-	return tb, nil
-}
-
-// A3Claims ablates DORA's deadlock-avoidance protocol (the atomic
-// canonical enqueue of up-front lock claims for later-phase actions) on
-// TPC-C, whose multi-phase NewOrder/Delivery conflicts deadlock across
-// partitions without it and then burn the local-wait timeout.
-func A3Claims(c Config) (*Table, error) {
-	c = c.fill()
-	tb := &Table{
-		Title:  "A3  ablation: up-front lock claims (deadlock avoidance), TPC-C (DORA)",
-		Header: []string{"claims", "tps", "local timeouts", "aborted"},
-		Caption: "without claims, cross-phase lock cycles between NewOrder and\n" +
-			"Delivery resolve only via the local wait timeout.",
-	}
-	for _, disabled := range []bool{false, true} {
-		cs := &metrics.CriticalSectionStats{}
-		s, err := sm.Open(sm.Options{Frames: 1 << 14, CS: cs})
-		if err != nil {
-			return nil, err
-		}
-		db, err := tpcc.Load(s, tpcc.DefaultScale(c.Warehouses))
-		if err != nil {
-			return nil, err
-		}
-		var e engine.Engine = dora.New(s, dora.Config{
-			PartitionsPerTable: c.Partitions,
-			Domains:            db.Domains(),
-			DisableClaims:      disabled,
-			LocalTimeout:       500 * time.Millisecond,
-		})
-		de := e.(*dora.Dora)
-		res := (&workload.Driver{
-			Engine: e, Mix: db.NewMix(tpcc.MixOptions{}),
-			Clients: c.Clients, Duration: c.Duration, Seed: 103, MaxRetries: 3,
-		}).Run()
-		name := "on"
-		if disabled {
-			name = "off"
-		}
-		tb.Rows = append(tb.Rows, []string{
-			name, f1(res.Throughput), d2(de.Timeouts.Load()), d2(res.Aborted),
-		})
-		_ = e.Close()
-		_ = s.Close()
 	}
 	return tb, nil
 }

@@ -3,29 +3,23 @@ package exp
 import (
 	"fmt"
 
-	"dora/internal/dora"
-	"dora/internal/engine"
-	"dora/internal/engine/conventional"
-	"dora/internal/metrics"
-	"dora/internal/sm"
 	"dora/internal/workload"
 	"dora/internal/workload/tatp"
 )
 
 // E12AccessPathLatching measures what the partitioned access path
 // (PLP-style per-partition B+tree subtrees) removes: B+tree node latch
-// crabbing. It runs E4's TATP rig three ways — the conventional engine,
-// DORA over the shared latched trees (the pre-PLP baseline,
-// Config.SharedAccessPath), and DORA over claimed per-partition subtrees
-// — and reports critical sections per committed transaction plus
-// throughput at saturation.
+// crabbing. It runs E4's TATP rig on the conventional engine, whose
+// indexes stay on the shared latched trees, and on DORA over claimed
+// per-partition subtrees, and reports critical sections per committed
+// transaction plus throughput at saturation.
 //
 // The "index latch/txn" column counts only B+tree node latches (the
 // access-path serialization); "latch/txn" is the full class including
 // buffer-frame/page latches, which remain physical in every mode because
 // heap pages are shared structures. The conventional engine never claims
-// subtrees, so its numbers are unchanged by this PR — the partitioned
-// path is gated on ownership, and ownership only exists under DORA.
+// subtrees: the partitioned path is gated on ownership, and ownership
+// only exists under DORA.
 func E12AccessPathLatching(c Config) (*Table, error) {
 	c = c.fill()
 	tb := &Table{
@@ -34,21 +28,13 @@ func E12AccessPathLatching(c Config) (*Table, error) {
 			"lockmgr/txn", "tps"},
 		Caption: "index latch/txn = B+tree node crabbing only (what per-partition\n" +
 			"subtree ownership removes); latch/txn also counts buffer-frame/page\n" +
-			"latches, which remain in all modes. dora/shared = partitioned access\n" +
-			"path disabled (pre-PLP baseline).",
+			"latches, which remain in all modes. conventional = shared latched trees.",
 	}
-	type mode struct {
-		name   string
-		which  string
-		shared bool
-	}
-	modes := []mode{
-		{"conventional", "conventional", false},
-		{"dora/shared", "dora", true},
-		{"dora/plp", "dora", false},
-	}
-	for _, m := range modes {
-		db, e, cs, closeRig, err := tatpRigAccessPath(c, m.which, m.shared)
+	for _, m := range []struct{ name, which string }{
+		{"conventional", "conventional"},
+		{"dora/plp", "dora"},
+	} {
+		db, e, cs, closeRig, err := tatpRig(c, m.which)
 		if err != nil {
 			return nil, fmt.Errorf("e12 %s: %w", m.name, err)
 		}
@@ -74,32 +60,4 @@ func E12AccessPathLatching(c Config) (*Table, error) {
 		closeRig()
 	}
 	return tb, nil
-}
-
-// tatpRigAccessPath is tatpRig with an access-path toggle for DORA.
-func tatpRigAccessPath(c Config, which string, sharedAP bool) (db *tatp.DB, e engine.Engine, cs *metrics.CriticalSectionStats, close func(), err error) {
-	cs = &metrics.CriticalSectionStats{}
-	s, err := sm.Open(sm.Options{Frames: 1 << 14, CS: cs})
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	db, err = tatp.Load(s, c.Subscribers)
-	if err != nil {
-		_ = s.Close()
-		return nil, nil, nil, nil, err
-	}
-	switch which {
-	case "conventional":
-		e = conventional.New(s)
-	case "dora":
-		e = dora.New(s, dora.Config{
-			PartitionsPerTable: c.Partitions,
-			Domains:            db.Domains(),
-			SharedAccessPath:   sharedAP,
-		})
-	default:
-		_ = s.Close()
-		return nil, nil, nil, nil, fmt.Errorf("exp: unknown engine %q", which)
-	}
-	return db, e, cs, func() { _ = e.Close(); _ = s.Close() }, nil
 }

@@ -16,46 +16,37 @@ import (
 )
 
 // E14ContinuationShips measures the asynchronous continuation-passing
-// ship path against the blocking (parked-sender) baseline on a workload
-// built to be all cross-partition traffic: every transaction's single
-// action runs on an "acct" partition worker and performs one foreign
-// operation on the "audit" table, whose subtrees are owned by different
-// workers. Under blocking ships the acct worker parks for the full
-// round trip of every transaction; under continuation ships it suspends
-// the action, keeps draining its inbox, and resumes when the audit
-// worker enqueues the continuation back.
+// ship path on a workload built to be all cross-partition traffic: every
+// transaction's single action runs on an "acct" partition worker and
+// performs one foreign operation on the "audit" table, whose subtrees
+// are owned by different workers. The acct worker suspends the action,
+// keeps draining its inbox, and resumes when the audit worker enqueues
+// the continuation back.
 //
-// The table reports, per engine/mode: saturation throughput, the ship
-// counts by protocol, and "overlap" — actions a worker executed while
-// one of its earlier actions was suspended on an in-flight foreign
-// operation. Overlap is the direct proof that sender threads drain
-// their inboxes while foreign ops are in flight; it is structurally
-// zero under blocking ships. The conventional engine has no partitions
-// and no ships; its row is the unchanged baseline, identical whichever
-// ship protocol DORA uses.
+// The table reports, per engine: saturation throughput, the ship counts
+// by protocol (a worker never parks, so DORA's blocking count is zero),
+// and "overlap" — actions a worker executed while one of its earlier
+// actions was suspended on an in-flight foreign operation. Overlap is
+// the direct proof that sender threads drain their inboxes while
+// foreign ops are in flight. The conventional engine has no partitions
+// and no ships; its row is the comparison baseline.
 func E14ContinuationShips(c Config) (*Table, error) {
 	c = c.fill()
 	tb := &Table{
-		Title:  "E14  continuation vs blocking ships: cross-partition txn throughput at saturation",
+		Title:  "E14  continuation ships: cross-partition txn throughput at saturation",
 		Header: []string{"engine", "tps", "blocking ships", "cont ships", "overlap execs", "side effects"},
 		Caption: "every txn: local acct update + one foreign audit op (always another worker's\n" +
 			"subtree). overlap execs = actions a worker ran while an earlier action of its\n" +
-			"was suspended on an in-flight foreign op (sender kept draining; impossible\n" +
-			"when ships park the sender). side effects = audit total == acct total ==\n" +
-			"committed (exactly-once). conventional has no ships: unchanged baseline.",
+			"was suspended on an in-flight foreign op (sender kept draining). side\n" +
+			"effects = audit total == acct total == committed (exactly-once).\n" +
+			"conventional has no ships: comparison baseline.",
 	}
 
-	type mode struct {
-		name     string
-		engine   string // "conventional" or "dora"
-		blocking bool
-	}
-	for _, m := range []mode{
-		{"conventional", "conventional", false},
-		{"dora/blocking", "dora", true},
-		{"dora/continuation", "dora", false},
+	for _, m := range []struct{ name, engine string }{
+		{"conventional", "conventional"},
+		{"dora/continuation", "dora"},
 	} {
-		row, err := e14Run(c, m.engine, m.blocking, m.name)
+		row, err := e14Run(c, m.engine, m.name)
 		if err != nil {
 			return nil, fmt.Errorf("e14 %s: %w", m.name, err)
 		}
@@ -120,16 +111,14 @@ func e14Load(s *sm.SM, rows int64) (*e14DB, error) {
 }
 
 // xferFlow is the E14 transaction: one action, routed to acct[k]'s
-// partition, that updates acct[k] locally and audit[k] remotely. With a
-// continuation engine the foreign op suspends the action; otherwise it
-// runs synchronously (shipping blocking under DORA, inline under the
-// conventional engine).
+// partition, that updates acct[k] locally and audit[k] remotely. Under
+// DORA the foreign op suspends the action; the conventional engine
+// offers no continuation host and runs it inline.
 //
 // Both halves carry e14Work spin iterations of simulated per-record
-// compute: a parked sender then serializes local work + round trip +
-// owner work per transaction, while a suspended sender overlaps its
-// next actions with the owner's work — the structural difference the
-// experiment measures (not just message latency).
+// compute: a suspended sender overlaps its next actions with the
+// owner's work — the structural property the experiment measures (not
+// just message latency).
 func (db *e14DB) xferFlow(k int64) *xct.Flow {
 	bump := func(r tuple.Record) tuple.Record {
 		spin(e14Work)
@@ -147,13 +136,8 @@ func (db *e14DB) xferFlow(k int64) *xct.Flow {
 				env.Ses.MutateAsync(env.Txn, db.audit, k, bump, env.Async.Home(), resume)
 				return nil
 			}
-			// Blocking baseline: the foreign read-modify-write decomposes
-			// into its historical two parked round trips (read ship, then
-			// update ship, with fn running on the sender in between) — the
-			// legacy protocol this experiment is calibrated against.
-			// Session.Mutate itself now runs as ONE owner-thread pass, so
-			// using it here would measure that unrelated optimization
-			// instead of the ship protocol.
+			// No continuation host (conventional engine): read, then
+			// update, as two synchronous accesses.
 			rec, err := env.Ses.Read(env.Txn, db.audit, k)
 			if err != nil {
 				return err
@@ -163,7 +147,7 @@ func (db *e14DB) xferFlow(k int64) *xct.Flow {
 	})
 }
 
-func e14Run(c Config, which string, blocking bool, label string) ([]string, error) {
+func e14Run(c Config, which, label string) ([]string, error) {
 	s, err := sm.Open(sm.Options{Frames: 1 << 14})
 	if err != nil {
 		return nil, err
@@ -185,7 +169,6 @@ func e14Run(c Config, which string, blocking bool, label string) ([]string, erro
 		e = dora.New(s, dora.Config{
 			PartitionsPerTable: c.Partitions,
 			Domains:            map[string][2]int64{"acct": {1, rows}, "audit": {1, rows}},
-			BlockingShips:      blocking,
 		})
 	default:
 		return nil, fmt.Errorf("unknown engine %q", which)

@@ -7,8 +7,6 @@ import (
 	"dora/internal/dora"
 	"dora/internal/engine"
 	"dora/internal/maint"
-	"dora/internal/metrics"
-	"dora/internal/sm"
 	"dora/internal/workload"
 	"dora/internal/workload/tatp"
 )
@@ -24,9 +22,7 @@ import (
 //
 // The metric is the fraction of owner-thread heap mutations that still
 // took the exclusive frame latch: ~1 right after load (nothing is
-// stamped), 1.0 under the latched baseline protocol
-// (dora.Config.LatchedOwnerWrites) no matter how converged the stamps
-// are, ~0 once stamps converge under the copy-on-write protocol. "snap
+// stamped), ~0 once stamps converge under the copy-on-write protocol. "snap
 // ships" counts the cleaner's snapshot requests executed on owner
 // threads — the proof that cleaning kept running while writes went
 // latch-free. The final row drives the same write-heavy mix through the
@@ -34,7 +30,7 @@ import (
 // capacity: past the knee, latency reflects queueing and the drop
 // accounting measures the excess — the overload view a closed loop
 // structurally cannot show. The conventional engine has no ownership;
-// its row is the unchanged baseline.
+// its row is the comparison baseline.
 func E15PageCleaning(c Config) (*Table, error) {
 	c = c.fill()
 	tb := &Table{
@@ -44,9 +40,8 @@ func E15PageCleaning(c Config) (*Table, error) {
 		Caption: "latched/owned write = owner-thread heap mutations that took the exclusive\n" +
 			"frame latch (the class copy-on-write page cleaning retires; n/a without\n" +
 			"ownership). snap ships = cleaner snapshot requests run on owner threads.\n" +
-			"latched = the pre-CoW protocol forced via config (stamps converged, still\n" +
-			"latching every write). open-loop = Poisson arrivals at ~2x capacity with a\n" +
-			"bounded in-flight cap: drops + p99 show overload instead of saturation.",
+			"open-loop = Poisson arrivals at ~2x capacity with a bounded in-flight\n" +
+			"cap: drops + p99 show overload instead of saturation.",
 	}
 
 	// Conventional baseline: no ownership, no stamps, no owned writes.
@@ -64,31 +59,9 @@ func E15PageCleaning(c Config) (*Table, error) {
 		closeRig()
 	}
 
-	// Latched baseline: stamps converged, cleaner running, but owner
-	// mutations forced onto the exclusive frame latch (the old protocol).
-	{
-		db, e, _, closeRig, err := tatpRigE15(c, true)
-		if err != nil {
-			return nil, fmt.Errorf("e15 latched: %w", err)
-		}
-		eng := e.(*dora.Dora)
-		d := maint.New(db.SM, eng, maint.Config{})
-		cl := buffer.NewCleaner(db.SM.Pool, buffer.CleanerConfig{})
-		cl.Start()
-		d.Drain()
-		ratio, tps := measureWrites(c, db, e)
-		ships := db.SM.Pool.SnapshotShips.Load()
-		cleaned := cl.CleanedPages.Load()
-		tb.Rows = append(tb.Rows, []string{"dora/latched", "converged", f3(ratio),
-			d2(ownedWriteTotal(db)), d2(ships), d2(cleaned), f1(tps), "-", "-"})
-		_ = cl.Close()
-		_ = d.Close()
-		closeRig()
-	}
-
 	// Copy-on-write protocol: fresh (unstamped) -> converged -> open-loop
 	// overload, cleaner running throughout.
-	db, e, _, closeRig, err := tatpRigE15(c, false)
+	db, e, _, closeRig, err := tatpRig(c, "dora")
 	if err != nil {
 		return nil, fmt.Errorf("e15 dora: %w", err)
 	}
@@ -141,27 +114,6 @@ func E15PageCleaning(c Config) (*Table, error) {
 	row("open-loop", ownedWriteRatio(db), ores.Throughput,
 		fmt.Sprintf("%.1f", float64(ores.P99US)/1000), d2(ores.Dropped))
 	return tb, nil
-}
-
-// tatpRigE15 is tatpRig with the DORA engine's latched-owner-write
-// baseline toggle.
-func tatpRigE15(c Config, latched bool) (*tatp.DB, engine.Engine, *metrics.CriticalSectionStats, func(), error) {
-	cs := &metrics.CriticalSectionStats{}
-	s, err := sm.Open(sm.Options{Frames: 1 << 14, CS: cs})
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	db, err := tatp.Load(s, c.Subscribers)
-	if err != nil {
-		_ = s.Close()
-		return nil, nil, nil, nil, err
-	}
-	e := dora.New(s, dora.Config{
-		PartitionsPerTable: c.Partitions,
-		Domains:            db.Domains(),
-		LatchedOwnerWrites: latched,
-	})
-	return db, e, cs, func() { _ = e.Close(); _ = s.Close() }, nil
 }
 
 // measureWrites resets the owned-write counters, runs the write-heavy

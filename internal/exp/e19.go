@@ -12,30 +12,27 @@ import (
 	"dora/internal/xct"
 )
 
-// E19LockHierarchy is the flat-vs-hierarchical local-lock-table ablation
-// (Config.FlatLocks keeps the per-key baseline):
+// E19LockHierarchy measures the hierarchical local lock tables:
 //
 //   - range scans: a BatchScanSubscribers flow locks a subscriber-id
-//     interval with ONE ranged S request; the hierarchical table grants
-//     it as a root intent plus a couple of granule locks (O(1) in the
-//     scan width) while the flat baseline expands it key by key
-//     (O(keys)). Measured as lock acquisitions per scan.
+//     interval with ONE ranged S request; the table grants it as a root
+//     intent plus a couple of granule locks — O(1) in the scan width,
+//     where a per-key table would take one lock per id. Measured as
+//     lock acquisitions per scan.
 //   - maintenance gating: heap-migration units clear a whole assigned
-//     range with one RangeBusy probe on the hierarchical table instead
-//     of a KeyBusy probe per record (the flat baseline keeps per-key
-//     probes — its range probe would sweep every entry). Measured as
-//     busy-gate probes per maintenance unit.
+//     range with one RangeBusy probe instead of a KeyBusy probe per
+//     record. Measured as busy-gate probes per maintenance unit.
 //   - hot-key storm: zipfian single-key writers compete with multi-key
 //     audit transactions whose point-lock runs trip per-transaction
-//     escalation to a granule lock; rows compare flat, hierarchical
-//     with escalation, and hierarchical with escalation disabled.
+//     escalation to a granule lock; rows compare escalation on and
+//     escalation disabled.
 //   - aligned mix: the standard TATP mix, where almost every
 //     transaction touches 1-4 keys — the hierarchy's intent overhead
 //     must stay in the noise.
 func E19LockHierarchy(c Config) (*Table, error) {
 	c = c.fill()
 	tb := &Table{
-		Title: "E19  hierarchical intention locking vs flat per-key lock tables, TATP",
+		Title: "E19  hierarchical intention locking in the local lock tables, TATP",
 		Header: []string{"locks", "scenario", "acq/op", "rangelocks/op",
 			"keyprobes/unit", "rangeprobes/unit", "esc", "deesc", "tps"},
 		Caption: "acq/op = lock-table grant operations per range scan (width " +
@@ -52,7 +49,6 @@ func E19LockHierarchy(c Config) (*Table, error) {
 		full bool // run scan/maint/mix scenarios, not just the storm
 	}
 	variants := []variant{
-		{"flat", func(dc *dora.Config) { dc.FlatLocks = true }, true},
 		{"hier", func(dc *dora.Config) {}, true},
 		{"hier-noesc", func(dc *dora.Config) { dc.EscalateAt = -1 }, false},
 	}
@@ -197,7 +193,7 @@ func e19AuditFlow(db *tatp.DB, base int64) *xct.Flow {
 	return xct.NewFlow("BatchAudit").AddPhase(acts...)
 }
 
-// tatpRigE19 is tatpRig with a DORA config hook (FlatLocks/EscalateAt).
+// tatpRigE19 is tatpRig with a DORA config hook (EscalateAt).
 func tatpRigE19(c Config, mut func(*dora.Config)) (*tatp.DB, *dora.Dora, func(), error) {
 	s, err := sm.Open(sm.Options{Frames: 1 << 14})
 	if err != nil {

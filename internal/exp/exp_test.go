@@ -105,7 +105,7 @@ func TestE12Quick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tb.Rows) != 3 {
+	if len(tb.Rows) != 2 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
 	row := func(name string) []string {
@@ -124,25 +124,16 @@ func TestE12Quick(t *testing.T) {
 		}
 		return v
 	}
-	shared, plp, conv := row("dora/shared"), row("dora/plp"), row("conventional")
-	// The acceptance claim: per-partition subtree ownership collapses
-	// DORA's index latching by at least 5x vs the shared latched tree.
-	sharedIdx, plpIdx := parse(shared[1]), parse(plp[1])
-	if sharedIdx < 1 {
-		t.Fatalf("dora/shared index latch/txn = %.2f, expected a latched baseline", sharedIdx)
-	}
-	if plpIdx*5 > sharedIdx {
-		t.Fatalf("index latch/txn: shared=%.2f plp=%.2f, want >= 5x reduction", sharedIdx, plpIdx)
-	}
-	// Total latching (including frame/page latches) must drop too.
-	if parse(plp[2]) >= parse(shared[2]) {
-		t.Fatalf("latch/txn did not drop: shared=%s plp=%s", shared[2], plp[2])
-	}
-	// The conventional engine stays on the shared path: its index
-	// latching matches DORA-over-shared-trees within noise.
-	convIdx := parse(conv[1])
+	plp, conv := row("dora/plp"), row("conventional")
+	// The conventional engine stays on the shared path: it crabs.
+	convIdx, plpIdx := parse(conv[1]), parse(plp[1])
 	if convIdx < 1 {
 		t.Fatalf("conventional index latch/txn = %.2f, expected latched crabbing", convIdx)
+	}
+	// The acceptance claim: per-partition subtree ownership puts DORA's
+	// index latching at least 5x below the shared latched tree.
+	if plpIdx*5 > convIdx {
+		t.Fatalf("index latch/txn: conventional=%.2f plp=%.2f, want >= 5x below", convIdx, plpIdx)
 	}
 }
 
@@ -240,13 +231,6 @@ func TestE15Quick(t *testing.T) {
 	if conv := tb.Rows[0]; conv[0] != "conventional" || conv[2] != "n/a" {
 		t.Fatalf("conventional row changed shape: %v", conv)
 	}
-	// The latched baseline (config flag) takes the exclusive frame latch
-	// on EVERY owner write, converged stamps or not: >= 1 latch per
-	// aligned write means a ratio of exactly 1.
-	latched := row("dora/latched", "converged")
-	if parse(latched[2]) < 0.99 {
-		t.Fatalf("latched baseline ratio = %s, want 1", latched[2])
-	}
 	// A fresh load has no stamped pages: owner writes latch.
 	fresh := row("dora/cow", "fresh load")
 	if parse(fresh[2]) < 0.5 {
@@ -296,56 +280,27 @@ func TestE14Quick(t *testing.T) {
 		t.Fatalf("missing row %q", name)
 		return nil
 	}
-	// Structural claims first (stable under any scheduler): in
-	// continuation mode the workload's foreign ops all ride contMsgs and
-	// senders provably drained while suspended; in blocking mode every
-	// foreign op parked its sender and overlap is impossible. The
-	// experiment itself verifies exactly-once side effects and that the
-	// conventional engine performed no ships (its row has none).
-	check := func(tb *Table) float64 {
-		blocking, cont := row(tb, "dora/blocking"), row(tb, "dora/continuation")
-		if parse(blocking[2]) == 0 || parse(blocking[3]) != 0 {
-			t.Fatalf("blocking row ships: blocking=%s cont=%s", blocking[2], blocking[3])
-		}
-		if parse(blocking[4]) != 0 {
-			t.Fatalf("blocking mode reported overlap %s, structurally impossible", blocking[4])
-		}
-		if parse(cont[3]) == 0 || parse(cont[2]) != 0 {
-			t.Fatalf("continuation row ships: blocking=%s cont=%s", cont[2], cont[3])
-		}
-		if parse(cont[4]) == 0 {
-			t.Fatal("continuation mode reported zero overlap: senders never drained while suspended")
-		}
-		if conv := row(tb, "conventional"); conv[2] != "-" || conv[5] != "ok" {
-			t.Fatalf("conventional row changed shape: %v", conv)
-		}
-		return parse(cont[1]) / parse(blocking[1])
-	}
+	// Structural claims (stable under any scheduler): the workload's
+	// foreign ops all ride contMsgs — no worker ever parks on a ship —
+	// and senders provably drained while suspended. The experiment
+	// itself verifies exactly-once side effects, and the conventional
+	// engine performs no ships (its row has none).
 	tb, err := E14ContinuationShips(Config{Quick: true, Duration: 250 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ratio := check(tb)
-	if raceEnabled {
-		t.Logf("race detector on: structural checks only (cont/blocking tps ratio %.2f)", ratio)
-		return
+	if len(tb.Rows) != 2 {
+		t.Fatalf("rows = %d, want 2", len(tb.Rows))
 	}
-	// The acceptance claim: continuation ships beat blocking ships on
-	// multi-partition transaction throughput at saturation. Shared CI
-	// boxes are noisy, so take the best of three runs.
-	for attempt := 0; ; attempt++ {
-		if ratio > 1 {
-			return
-		}
-		if attempt >= 2 {
-			t.Fatalf("continuation/blocking tps ratio = %.2f after 3 attempts, want > 1", ratio)
-		}
-		t.Logf("attempt %d: continuation/blocking tps ratio = %.2f", attempt+1, ratio)
-		tb, err = E14ContinuationShips(Config{Quick: true, Duration: 250 * time.Millisecond})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ratio = check(tb)
+	cont := row(tb, "dora/continuation")
+	if parse(cont[3]) == 0 || parse(cont[2]) != 0 {
+		t.Fatalf("continuation row ships: blocking=%s cont=%s", cont[2], cont[3])
+	}
+	if parse(cont[4]) == 0 {
+		t.Fatal("continuation mode reported zero overlap: senders never drained while suspended")
+	}
+	if conv := row(tb, "conventional"); conv[2] != "-" || conv[5] != "ok" {
+		t.Fatalf("conventional row changed shape: %v", conv)
 	}
 }
 
@@ -438,9 +393,9 @@ func TestE19Quick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// flat and hier contribute 4 rows each, hier-noesc just the storm.
-	if len(tb.Rows) != 9 {
-		t.Fatalf("rows = %d, want 9", len(tb.Rows))
+	// hier contributes 4 rows, hier-noesc just the storm.
+	if len(tb.Rows) != 5 {
+		t.Fatalf("rows = %d, want 5", len(tb.Rows))
 	}
 	cell := func(locks, scenario string, col int) float64 {
 		for _, r := range tb.Rows {
@@ -455,27 +410,16 @@ func TestE19Quick(t *testing.T) {
 		t.Fatalf("no row %s/%s", locks, scenario)
 		return 0
 	}
-	// Range scans: the flat table expands the interval per key, the
-	// hierarchical one grants a root intent plus a couple of granule
-	// locks — O(keys) vs O(1) in the scan width.
-	flatAcq, hierAcq := cell("flat", "range-scan", 2), cell("hier", "range-scan", 2)
-	if flatAcq < float64(e19ScanWidth) {
-		t.Fatalf("flat scan acq/op = %.1f, want >= width %d", flatAcq, e19ScanWidth)
-	}
-	if hierAcq > 8 {
+	// Range scans: a root intent plus a couple of granule locks — O(1)
+	// in the scan width.
+	if hierAcq := cell("hier", "range-scan", 2); hierAcq > 8 {
 		t.Fatalf("hier scan acq/op = %.1f, want O(1) (<= 8)", hierAcq)
 	}
 	if cell("hier", "range-scan", 3) == 0 {
 		t.Fatal("hier scans took no coarse range locks")
 	}
-	// Maintenance: per-record key probes on flat, one range probe per
-	// assigned range on hier.
-	if cell("flat", "maintenance", 4) == 0 {
-		t.Fatal("flat maintenance did no per-key busy probes")
-	}
-	if cell("flat", "maintenance", 5) != 0 {
-		t.Fatal("flat maintenance should not range-probe")
-	}
+	// Maintenance: one range probe per assigned range, no per-record
+	// key probes.
 	if cell("hier", "maintenance", 4) != 0 {
 		t.Fatal("hier maintenance still key-probing")
 	}

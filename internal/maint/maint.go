@@ -422,17 +422,14 @@ func (d *Daemon) heapUnit(ctx *dora.OwnerCtx) bool {
 	}
 	// One-intent gate: the whole unit runs on the owner's thread, so
 	// lock state cannot appear underneath it. One RangeBusy probe per
-	// assigned range (O(granules-with-state) on the hierarchical table)
-	// clears every per-record KeyBusy probe below; when some range
-	// reports busy — or the lock table has no cheap coarse probes (flat
-	// baseline) — migration falls back to key-by-key gating.
-	quiet := ctx.CoarseProbes()
+	// assigned range (O(granules-with-state)) clears every per-record
+	// KeyBusy probe below; when some range reports busy, migration falls
+	// back to key-by-key gating.
+	quiet := true
 	for _, r := range ranges {
-		if !quiet {
-			break
-		}
 		if ctx.RangeBusy(r.Lo, r.Hi) {
 			quiet = false
+			break
 		}
 	}
 	if quiet {

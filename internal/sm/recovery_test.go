@@ -36,14 +36,28 @@ func (r *crashRig) crash(t *testing.T) *SM {
 	return r.open(t)
 }
 
-// TestRecoverAcrossLogManagers runs the workload under the legacy
-// single-mutex log, crashes, and recovers under the consolidation-array
-// log (and vice versa): the two managers share one on-disk format, so
-// recovery must be oblivious to which one produced the stream.
+// TestRecoverAcrossLogManagers runs the workload under the single-mutex
+// reference log (wal.New), crashes, and recovers under the
+// consolidation-array log (and vice versa): the two managers share one
+// on-disk format, so recovery must be oblivious to which one produced
+// the stream.
 func TestRecoverAcrossLogManagers(t *testing.T) {
+	// legacyOr hands opt's store to the single-mutex manager when legacy
+	// is set; Open builds the consolidation-array one otherwise.
+	legacyOr := func(t *testing.T, opt Options, legacy bool) Options {
+		t.Helper()
+		if legacy {
+			log, err := wal.New(opt.LogStore, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opt.Log = log
+		}
+		return opt
+	}
 	for _, dir := range []struct {
 		name              string
-		writer, recoverer bool // LegacyLog flags
+		writer, recoverer bool // true: the single-mutex wal.Log
 	}{
 		{"legacy-to-clog", true, false},
 		{"clog-to-legacy", false, true},
@@ -51,7 +65,7 @@ func TestRecoverAcrossLogManagers(t *testing.T) {
 		t.Run(dir.name, func(t *testing.T) {
 			disk := buffer.NewMemDisk()
 			store := wal.NewMemStore()
-			s, err := Open(Options{Frames: 64, Disk: disk, LogStore: store, LegacyLog: dir.writer})
+			s, err := Open(legacyOr(t, Options{Frames: 64, Disk: disk, LogStore: store}, dir.writer))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -73,7 +87,7 @@ func TestRecoverAcrossLogManagers(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			s2, err := Open(Options{Frames: 64, Disk: disk, LogStore: store.CrashCopy(), LegacyLog: dir.recoverer})
+			s2, err := Open(legacyOr(t, Options{Frames: 64, Disk: disk, LogStore: store.CrashCopy()}, dir.recoverer))
 			if err != nil {
 				t.Fatal(err)
 			}

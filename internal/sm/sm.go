@@ -45,12 +45,10 @@ type Options struct {
 	Disk buffer.Disk
 	// LogStore backs the WAL (default: in-memory).
 	LogStore wal.Store
-	// LegacyLog selects the original single-mutex log manager instead of
-	// the consolidation-array one (comparison experiments, E11).
-	LegacyLog bool
 	// Log, when non-nil, is used as the log manager directly and LogStore
-	// / LegacyLog are ignored. Replication injects a replica's read-only
-	// delivered-stream manager this way (internal/repl).
+	// is ignored. Replication injects a replica's read-only
+	// delivered-stream manager this way (internal/repl); tests inject the
+	// single-mutex reference manager (wal.New) the same way.
 	Log wal.Manager
 	// CS receives critical-section accounting (optional).
 	CS *metrics.CriticalSectionStats
@@ -148,18 +146,13 @@ func Open(opt Options) (*SM, error) {
 	if opt.LogStore == nil {
 		opt.LogStore = wal.NewMemStore()
 	}
-	var log wal.Manager
-	var err error
-	switch {
-	case opt.Log != nil:
-		log = opt.Log
-	case opt.LegacyLog:
-		log, err = wal.New(opt.LogStore, opt.CS)
-	default:
-		log, err = clog.New(opt.LogStore, opt.CS)
-	}
-	if err != nil {
-		return nil, err
+	log := opt.Log
+	if log == nil {
+		cl, err := clog.New(opt.LogStore, opt.CS)
+		if err != nil {
+			return nil, err
+		}
+		log = cl
 	}
 	pool := buffer.NewPool(opt.Frames, opt.Disk, log)
 	if opt.CS != nil {

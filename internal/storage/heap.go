@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"dora/internal/btree"
 	"dora/internal/buffer"
@@ -80,21 +79,10 @@ type Heap struct {
 	// OwnedWrites / OwnedWritesLatched are the mutation-side twins
 	// (experiment E15): owner-thread record mutations, and the subset
 	// that still took the exclusive frame latch — because the page is
-	// not stamped to the writer, the frame is mid-load, or the latched
-	// baseline is forced via SetLatchedOwnerWrites.
+	// not stamped to the writer or the frame is mid-load.
 	OwnedWrites        metrics.Counter
 	OwnedWritesLatched metrics.Counter
-
-	// latchedWrites forces every owner mutation onto the exclusive-latch
-	// path (the pre-copy-on-write protocol) — the measurement baseline
-	// for experiment E15. Snapshot-based cleaning still works (the seq
-	// counter is bumped on latched paths too); only the owner's write
-	// path changes.
-	latchedWrites atomic.Bool
 }
-
-// SetLatchedOwnerWrites toggles the latched owner-write baseline (E15).
-func (h *Heap) SetLatchedOwnerWrites(on bool) { h.latchedWrites.Store(on) }
 
 // noteLatchedWrite classifies a frame-latch acquisition taken to MUTATE a
 // heap record (the CriticalSectionStats FrameLatch/FrameLatchWrite view —
@@ -212,7 +200,7 @@ func (h *Heap) tryInsertWith(pid page.ID, expect *btree.Owner, rec []byte, mkLSN
 	if err != nil {
 		return RID{}, false, err
 	}
-	if expect != nil && !h.latchedWrites.Load() && h.StampOwner(pid) == expect && !f.Loading() {
+	if expect != nil && h.StampOwner(pid) == expect && !f.Loading() {
 		f.BumpWriteSeq()
 		slot, err := f.Page.Insert(rec)
 		if err != nil {

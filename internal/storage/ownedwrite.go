@@ -8,7 +8,7 @@ import (
 
 // Latch-free owner mutations. A page stamped to a partition worker's
 // token is mutated ONLY on that worker's thread (session operations reach
-// it through the partitioned tree's ExecAt ship), and — since the
+// it through the partitioned tree's ExecAt ship), and — under the
 // copy-on-write cleaning protocol — is never latched by the buffer pool's
 // write-back either: flushing it means asking this same thread for a
 // snapshot copy. Under those two facts the exclusive frame latch guards
@@ -24,17 +24,16 @@ import (
 //   - the Loading flag (a concurrent latched reader's miss mid-disk-read)
 //     falls back to the latched path, exactly like GetOwned.
 //
-// With a nil token, an unstamped page, or the latched baseline forced
-// (SetLatchedOwnerWrites), the operations take the classic exclusive
-// latch and count OwnedWritesLatched — the decay signal experiment E15
-// watches converge to ~0.
+// With a nil token or an unstamped page, the operations take the classic
+// exclusive latch and count OwnedWritesLatched — the decay signal
+// experiment E15 watches converge to ~0.
 
 // UpdateOwnedWith is UpdateWith carrying the calling worker's ownership
 // token: when rid's page is stamped to tok the rewrite happens without
 // the frame latch. mkLSN receives the before image (aliasing the page; it
 // must copy) and returns the LSN to stamp.
 func (h *Heap) UpdateOwnedWith(tok *btree.Owner, rid RID, rec []byte, mkLSN func(before []byte) uint64) error {
-	if tok == nil || h.latchedWrites.Load() || h.StampOwner(rid.Page) != tok {
+	if tok == nil || h.StampOwner(rid.Page) != tok {
 		if tok != nil {
 			h.OwnedWrites.Inc()
 			h.OwnedWritesLatched.Inc()
@@ -77,7 +76,7 @@ func (h *Heap) UpdateOwnedWith(tok *btree.Owner, rid RID, rec []byte, mkLSN func
 // DeleteOwnedWith is DeleteWith carrying the calling worker's ownership
 // token (see UpdateOwnedWith).
 func (h *Heap) DeleteOwnedWith(tok *btree.Owner, rid RID, mkLSN func(before []byte) uint64) error {
-	if tok == nil || h.latchedWrites.Load() || h.StampOwner(rid.Page) != tok {
+	if tok == nil || h.StampOwner(rid.Page) != tok {
 		if tok != nil {
 			h.OwnedWrites.Inc()
 			h.OwnedWritesLatched.Inc()
@@ -118,10 +117,10 @@ func (h *Heap) DeleteOwnedWith(tok *btree.Owner, rid RID, mkLSN func(before []by
 // instead of a read round and a write round. mutate's argument aliases
 // the page image (copy before retaining); mkLSN receives both images
 // (before aliases the page too) and appends the log record before the
-// bytes change. A nil-token / unstamped / forced-latched call decomposes
-// into the latched Get + UpdateWith pair.
+// bytes change. A nil-token / unstamped call decomposes into the latched
+// Get + UpdateWith pair.
 func (h *Heap) MutateOwnedWith(tok *btree.Owner, rid RID, mutate func(before []byte) ([]byte, error), mkLSN func(before, after []byte) uint64) error {
-	fastPath := tok != nil && !h.latchedWrites.Load() && h.StampOwner(rid.Page) == tok
+	fastPath := tok != nil && h.StampOwner(rid.Page) == tok
 	if fastPath {
 		f, err := h.pool.Fetch(rid.Page)
 		if err != nil {

@@ -146,25 +146,6 @@ func TestMutateOwnedSinglePass(t *testing.T) {
 	}
 }
 
-// TestLatchedOwnerWritesBaseline: the config baseline forces the old
-// exclusive-latch protocol and counts every owner write as latched.
-func TestLatchedOwnerWritesBaseline(t *testing.T) {
-	cs, _, h, tok, rid := ownedRig(t)
-	h.SetLatchedOwnerWrites(true)
-	cs.Reset()
-	h.OwnedWrites.Reset()
-	h.OwnedWritesLatched.Reset()
-	if err := h.UpdateOwnedWith(tok, rid, []byte("vx"), func([]byte) uint64 { return 12 }); err != nil {
-		t.Fatal(err)
-	}
-	if cs.FrameLatchWrite.Load() != 1 {
-		t.Fatalf("baseline update frame write latches = %d, want 1", cs.FrameLatchWrite.Load())
-	}
-	if h.OwnedWrites.Load() != 1 || h.OwnedWritesLatched.Load() != 1 {
-		t.Fatalf("counters: owned=%d latched=%d, want 1/1", h.OwnedWrites.Load(), h.OwnedWritesLatched.Load())
-	}
-}
-
 // TestSnapshotOwnedPage: the owner-side copy is consistent, pins the
 // frame, and reports the stamp honestly.
 func TestSnapshotOwnedPage(t *testing.T) {

@@ -399,12 +399,11 @@ func (db *DB) GetAccessData(sid, aiType int64) *xct.Flow {
 // lo <= s_id <= hi under ONE ranged S lock instead of a lock per id:
 // the hierarchical local lock table grants it as a handful of
 // granule-level locks (or a single partition-level lock for wide
-// spans), while the flat table expands it key by key — the ablation
-// experiment E19 measures exactly that difference. The action routes to
-// the partition owning lo; the lock protects the interval's
-// intersection with that partition's ranges, so callers wanting full
-// coverage keep [lo, hi] inside one partition (the scan itself ships
-// foreign segments to their owners like any range scan).
+// spans) instead of one lock per id — experiment E19 counts them. The
+// action routes to the partition owning lo; the lock protects the
+// interval's intersection with that partition's ranges, so callers
+// wanting full coverage keep [lo, hi] inside one partition (the scan
+// itself ships foreign segments to their owners like any range scan).
 func (db *DB) BatchScanSubscribers(lo, hi int64) *xct.Flow {
 	return xct.NewFlow("BatchScanSubscribers").AddPhase(&xct.Action{
 		Table: "subscriber", KeyField: "s_id", Key: lo, Mode: xct.Read,

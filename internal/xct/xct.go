@@ -156,9 +156,9 @@ type Env struct {
 	Ses *sm.Session
 	// Async, when non-nil, is the engine's continuation host: the action
 	// may suspend itself on a foreign (cross-partition) operation instead
-	// of blocking its worker thread. Engines that execute blocking ships
-	// (the conventional engine; DORA with Config.BlockingShips) leave it
-	// nil and bodies fall back to the synchronous session operations.
+	// of blocking its worker thread. Engines without partition workers
+	// (the conventional engine) leave it nil and bodies fall back to the
+	// synchronous session operations.
 	Async AsyncHost
 }
 
@@ -207,12 +207,12 @@ type Action struct {
 	Mode Mode
 	// Ranged declares that the action logically touches every routing
 	// value in [RangeLo, RangeHi] (a range scan) rather than just Key.
-	// A hierarchical local lock table covers the interval with one
-	// coarse S/X lock per granule instead of per-key locks; the flat
-	// baseline expands it to a lock per value. Key must lie inside the
-	// interval (it remains the routing target), and the lock covers the
-	// intersection of the interval with the owning partition's ranges —
-	// partition-local logical locking, exactly as for point actions.
+	// DORA's hierarchical local lock table covers the interval with one
+	// coarse S/X lock per granule instead of per-key locks. Key must lie
+	// inside the interval (it remains the routing target), and the lock
+	// covers the intersection of the interval with the owning partition's
+	// ranges — partition-local logical locking, exactly as for point
+	// actions.
 	Ranged  bool
 	RangeLo int64
 	RangeHi int64
