@@ -55,8 +55,16 @@
 // while their worker keeps draining its inbox, the flow-graph executor
 // advances phases purely by rendezvous-point countdowns
 // (dora.ExecAsync), and abort compensation rides the same path
-// (sm.RollbackAsync). No worker is ever parked on a ship, so arbitrary
-// action bodies are deadlock-safe by construction.
+// (sm.RollbackAsync). Every hop to an owner's thread is one message
+// shape, a ship whose reply is a continuation: it comes home through the
+// sender's inbox, or wakes a caller that is not a worker (a plain
+// session, the maintenance daemon, the page cleaner) parked on it. A
+// worker's inbox carries six message types — actions, lock releases,
+// lock-state adoption, control steps, ships and continuations — and a
+// retiring worker disposes each by one rule: ships fail back to be
+// re-resolved, everything else is forwarded. No worker is ever parked
+// on a ship, so arbitrary action bodies are deadlock-safe by
+// construction.
 //
 // Replication (internal/repl, experiment E16) turns the group-commit
 // log into a replication stream: the clog flush daemon's hardened group
@@ -77,7 +85,8 @@
 // replicas stream. Unaligned actions resolve their routing fields
 // asynchronously too (xct.Action.ResolveAsync): phase dispatch suspends
 // on resolver probes like action bodies do, keeping the coordinator
-// unparked.
+// unparked; a merge that retires a resolved owner before the phase is
+// enqueued makes the enqueue re-resolve rather than strand the action.
 //
 // The backward paths are partitioned too (experiment E17): crash-
 // recovery redo and replica streaming apply share a partition-parallel

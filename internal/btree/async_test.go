@@ -9,7 +9,7 @@ import (
 // execAsync is the continuation-passing hook for a fakeWorker: the
 // shipped closure runs on the worker loop and the completion is
 // delivered through home (or inline on the loop without one) — the same
-// contract DORA's partition workers implement with contMsg/kontMsg.
+// contract DORA's partition workers implement with shipMsg/kontMsg.
 func (w *fakeWorker) execAsync() OwnerExecAsync {
 	return func(home ContExec, fn func(tok *Owner), done func(ok bool)) bool {
 		w.ch <- func(tok *Owner) {

@@ -9,7 +9,7 @@ import (
 
 // fakeWorker simulates a DORA partition worker for access-path tests: a
 // goroutine serving shipped closures from a channel, the way a partition
-// serves applyMsgs. All operations an owner performs run on this loop,
+// serves shipMsgs. All operations an owner performs run on this loop,
 // honouring the one-thread-per-subtree contract.
 type fakeWorker struct {
 	tok  *Owner

@@ -29,17 +29,18 @@ func newStampedPage(t *testing.T, p *Pool, payload byte) page.ID {
 }
 
 // ownerSnapshotter mimics the owner thread: it copies the live frame
-// directly (the test is single-threaded, so "the owner's thread" is the
-// test's own goroutine).
-func ownerSnapshotter(p *Pool) Snapshotter {
-	return func(id page.ID) (PageSnapshot, bool) {
+// directly and replies inline (the test is single-threaded, so "the
+// owner's thread" is the test's own goroutine).
+func ownerSnapshotter(p *Pool) SnapshotterAsync {
+	return func(id page.ID, done func(PageSnapshot, bool)) {
 		f, err := p.Fetch(id)
 		if err != nil {
-			return PageSnapshot{}, false
+			done(PageSnapshot{}, false)
+			return
 		}
 		img := new(page.Page)
 		*img = f.Page
-		return PageSnapshot{Frame: f, Img: img, Seq: f.WriteSeq()}, true
+		done(PageSnapshot{Frame: f, Img: img, Seq: f.WriteSeq()}, true)
 	}
 }
 
@@ -90,7 +91,7 @@ func TestEvictionSkipsStampedFrames(t *testing.T) {
 func TestForcedStampedEviction(t *testing.T) {
 	disk := NewMemDisk()
 	p := NewPool(2, disk, nil)
-	p.SetSnapshotter(ownerSnapshotter(p))
+	p.SetSnapshotterAsync(ownerSnapshotter(p))
 
 	a := newStampedPage(t, p, 1)
 	b := newStampedPage(t, p, 2)
@@ -197,7 +198,7 @@ func TestFinishCleanConflict(t *testing.T) {
 func TestCleanerSweepsStampedPages(t *testing.T) {
 	disk := NewMemDisk()
 	p := NewPool(8, disk, nil)
-	p.SetSnapshotter(ownerSnapshotter(p))
+	p.SetSnapshotterAsync(ownerSnapshotter(p))
 
 	var ids []page.ID
 	for i := 0; i < 4; i++ {

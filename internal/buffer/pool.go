@@ -133,18 +133,14 @@ type PageSnapshot struct {
 	Seq   uint64
 }
 
-// Snapshotter ships a "snapshot page" request for a stamped dirty page to
-// the worker owning its stamp and returns the copy the owner took at a
-// quiescent point of its own thread. ok=false means the page is no longer
-// stamped (or the owner retired mid-ship); the caller re-resolves.
-type Snapshotter func(id page.ID) (PageSnapshot, bool)
-
-// SnapshotterAsync is the pipelined form: it ships the snapshot request
-// and returns immediately; done fires exactly once — possibly on the
-// owning worker's thread — with the copy (or ok=false when the page is no
-// longer stamped or the owner retired mid-ship, in which case the caller
-// re-resolves). Checkpoints use it to keep MANY ships in flight at once
-// instead of serializing on one owner round-trip per stamped page; the
+// SnapshotterAsync ships a "snapshot page" request for a stamped dirty
+// page to the worker owning its stamp and returns immediately; done
+// fires exactly once — possibly on the owning worker's thread — with the
+// copy the owner took at a quiescent point of its own thread, or
+// ok=false when the page is no longer stamped or the owner retired
+// mid-ship (the caller re-resolves). Checkpoints keep MANY ships in
+// flight at once instead of serializing on one owner round-trip per
+// stamped page; a single write-back waits for its one reply. The
 // receiver must never block in done (hardening happens on the caller's
 // side, off the owner's thread).
 type SnapshotterAsync func(id page.ID, done func(PageSnapshot, bool))
@@ -169,14 +165,13 @@ type Pool struct {
 	// stamped is the pool's mirror of which pages currently carry an
 	// owner stamp (the storage layer marks/unmarks it in lock-step with
 	// its own stamp registry): one lock-free load per eviction candidate,
-	// no catalog walk under the shard mutex. snapshotter ships copy
+	// no catalog walk under the shard mutex. snapshotterAsync ships copy
 	// requests to owning workers (wired by the DORA engine; atomic so
 	// daemons racing engine construction read consistently). With stamps
 	// but no snapshotter (direct owned sessions in tests), write-back
 	// falls back to the latched path — safe only because such rigs
 	// quiesce owner mutators before flushing.
 	stamped          sync.Map // page.ID -> struct{}
-	snapshotter      atomic.Pointer[Snapshotter]
 	snapshotterAsync atomic.Pointer[SnapshotterAsync]
 	// cleanq carries page ids the eviction path found dirty-and-stamped:
 	// it cannot clean them itself (that needs the owner's thread), so it
@@ -303,13 +298,10 @@ func (p *Pool) MarkStamped(id page.ID) { p.stamped.Store(id, struct{}{}) }
 // UnmarkStamped records that a page's owner stamp was dropped.
 func (p *Pool) UnmarkStamped(id page.ID) { p.stamped.Delete(id) }
 
-// SetSnapshotter wires the owner-coordinated snapshot ship (the DORA
-// engine: it resolves the stamp to a partition worker and delivers the
-// copy request through that worker's inbox).
-func (p *Pool) SetSnapshotter(fn Snapshotter) { p.snapshotter.Store(&fn) }
-
-// SetSnapshotterAsync wires the pipelined form of the snapshot ship;
-// FlushAll uses it to overlap every stamped page's owner round-trip.
+// SetSnapshotterAsync wires the owner-coordinated snapshot ship (the
+// DORA engine: it resolves the stamp to a partition worker and delivers
+// the copy request through that worker's inbox). FlushAll uses it to
+// overlap every stamped page's owner round-trip.
 func (p *Pool) SetSnapshotterAsync(fn SnapshotterAsync) { p.snapshotterAsync.Store(&fn) }
 
 func (p *Pool) isStamped(id page.ID) bool {
@@ -527,11 +519,16 @@ var errBecameStamped = errors.New("buffer: page became stamped during write-back
 func (p *Pool) writeBack(f *Frame) error {
 	for {
 		if p.isStamped(f.id) {
-			if snap := p.snapshotter.Load(); snap != nil {
-				ps, ok := (*snap)(f.id)
-				if ok {
+			if snap := p.snapshotterAsync.Load(); snap != nil {
+				type reply struct {
+					ps PageSnapshot
+					ok bool
+				}
+				ch := make(chan reply, 1)
+				(*snap)(f.id, func(ps PageSnapshot, ok bool) { ch <- reply{ps, ok} })
+				if r := <-ch; r.ok {
 					p.SnapshotShips.Inc()
-					return p.hardenSnapshot(ps)
+					return p.hardenSnapshot(r.ps)
 				}
 				// Stamp moved or the owner is mid-retirement: re-resolve.
 				// During engine shutdown the stamp disappears right after
@@ -558,7 +555,7 @@ func (p *Pool) writeBack(f *Frame) error {
 func (p *Pool) writeBackLatched(f *Frame) error {
 	f.Latch.RLock()
 	defer f.Latch.RUnlock()
-	if p.isStamped(f.id) && p.snapshotter.Load() != nil {
+	if p.isStamped(f.id) && p.snapshotterAsync.Load() != nil {
 		// The page was owner-stamped between the caller's check and our
 		// latch acquisition: its mutations no longer serialize on this
 		// latch, so a latched copy could tear. Back off to the snapshot
@@ -644,7 +641,7 @@ func (p *Pool) finishClean(f *Frame, seqAt uint64) {
 // FlushAll writes back every dirty frame (checkpoint support). Stamped
 // dirty frames are hardened through the copy-on-write snapshot protocol,
 // so a fuzzy checkpoint never latches a frame whose owner mutates
-// latch-free. With an async snapshotter wired, the ships PIPELINE: every
+// latch-free. With a snapshotter wired, the ships PIPELINE: every
 // stamped frame's copy request fans out up front, the latched write-backs
 // of unstamped frames overlap the owner round-trips, and the copies
 // harden from a completion queue as owners reply — a checkpoint pays one

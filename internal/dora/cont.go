@@ -9,35 +9,33 @@ import (
 	"dora/internal/xct"
 )
 
-// Continuation-passing ships: the execution model of every partition
-// worker.
+// Owner-thread ships: the one way work other than a routed action
+// reaches a worker's thread.
 //
-// A cross-partition operation does not park its sender for the round
-// trip. The sender enqueues a contMsg — the operation plus a
-// continuation plus the hop chain — on the owner's inbox and immediately
-// returns to draining its own queue. The owner runs the operation on its
-// thread and enqueues the continuation BACK on the sender's inbox (a
-// kontMsg), where the suspended action resumes. The phases of a
-// transaction still meet only at rendezvous points: an action that
-// suspends reports to its RVP from the continuation, and the RVP's
-// countdown — not a parked goroutine — triggers the next phase or the
-// commit decision (paper §1.1's asynchronous action model, end to end).
+// A cross-partition operation does not park its sender. The sender
+// enqueues a shipMsg — the operation plus a continuation plus the hop
+// chain — on the owner's inbox and immediately returns to draining its
+// own queue. The owner runs the operation on its thread and enqueues the
+// continuation BACK on the sender's inbox (a kontMsg), where the
+// suspended action resumes. The phases of a transaction still meet only
+// at rendezvous points: an action that suspends reports to its RVP from
+// the continuation, and the RVP's countdown — not a parked goroutine —
+// triggers the next phase or the commit decision (paper §1.1's
+// asynchronous action model, end to end).
 //
-// Because no sender is ever parked, arbitrary action bodies are
-// deadlock-safe by construction: a cyclic ship graph round-trips
-// messages instead of wedging workers, which retires the debug-mode
-// cycle detector's fail-fast job (it still diagnoses cycles, see
-// shipcheck.go). It also changes the rebalance interplay: a worker with
-// a suspended action keeps processing split/evacuate messages, so
-// repartitioning does not rely on senders being parked — continuation
-// delivery follows the forwarding chain a merge leaves behind.
+// A caller that is not a worker (a plain session, ExecOnOwner, the page
+// cleaner's write-back) waits for the same continuation on a channel
+// (shipWait), the way Exec is ExecAsync plus a channel wait. No worker
+// ever parks on a ship, so arbitrary action bodies are deadlock-safe by
+// construction: a cyclic ship graph round-trips messages instead of
+// wedging workers (shipcheck.go diagnoses it), and a worker with a
+// suspended action keeps processing topology messages while its
+// continuation follows the forwarding chain a merge leaves behind.
 
-// contReply is the completion side shared by every continuation ship:
-// k(ok) is invoked exactly once, delivered through home (the sender's
-// inbox) when one is set, inline on the completing thread otherwise.
-// failShip (the never-silently-dropped contract of the shipped
-// interface) is a failed delivery: the worker retired without running
-// the op and the continuation must re-resolve.
+// contReply is the completion side of a ship: k(ok) is invoked exactly
+// once, delivered through home (the sender's inbox) when one is set,
+// inline on the completing thread otherwise. ok=false means the worker
+// retired without running the op and the sender must re-resolve.
 type contReply struct {
 	home btree.ContExec
 	k    func(ok bool)
@@ -53,25 +51,21 @@ func (m *contReply) deliver(ok bool) {
 	m.k(ok)
 }
 
-func (m *contReply) failShip() { m.deliver(false) }
-
-// contMsg ships a foreign access-path operation with a continuation
-// instead of a parked sender: the owner runs fn with its own token,
-// then delivers the reply. at is the enqueue time of a hop the latency
-// tracer sampled (zero otherwise); the receiving worker turns it into a
-// ship-flight span.
-type contMsg struct {
+// shipMsg ships an operation to the worker that owns its data: the owner
+// runs fn with its own token, then delivers the reply. access marks a
+// foreign access-path op, which the running worker counts as Shipped
+// when its sender is parked and ContShipped otherwise; maintenance and
+// snapshot ops count nowhere. parked says the sender waits for the reply
+// (shipWait); cyc carries a cycle a deeper hop detected back to it. at
+// is the enqueue time of a hop the latency tracer sampled (zero
+// otherwise); the receiving worker turns it into a ship-flight span.
+type shipMsg struct {
 	contReply
-	fn func(tok *btree.Owner)
-	at time.Time
-}
-
-// maintContMsg is contMsg for background-maintenance operations (the
-// continuation-passing counterpart of maintMsg): fn runs with an
-// OwnerCtx view of the partition.
-type maintContMsg struct {
-	contReply
-	fn func(*OwnerCtx)
+	fn     func(tok *btree.Owner)
+	at     time.Time
+	access bool
+	parked bool
+	cyc    *shipCycleError
 }
 
 // kontMsg delivers a completed foreign operation's continuation to the
@@ -79,7 +73,7 @@ type maintContMsg struct {
 // must never be lost (a lost one strands its transaction's RVP), so
 // dispose forwards them along the merge chain and, with no successor
 // left (engine shutdown, access paths already released), runs them
-// inline. at is a sampled hop's enqueue time (see contMsg.at).
+// inline. at is a sampled hop's enqueue time (see shipMsg.at).
 type kontMsg struct {
 	k  func()
 	at time.Time
@@ -94,31 +88,73 @@ func (p *partition) deliverHome(k func()) {
 	if p.eng.cfg.Tracer.SampleHop() {
 		m.at = time.Now()
 	}
-	for q := p; q != nil; q = q.fwd.Load() {
-		if q.in.pushChecked(m) {
-			return
-		}
+	if !p.forwardFrom(m) {
+		k()
 	}
-	k()
 }
 
-// ownerExecAsync is the continuation-passing hook installed into claimed
-// subtrees next to ownerExec: it ships fn to this worker's queue and
-// returns immediately; the worker delivers the continuation through the
-// sender's home executor after running fn. In debug mode the hop chain
-// travels with the message and a cyclic ship is diagnosed (non-fatally —
-// a non-blocking sender cannot wedge) before it is enqueued.
-func (p *partition) ownerExecAsync() btree.OwnerExecAsync {
-	return func(home btree.ContExec, fn func(tok *btree.Owner), done func(ok bool)) bool {
-		m := &contMsg{contReply: contReply{home: home, k: done}, fn: fn}
-		if p.eng.cfg.Tracer.SampleHop() {
-			m.at = time.Now()
+// forwardFrom pushes m onto the first live inbox of the chain that
+// starts at p and follows the merge forwarding links; false when every
+// hop has retired.
+func (p *partition) forwardFrom(m msg) bool {
+	for q := p; q != nil; q = q.fwd.Load() {
+		if q.in.pushChecked(m) {
+			return true
 		}
-		if det := p.eng.shipDet; det != nil {
-			m.path = det.extendPath(p.worker, false)
-		}
-		return p.in.pushChecked(m)
 	}
+	return false
+}
+
+// ship enqueues m on this worker's inbox: it samples the hop for the
+// latency tracer and, in debug mode, vets the hop with the ship-cycle
+// detector before it is enqueued. false means the worker retired (inbox
+// closed) and the sender must re-resolve; m's continuation never runs
+// then.
+func (p *partition) ship(m *shipMsg) bool {
+	if p.eng.cfg.Tracer.SampleHop() {
+		m.at = time.Now()
+	}
+	if det := p.eng.shipDet; det != nil {
+		m.path = det.extendPath(p.worker, m.parked)
+	}
+	return p.in.pushChecked(m)
+}
+
+// shipWait ships m and parks the caller until the worker ran it (true)
+// or retired without running it (false: re-resolve). A cycle detected
+// by a deeper hop comes back in m.cyc and is re-raised here, so the
+// diagnostic unwinds hop by hop to the chain's origin.
+func (p *partition) shipWait(m *shipMsg) bool {
+	done := make(chan bool, 1)
+	m.parked = true
+	m.k = func(ok bool) { done <- ok }
+	if !p.ship(m) {
+		return false
+	}
+	ok := <-done
+	if m.cyc != nil {
+		panic(m.cyc)
+	}
+	return ok
+}
+
+// accessExec and accessExecAsync are the hooks installed into claimed
+// subtrees (btree.OwnerExec and btree.OwnerExecAsync): a foreign
+// access-path operation ships here with a parked sender or with a
+// continuation delivered through the sender's home executor.
+func (p *partition) accessExec(fn func(tok *btree.Owner)) bool {
+	return p.shipWait(&shipMsg{fn: fn, access: true})
+}
+
+func (p *partition) accessExecAsync(home btree.ContExec, fn func(tok *btree.Owner), done func(ok bool)) bool {
+	return p.ship(&shipMsg{contReply: contReply{home: home, k: done}, fn: fn, access: true})
+}
+
+// onOwner adapts a maintenance operation to a ship body: it runs with an
+// OwnerCtx view of p (ships are never forwarded, so they run on the
+// worker they were shipped to).
+func (p *partition) onOwner(fn func(*OwnerCtx)) func(*btree.Owner) {
+	return func(*btree.Owner) { fn(&OwnerCtx{p: p}) }
 }
 
 // actionHost implements xct.AsyncHost for one action execution: the

@@ -96,8 +96,8 @@ func sumCol(t *testing.T, s *sm.SM, tbl *catalog.Table, n int64) int64 {
 }
 
 // TestContinuationShipCommits: the basic end-to-end path — the foreign
-// op rides a contMsg, the suspended action resumes through a kontMsg,
-// and both sides of the transaction commit exactly once.
+// op rides a continuation shipMsg, the suspended action resumes through
+// a kontMsg, and both sides of the transaction commit exactly once.
 func TestContinuationShipCommits(t *testing.T) {
 	s, acct, ledger, e := rig2(t, 50, 2, Config{})
 	const txns = 200
@@ -109,7 +109,7 @@ func TestContinuationShipCommits(t *testing.T) {
 	}
 	ss := e.ShipSnapshot()
 	if ss.ContShips == 0 {
-		t.Fatal("no continuation ships: the foreign ops did not ride contMsgs")
+		t.Fatal("no continuation ships: the foreign ops did not ride continuation shipMsgs")
 	}
 	if ss.BlockingShips != 0 {
 		t.Fatalf("blocking ships = %d in continuation mode", ss.BlockingShips)

@@ -184,17 +184,13 @@ func New(s *sm.SM, cfg Config) *Dora {
 	}
 	// Page cleaning for owner-stamped heap pages: the buffer pool's
 	// write-back ships snapshot requests through our workers' inboxes
-	// instead of latching frames whose owners mutate latch-free. The
-	// engine also owns a flush daemon: eviction refuses to clean dirty
-	// stamped frames itself (only the owner's thread may copy them), so
-	// SOMETHING must harden them in the background or a pool smaller
-	// than the stamped hot set could run out of victims. Embedders may
-	// run additional cleaners (doramon, E15); they compose.
-	s.Pool.SetSnapshotter(e.snapshotPage)
-	// Pipelined checkpoint ships: FlushAll fans one async copy request per
-	// stamped page out through the owners' inboxes and hardens the
-	// replies from a completion queue, instead of parking on each owner
-	// round-trip in turn.
+	// instead of latching frames whose owners mutate latch-free (a
+	// checkpoint fans them out at once). The engine also owns a flush
+	// daemon: eviction refuses to clean dirty stamped frames itself (only
+	// the owner's thread may copy them), so SOMETHING must harden them in
+	// the background or a pool smaller than the stamped hot set could run
+	// out of victims. Embedders may run additional cleaners (doramon,
+	// E15); they compose.
 	s.Pool.SetSnapshotterAsync(e.snapshotPageAsync)
 	e.cleaner = buffer.NewCleaner(s.Pool, buffer.CleanerConfig{Interval: 10 * time.Millisecond})
 	e.cleaner.Start()
@@ -246,7 +242,7 @@ func (e *Dora) claimAccessPaths(tbl *catalog.Table) {
 	targets := make([]tgt, len(ranges))
 	for i, r := range ranges {
 		if p := e.byWorker[r.Part]; p != nil {
-			targets[i] = tgt{p.token, p.ownerExec(), p.ownerExecAsync()}
+			targets[i] = tgt{p.token, p.accessExec, p.accessExecAsync}
 		}
 	}
 	e.topoMu.RUnlock()
@@ -350,11 +346,7 @@ func (e *Dora) ExecAsync(worker int, flow *xct.Flow, done func(error)) {
 func (e *Dora) dispatchPhase(run *flowRun, phase int) {
 	actions := run.flow.Phases[phase].Actions
 	r := newRVP(run, phase, len(actions))
-	type target struct {
-		p *partition
-		m *actionMsg
-	}
-	claims := make([]target, 0, len(actions))
+	claims := make([]dispatchTarget, 0, len(actions))
 	now := time.Now()
 	// With phase 0 we also enqueue lock *claims* for every later-phase
 	// action whose key is static and aligned, so the transaction's whole
@@ -371,8 +363,7 @@ func (e *Dora) dispatchPhase(run *flowRun, phase int) {
 					continue
 				}
 				run.addTable(tbl.ID)
-				p := e.ownerOf(tbl, a.Key)
-				claims = append(claims, target{p, &actionMsg{
+				claims = append(claims, dispatchTarget{tbl, e.ownerOf(tbl, a.Key), &actionMsg{
 					act: a, run: run, routeKey: a.Key, at: now, claim: true,
 				}})
 			}
@@ -394,29 +385,9 @@ func (e *Dora) dispatchPhase(run *flowRun, phase int) {
 				continue
 			}
 			tbl := e.sm.Cat.Table(a.Table)
-			p := e.ownerOf(tbl, rks[i])
-			targets = append(targets, target{p, &actionMsg{act: a, run: run, rvp: r, routeKey: rks[i], at: now}})
+			targets = append(targets, dispatchTarget{tbl, e.ownerOf(tbl, rks[i]), &actionMsg{act: a, run: run, rvp: r, routeKey: rks[i], at: now}})
 		}
-		// Canonical order: ascending worker id, then key.
-		sort.Slice(targets, func(i, j int) bool {
-			if targets[i].p.worker != targets[j].p.worker {
-				return targets[i].p.worker < targets[j].p.worker
-			}
-			return targets[i].m.routeKey < targets[j].m.routeKey
-		})
-		// Atomic multi-queue enqueue: lock all distinct inboxes in order.
-		var locked []*inbox
-		for _, t := range targets {
-			ib := t.p.in
-			if len(locked) == 0 || locked[len(locked)-1] != ib {
-				ib.lockForEnqueue()
-				locked = append(locked, ib)
-			}
-			ib.appendLocked(t.m)
-		}
-		for _, ib := range locked {
-			ib.unlockAfterEnqueue()
-		}
+		e.enqueuePhase(targets)
 		// Account for actions that never dispatched (resolve failures).
 		for i := 0; i < failed; i++ {
 			e.report(r, nil) // error already recorded on the run
@@ -475,6 +446,54 @@ func (e *Dora) dispatchPhase(run *flowRun, phase int) {
 		rks[i] = v
 	}
 	done()
+}
+
+// dispatchTarget is one routed action of a phase and the partition its
+// key resolved to.
+type dispatchTarget struct {
+	tbl *catalog.Table
+	p   *partition
+	m   *actionMsg
+}
+
+// enqueuePhase enqueues a phase's routed actions atomically: it locks
+// every distinct target inbox in canonical order (ascending worker id,
+// then key) and appends everywhere before unlocking any. A target whose
+// inbox closed after it was resolved — a merge retired it in between —
+// would swallow its action with no worker left to run it, so then
+// nothing is appended: every target is re-resolved (the merge reassigned
+// the range before closing) and the enqueue retried.
+func (e *Dora) enqueuePhase(targets []dispatchTarget) {
+	for {
+		sort.Slice(targets, func(i, j int) bool {
+			if targets[i].p.worker != targets[j].p.worker {
+				return targets[i].p.worker < targets[j].p.worker
+			}
+			return targets[i].m.routeKey < targets[j].m.routeKey
+		})
+		var locked []*inbox
+		stale := false
+		for _, t := range targets {
+			if ib := t.p.in; len(locked) == 0 || locked[len(locked)-1] != ib {
+				stale = ib.lockForEnqueue() || stale
+				locked = append(locked, ib)
+			}
+		}
+		if !stale {
+			for _, t := range targets {
+				t.p.in.appendLocked(t.m)
+			}
+		}
+		for _, ib := range locked {
+			ib.unlockAfterEnqueue()
+		}
+		if !stale {
+			return
+		}
+		for i := range targets {
+			targets[i].p = e.ownerOf(targets[i].tbl, targets[i].m.routeKey)
+		}
+	}
 }
 
 // report is called once per action; the last reporter advances the flow.
@@ -557,17 +576,20 @@ func (e *Dora) committer() {
 }
 
 // broadcastRelease tells every live partition of the touched tables to
-// drop the transaction's local locks.
+// drop the transaction's local locks. Pushing under the topology lock
+// orders each release with the hand-overs: a split enqueues its own
+// after adding the new partition (which buffers releases until then),
+// and a merge's forwarder passes queued releases on behind its own
+// before the merge returns — never behind a hand-over in a queue that
+// no longer holds the lock.
 func (e *Dora) broadcastRelease(run *flowRun) {
 	ids := run.tableIDs()
 	e.topoMu.RLock()
-	var parts []*partition
+	defer e.topoMu.RUnlock()
 	for _, id := range ids {
-		parts = append(parts, e.tableParts[id]...)
-	}
-	e.topoMu.RUnlock()
-	for _, p := range parts {
-		p.in.push(releaseMsg{txn: run.txn.ID})
+		for _, p := range e.tableParts[id] {
+			p.in.push(releaseMsg{txn: run.txn.ID})
+		}
 	}
 }
 
@@ -610,7 +632,7 @@ func (e *Dora) ticker() {
 			}
 			e.topoMu.RUnlock()
 			for _, p := range parts {
-				p.in.push(tickMsg{})
+				p.in.push(ctlMsg((*partition).tick))
 			}
 		}
 	}
@@ -661,9 +683,9 @@ func (e *Dora) AlignmentStats(reset bool) (aligned map[uint32]int64, unaligned m
 // Close stops all workers. Pending transactions must have finished.
 func (e *Dora) Close() error {
 	// Stop the flush daemon BEFORE taking the gate: an in-flight tick may
-	// be parked inside snapshotPage holding the gate shared (waiting on a
-	// worker that is still alive at this point); taking the gate first
-	// and then waiting for the tick would deadlock.
+	// be parked on a snapshot reply while the ship holds the gate shared
+	// (waiting on a worker that is still alive at this point); taking the
+	// gate first and then waiting for the tick would deadlock.
 	if e.cleaner != nil {
 		_ = e.cleaner.Close()
 	}

@@ -22,19 +22,11 @@ type inbox struct {
 	items    []msg
 	closed   bool
 	qlen     atomic.Int64
-	// qcont mirrors how much of qlen is continuation traffic (contMsg,
-	// maintContMsg, kontMsg) — the monitor's signal for how much of a
-	// worker's queue depth the asynchronous ship machinery contributes.
+	// qcont mirrors how much of qlen is ship traffic (every shipMsg, and
+	// the kontMsgs carrying continuations home) — the monitor's signal
+	// for how much of a worker's queue depth the ship machinery
+	// contributes.
 	qcont atomic.Int64
-}
-
-// isContTraffic classifies continuation-machinery messages for qcont.
-func isContTraffic(m msg) bool {
-	switch m.(type) {
-	case *contMsg, *maintContMsg, *kontMsg:
-		return true
-	}
-	return false
 }
 
 func newInbox() *inbox {
@@ -46,43 +38,37 @@ func newInbox() *inbox {
 // push appends one message (single-queue convenience path).
 func (ib *inbox) push(m msg) {
 	ib.mu.Lock()
-	ib.items = append(ib.items, m)
-	ib.qlen.Add(1)
-	if isContTraffic(m) {
-		ib.qcont.Add(1)
-	}
-	ib.mu.Unlock()
-	ib.nonEmpty.Signal()
+	ib.appendLocked(m)
+	ib.unlockAfterEnqueue()
 }
 
 // pushChecked appends one message unless the inbox is closed; callers
-// that hand work to a specific worker (access-path shipping, forwarding)
-// use it so a retired worker's queue never swallows a message whose
-// sender is blocked on its completion.
+// that hand work to a specific worker (ships, forwarding, re-routing)
+// use it so a retired worker's queue never swallows a message nobody
+// would process.
 func (ib *inbox) pushChecked(m msg) bool {
-	ib.mu.Lock()
-	if ib.closed {
+	if ib.lockForEnqueue() {
 		ib.mu.Unlock()
 		return false
 	}
-	ib.items = append(ib.items, m)
-	ib.qlen.Add(1)
-	if isContTraffic(m) {
-		ib.qcont.Add(1)
-	}
-	ib.mu.Unlock()
-	ib.nonEmpty.Signal()
+	ib.appendLocked(m)
+	ib.unlockAfterEnqueue()
 	return true
 }
 
 // lockForEnqueue / appendLocked / unlockAfterEnqueue implement the
 // multi-partition atomic enqueue. Callers must lock all target inboxes
-// in canonical (ascending worker id) order.
-func (ib *inbox) lockForEnqueue() { ib.mu.Lock() }
+// in canonical (ascending worker id) order, and must not append to an
+// inbox lockForEnqueue reports closed: its worker may already be gone.
+func (ib *inbox) lockForEnqueue() (closed bool) {
+	ib.mu.Lock()
+	return ib.closed
+}
 func (ib *inbox) appendLocked(m msg) {
 	ib.items = append(ib.items, m)
 	ib.qlen.Add(1)
-	if isContTraffic(m) {
+	switch m.(type) {
+	case *shipMsg, *kontMsg:
 		ib.qcont.Add(1)
 	}
 }
@@ -128,24 +114,12 @@ func (ib *inbox) contLength() int {
 	return int(ib.qcont.Load())
 }
 
-// close wakes the worker to exit once the queue drains.
+// close makes the inbox refuse checked pushes and wakes the worker to
+// exit once the queue drains (engine shutdown; a merge retiring its
+// forwarder).
 func (ib *inbox) close() {
 	ib.mu.Lock()
 	ib.closed = true
 	ib.mu.Unlock()
 	ib.nonEmpty.Broadcast()
-}
-
-// closeAndDrain marks the inbox closed and returns everything still
-// queued (worker retirement: the caller forwards or fails the leftovers).
-func (ib *inbox) closeAndDrain() []msg {
-	ib.mu.Lock()
-	ib.closed = true
-	rest := ib.items
-	ib.items = nil
-	ib.qlen.Store(0)
-	ib.qcont.Store(0)
-	ib.mu.Unlock()
-	ib.nonEmpty.Broadcast()
-	return rest
 }

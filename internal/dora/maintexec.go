@@ -123,21 +123,11 @@ func (e *Dora) ExecOnOwner(table string, v int64, fn func(*OwnerCtx)) bool {
 		if p == nil {
 			return false
 		}
-		m := &maintMsg{fn: fn, done: make(chan struct{})}
-		if det := e.shipDet; det != nil {
-			m.path = det.extendPath(p.worker, true)
+		if p.shipWait(&shipMsg{fn: p.onOwner(fn)}) {
+			return true
 		}
-		if p.in.pushChecked(m) {
-			<-m.done
-			if m.cyc != nil {
-				panic(m.cyc)
-			}
-			if m.ok {
-				return true
-			}
-		}
-		// The worker retired between the topology read and the push
-		// (split/merge race); re-resolve.
+		// The worker retired before running fn (split/merge race);
+		// re-resolve.
 		e.shipRetryPause(tries)
 	}
 	return false
@@ -176,7 +166,7 @@ func (e *Dora) ExecOnOwnerAsync(table string, v int64, fn func(*OwnerCtx), done 
 				return
 			}
 			tries := tries
-			m := &maintContMsg{contReply: contReply{k: func(ok bool) {
+			if p.ship(&shipMsg{contReply: contReply{k: func(ok bool) {
 				if ok {
 					finish(true)
 					return
@@ -184,11 +174,7 @@ func (e *Dora) ExecOnOwnerAsync(table string, v int64, fn func(*OwnerCtx), done 
 				// The worker retired before running fn (split/merge
 				// race); re-resolve from the continuation.
 				attempt(tries + 1)
-			}}, fn: fn}
-			if det := e.shipDet; det != nil {
-				m.path = det.extendPath(p.worker, false)
-			}
-			if p.in.pushChecked(m) {
+			}}, fn: p.onOwner(fn)}) {
 				return
 			}
 			e.shipRetryPause(tries)

@@ -11,87 +11,26 @@ import (
 // pages are latch-free, the buffer pool cannot latch a stamped dirty
 // frame to flush it — only the owning worker's thread may read its bytes
 // consistently. So the pool's write-back (cleaner daemon, checkpoint
-// FlushAll, forced paths) asks US: snapshotPage resolves the page's
-// stamp to the partition worker holding it and ships a copy request
-// through that worker's inbox, exactly like every other foreign access.
-// The owner copies the image between two of its operations — a quiescent
-// point by construction — and the requester hardens the copy while the
-// owner keeps mutating the live frame.
+// FlushAll, forced paths) asks US through its one snapshot hook:
+// snapshotPageAsync resolves the page's stamp to the partition worker
+// holding it and ships a copy request through that worker's inbox as a
+// shipMsg, exactly like every other foreign access. The owner copies the
+// image between two of its operations — a quiescent point by
+// construction — and the requester hardens the copy while the owner
+// keeps mutating the live frame. A checkpoint keeps many requests in
+// flight; a single write-back waits for its one reply.
 
-// snapshotPage implements buffer.Snapshotter over the engine's workers.
-// ok=false tells the pool to re-resolve: the stamp moved (split handed
-// the page's records over, evacuate reassigned it) or the engine is shut
-// down (stamps are released right after the workers drain, so the pool's
-// retry loop terminates on the latched path).
-func (e *Dora) snapshotPage(pid page.ID) (buffer.PageSnapshot, bool) {
-	// Hold the exec gate shared like every ship, so a quiescing
-	// Repartition never interleaves with an in-flight snapshot.
-	e.execGate.RLock()
-	defer e.execGate.RUnlock()
-	if e.closed {
-		return buffer.PageSnapshot{}, false
-	}
-	// Resolve the stamp: which table's heap, which token.
-	var tbl *catalog.Table
-	var tok *btree.Owner
-	for _, t := range e.sm.Cat.Tables() {
-		if o := t.Heap.StampOwner(pid); o != nil {
-			tbl, tok = t, o
-			break
-		}
-	}
-	if tbl == nil {
-		return buffer.PageSnapshot{}, false
-	}
-	// Resolve the token to its live partition worker.
-	e.topoMu.RLock()
-	var p *partition
-	for _, q := range e.tableParts[tbl.ID] {
-		if q.token == tok {
-			p = q
-			break
-		}
-	}
-	e.topoMu.RUnlock()
-	if p == nil {
-		return buffer.PageSnapshot{}, false
-	}
-	var snap buffer.PageSnapshot
-	var got bool
-	heap := tbl.Heap
-	m := &maintMsg{fn: func(ctx *OwnerCtx) {
-		// Re-derive the token from the executing thread: an evacuate may
-		// have forwarded this request to the adopting worker, which also
-		// inherited the stamp (ReassignStamps runs before forwarding
-		// starts, on the retiring thread). A split that unstamped the
-		// page instead makes this return false and the pool re-resolves.
-		snap, got = heap.SnapshotOwnedPage(ctx.p.token, pid)
-	}, done: make(chan struct{})}
-	if det := e.shipDet; det != nil {
-		m.path = det.extendPath(p.worker, true)
-	}
-	if !p.in.pushChecked(m) {
-		return buffer.PageSnapshot{}, false
-	}
-	<-m.done
-	if m.cyc != nil {
-		panic(m.cyc)
-	}
-	if !m.ok || !got {
-		return buffer.PageSnapshot{}, false
-	}
-	return snap, true
-}
-
-// snapshotPageAsync implements buffer.SnapshotterAsync: snapshotPage in
-// continuation-passing style. It returns as soon as the copy request is
-// enqueued on the owner's inbox (or resolution failed); done fires
-// exactly once — inline on the owner's thread right after it took the
-// copy — with ok=false meaning the caller should re-resolve through the
-// synchronous path, exactly like snapshotPage's false. The exec gate is
-// held shared until done fires, mirroring ExecOnOwnerAsync, so a
-// quiescing Repartition never interleaves with an in-flight snapshot. No
-// retry loop here: the pool's completion handler owns the fallback.
+// snapshotPageAsync implements buffer.SnapshotterAsync. It returns as
+// soon as the copy request is enqueued on the owner's inbox (or
+// resolution failed); done fires exactly once — inline on the owner's
+// thread right after it took the copy — with ok=false telling the pool
+// to re-resolve: the stamp moved (a split handed the page's records
+// over, an evacuate reassigned it, or the owner retired mid-ship) or the
+// engine is shut down (stamps are released right after the workers
+// drain, so the pool's retry loop terminates on the latched path). The
+// exec gate is held shared until done fires, mirroring ExecOnOwnerAsync,
+// so a quiescing Repartition never interleaves with an in-flight
+// snapshot. No retry loop here: the pool owns the fallback.
 func (e *Dora) snapshotPageAsync(pid page.ID, done func(buffer.PageSnapshot, bool)) {
 	e.execGate.RLock()
 	finish := func(snap buffer.PageSnapshot, ok bool) {
@@ -131,16 +70,14 @@ func (e *Dora) snapshotPageAsync(pid page.ID, done func(buffer.PageSnapshot, boo
 	var got bool
 	heap := tbl.Heap
 	// No home executor: the continuation runs inline on the owner's
-	// thread, strictly after fn — snap/got need no synchronization.
-	m := &maintContMsg{contReply: contReply{k: func(ok bool) {
+	// thread, strictly after fn — snap/got need no synchronization. A
+	// split that unstamped the page makes fn report got=false and the
+	// pool re-resolves.
+	if !p.ship(&shipMsg{contReply: contReply{k: func(ok bool) {
 		finish(snap, ok && got)
-	}}, fn: func(ctx *OwnerCtx) {
-		snap, got = heap.SnapshotOwnedPage(ctx.p.token, pid)
-	}}
-	if det := e.shipDet; det != nil {
-		m.path = det.extendPath(p.worker, false)
-	}
-	if !p.in.pushChecked(m) {
+	}}, fn: func(tok *btree.Owner) {
+		snap, got = heap.SnapshotOwnedPage(tok, pid)
+	}}) {
 		finish(buffer.PageSnapshot{}, false)
 	}
 }

@@ -15,7 +15,11 @@ import (
 	"dora/internal/xct"
 )
 
-// msg is anything a partition worker can receive.
+// msg is anything a partition worker can receive. The worker switches
+// over six types: actionMsg and releaseMsg (the transaction hot path),
+// adoptMsg (migrated lock state), ctlMsg (every other topology or
+// housekeeping step), shipMsg (an operation shipped to the owner's
+// thread) and kontMsg (a shipped operation's continuation coming home).
 type msg interface{}
 
 // actionMsg carries one transaction action to the partition owning its
@@ -45,86 +49,20 @@ type actionMsg struct {
 // releaseMsg tells a partition that txn finished; drop its local locks.
 type releaseMsg struct{ txn uint64 }
 
-// splitMsg tells a partition to hand the routing interval [at, hi] over
-// to partition to: local-lock state for keys >= at migrates, and every
-// claimed index subtree range mapping to the interval changes owner.
-type splitMsg struct {
-	at int64
-	hi int64
-	to *partition
-}
-
 // adoptMsg delivers migrated lock-table state.
 type adoptMsg struct{ locks *hierMoved }
 
-// evacuateMsg tells a partition to hand everything to partition to and
-// enter forwarding mode (merge).
-type evacuateMsg struct {
-	to  *partition
-	ack chan struct{}
-}
-
-// shipped is a message whose sender blocks on completion: it must be
-// completed (ok) or failed — never silently dropped — and, when a
-// retiring worker has a successor, it may be forwarded instead.
-// applyMsg and maintMsg share this contract; dispose and forwarding
-// handle them uniformly through it.
-type shipped interface {
-	msg
-	failShip() // ok=false + wake the sender (worker retired, re-resolve)
-}
-
-// applyMsg ships a foreign access-path operation to the worker that owns
-// the target subtree: the partitioned B+tree's OwnerExec hook. The worker
-// runs fn with its own ownership token; ok=false tells the sender the
-// worker retired without running it (re-resolve and retry). path/cyc are
-// the debug-mode ship-cycle detector's chain bookkeeping (shipcheck.go).
-type applyMsg struct {
-	fn   func(tok *btree.Owner)
-	done chan struct{}
-	ok   bool
-	path []shipHop
-	cyc  *shipCycleError
-}
-
-func (m *applyMsg) failShip() {
-	m.ok = false
-	close(m.done)
-}
-
-// maintMsg ships a background-maintenance operation (heap migration,
-// re-stamping, subtree compaction) to a partition worker's thread, where
-// it runs with an OwnerCtx view of the partition. Same completion
-// contract as applyMsg.
-type maintMsg struct {
-	fn   func(*OwnerCtx)
-	done chan struct{}
-	ok   bool
-	path []shipHop
-	cyc  *shipCycleError
-}
-
-func (m *maintMsg) failShip() {
-	m.ok = false
-	close(m.done)
-}
-
-// clearMsg resets the local lock table under a quiesced engine
-// (re-partitioning on a new field).
-type clearMsg struct{ ack chan struct{} }
-
-// dieMsg terminates the worker after the inbox drains to it.
-type dieMsg struct{ ack chan struct{} }
-
-// tickMsg triggers the waiter-timeout sweep.
-type tickMsg struct{}
+// ctlMsg runs a control step on the worker's thread: a split hand-over
+// (splitOut), a merge evacuation (evacuate), a lock-table reset
+// (clearLocks) or the timeout sweep (tick).
+type ctlMsg func(*partition)
 
 // partition is a DORA micro-engine: one goroutine owning one logical
 // partition of one table, executing its action queue serially against a
 // private lock table (paper §1.1). Since the partitioned access path it
 // also owns the B+tree subtrees covering its key range: its index
 // descents are latch-free, and everyone else's operations on those
-// subtrees arrive here as applyMsgs.
+// subtrees arrive here as shipMsgs.
 type partition struct {
 	eng    *Dora
 	tbl    *catalog.Table
@@ -140,6 +78,8 @@ type partition struct {
 	// delivery (deliverHome walks the merge chain from owner threads).
 	forward *partition
 	fwd     atomic.Pointer[partition]
+	// exited is closed once the worker goroutine (or forwarder) is done.
+	exited chan struct{}
 	// homeExec delivers continuations of operations this worker
 	// suspended on back to its inbox (built once; handed to the btree
 	// layer as the ContExec of every async ship this worker originates).
@@ -156,11 +96,10 @@ type partition struct {
 	Executed metrics.Counter
 	Waited   metrics.Counter
 	Stale    metrics.Counter
-	// Shipped counts blocking foreign access-path operations executed
-	// here (parked-sender applyMsgs); ContShipped counts
-	// continuation-passing ones (contMsgs); KontRun counts continuations
-	// delivered to and run on this worker (completions of foreign
-	// operations it suspended on).
+	// Shipped counts foreign access-path operations executed here for a
+	// parked sender; ContShipped counts continuation-passing ones;
+	// KontRun counts continuations delivered to and run on this worker
+	// (completions of foreign operations it suspended on).
 	Shipped     metrics.Counter
 	ContShipped metrics.Counter
 	KontRun     metrics.Counter
@@ -203,31 +142,10 @@ func newPartition(e *Dora, tbl *catalog.Table, worker int, adoptWait bool) *part
 		locks:     newHierLockTable(e.cfg.EscalateAt),
 		ses:       e.sm.OwnedSession(worker, tok),
 		adoptWait: adoptWait,
+		exited:    make(chan struct{}),
 	}
 	p.homeExec = p.deliverHome
 	return p
-}
-
-// ownerExec is the hook installed into claimed subtrees: it ships fn to
-// this worker's queue and blocks until the worker ran it. false means the
-// worker retired (inbox closed) and the sender must re-resolve. In debug
-// mode the ship-cycle detector vets the hop before it is enqueued and
-// re-raises a cycle detected by a deeper hop (shipcheck.go).
-func (p *partition) ownerExec() btree.OwnerExec {
-	return func(fn func(tok *btree.Owner)) bool {
-		m := &applyMsg{fn: fn, done: make(chan struct{})}
-		if det := p.eng.shipDet; det != nil {
-			m.path = det.extendPath(p.worker, true)
-		}
-		if !p.in.pushChecked(m) {
-			return false
-		}
-		<-m.done
-		if m.cyc != nil {
-			panic(m.cyc)
-		}
-		return m.ok
-	}
 }
 
 // loop is the worker body: batch-drain the inbox (one mutex round per
@@ -237,6 +155,7 @@ func (p *partition) ownerExec() btree.OwnerExec {
 // with them, cores) forfeits it.
 func (p *partition) loop() {
 	defer p.eng.wg.Done()
+	defer close(p.exited)
 	runtime.LockOSThread()
 	defer runtime.UnlockOSThread()
 	p.lastTID = osThreadID()
@@ -250,18 +169,8 @@ func (p *partition) loop() {
 		if !ok {
 			return
 		}
-		for i, m := range batch {
-			if p.handle(m) {
-				// Retiring mid-batch: don't strand the tail — forward it
-				// (or fail shipped ops) exactly like queued leftovers.
-				for _, rest := range batch[i+1:] {
-					p.dispose(rest)
-				}
-				for _, rest := range p.in.closeAndDrain() {
-					p.dispose(rest)
-				}
-				return
-			}
+		for _, m := range batch {
+			p.handle(m)
 		}
 		p.mirrorLockStats()
 		buf = batch
@@ -282,113 +191,114 @@ func (p *partition) mirrorLockStats() {
 	p.MaintRangeProbes.Set(st.rangeProbes)
 }
 
-// dispose routes a message this retiring worker will never process:
-// forwarded when a successor exists, failed back to the sender when its
-// sender is parked on the reply, dropped otherwise (parity with messages
-// that used to rot in a dead worker's queue). Continuations are special:
-// losing one strands a transaction's RVP, so with no live successor they
-// run inline on this (the disposing) goroutine — the shutdown
-// fall-through, where the access paths are back on the shared latched
-// path.
+// dispose routes a message this forwarding worker will never process.
+// One rule per kind:
 //
-// Parked-sender ships (applyMsg, maintMsg) must NEVER be forwarded: the
-// merge successor can be the ship's own sender — a worker blocked on
-// <-done inside its current action — and a forwarded ship then sits in
-// the blocked sender's own inbox forever (self-deadlock, which then
-// wedges the next split's adoption and the merge's evacuate ack).
-// Failing the ship instead wakes the sender with ok=false; the
-// ascendAs/runAt/ExecOnOwner loops re-resolve the subtree — already
-// reassigned to the successor before forwarding mode starts — and retry
-// there, or run locally if the sender itself adopted the range.
+//   - a ship is failed back and never forwarded: the merge successor can
+//     be the ship's own sender, and a continuation sender — or a
+//     non-worker sender parked on the reply — re-resolves the subtree,
+//     already reassigned to the successor before forwarding starts;
+//   - a kontMsg is forwarded, or run inline when no successor is left
+//     (losing one strands a transaction's RVP; with every hop retired the
+//     access paths are back on the shared latched path);
+//   - any other message is forwarded. Forwarding walks the merge chain to
+//     its first live inbox; an action that finds none goes to its key's
+//     current owner.
 func (p *partition) dispose(m msg) {
-	if km, isKont := m.(*kontMsg); isKont {
-		if p.forward == nil || !p.forward.in.pushChecked(m) {
-			km.k()
-		}
+	if sh, isShip := m.(*shipMsg); isShip {
+		sh.deliver(false)
 		return
 	}
-	switch m.(type) {
-	case *applyMsg, *maintMsg:
-		m.(shipped).failShip()
+	if p.forward.forwardFrom(m) {
 		return
 	}
-	if sh, isShipped := m.(shipped); isShipped {
-		if p.forward == nil || !p.forward.in.pushChecked(m) {
-			sh.failShip()
-		}
-		return
-	}
-	if p.forward != nil {
-		p.forward.in.push(m)
+	switch t := m.(type) {
+	case *kontMsg:
+		t.k()
+	case *actionMsg:
+		p.reroute(t, p.eng.ownerOf(p.tbl, t.routeKey))
 	}
 }
 
-// handle processes one message; it returns true when the worker must exit.
-func (p *partition) handle(m msg) bool {
+// reroute hands am to owner, re-resolving while the owner it found has
+// closed its inbox: a merge retires a worker only after its ranges are
+// reassigned, so the next lookup names the adopter. Only engine shutdown
+// resolves to the same closed owner twice; am is dropped then (no
+// transaction is in flight).
+func (p *partition) reroute(am *actionMsg, owner *partition) {
+	for owner != nil && !owner.in.pushChecked(am) {
+		next := p.eng.ownerOf(p.tbl, am.routeKey)
+		if next == owner {
+			return
+		}
+		owner = next
+	}
+}
+
+// handle processes one message.
+func (p *partition) handle(m msg) {
 	// Forwarding mode (after merge evacuation): everything moves on.
 	if p.forward != nil {
-		if t, isDie := m.(*dieMsg); isDie {
-			close(t.ack)
-			return true
-		}
 		p.dispose(m)
-		return false
+		return
 	}
 	// Adoption wait (split target): buffer until state arrives.
 	if p.adoptWait {
-		switch t := m.(type) {
-		case *adoptMsg:
-			p.adoptWait = false
-			runnable := p.locks.adopt(t.locks)
-			pend := p.pending
-			p.pending = nil
-			for _, am := range runnable {
-				p.execute(am)
-			}
-			for _, bm := range pend {
-				if p.handle(bm) {
-					return true
-				}
-			}
-		case *dieMsg:
-			close(t.ack)
-			return true
-		default:
+		t, isAdopt := m.(*adoptMsg)
+		if !isAdopt {
 			p.pending = append(p.pending, m)
+			return
 		}
-		return false
+		p.adoptWait = false
+		runnable := p.locks.adopt(t.locks)
+		pend := p.pending
+		p.pending = nil
+		for _, am := range runnable {
+			p.execute(am)
+		}
+		for _, bm := range pend {
+			p.handle(bm)
+		}
+		return
 	}
 
 	switch t := m.(type) {
 	case *actionMsg:
 		p.handleAction(t)
-	case *applyMsg:
-		p.Shipped.Inc()
-		t.cyc = p.runShipped(t.path, func() { t.fn(p.token) })
-		t.ok = true
-		close(t.done)
-	case *maintMsg:
-		t.cyc = p.runShipped(t.path, func() { t.fn(&OwnerCtx{p: p}) })
-		t.ok = true
-		close(t.done)
-	case *contMsg:
-		// Continuation ship: run the op, enqueue the continuation back.
-		// A cycle error can still surface here in debug mode — a nested
-		// BLOCKING hop inside fn targeting a parked worker aborts the op
-		// midway. There is no parked sender to unwind it to, so fail
+	case releaseMsg:
+		runnable := p.locks.release(t.txn)
+		p.HeldKeys.Set(int64(p.locks.heldKeys()))
+		for _, am := range runnable {
+			p.execute(am)
+		}
+	case *adoptMsg:
+		// Merge adoption into a live partition.
+		runnable := p.locks.adopt(t.locks)
+		p.HeldKeys.Set(int64(p.locks.heldKeys()))
+		for _, am := range runnable {
+			p.execute(am)
+		}
+	case ctlMsg:
+		t(p)
+	case *shipMsg:
+		// Run the op and deliver the reply. A parked sender re-raises a
+		// cycle error a nested blocking hop inside fn detected; a
+		// continuation sender has nobody parked to unwind it to, so fail
 		// fast on this thread rather than deliver a half-executed op as
 		// success.
-		p.ContShipped.Inc()
+		if t.access {
+			if t.parked {
+				p.Shipped.Inc()
+			} else {
+				p.ContShipped.Inc()
+			}
+		}
 		if !t.at.IsZero() {
 			p.eng.cfg.Tracer.RecordSpan(trace.StageShip, p.worker, time.Since(t.at))
 		}
-		if cyc := p.runShipped(t.path, func() { t.fn(p.token) }); cyc != nil {
-			panic(cyc)
-		}
-		t.deliver(true)
-	case *maintContMsg:
-		if cyc := p.runShipped(t.path, func() { t.fn(&OwnerCtx{p: p}) }); cyc != nil {
-			panic(cyc)
+		p.runShip(t)
+		if t.cyc != nil && !t.parked {
+			panic(t.cyc)
 		}
 		t.deliver(true)
 	case *kontMsg:
@@ -400,70 +310,66 @@ func (p *partition) handle(m msg) bool {
 			p.eng.cfg.Tracer.RecordSpan(trace.StageKont, p.worker, time.Since(t.at))
 		}
 		t.k()
-	case releaseMsg:
-		runnable := p.locks.release(t.txn)
-		p.HeldKeys.Set(int64(p.locks.heldKeys()))
-		for _, am := range runnable {
-			p.execute(am)
-		}
-	case *splitMsg:
-		moved := p.locks.extractAbove(t.at)
-		p.HeldKeys.Set(int64(p.locks.heldKeys()))
-		// Heap hand-over: pages holding records of the moved interval
-		// lose our exclusivity promise — the new owner's mutations will
-		// run on ITS thread. Strip our stamps from them (here, on our
-		// thread, so none of our latch-free reads are in flight); the
-		// maintenance daemon re-converges the layout behind the split.
-		p.unstampMoved(t.at, t.hi)
-		// Access-path hand-over: every claimed index subtree range that
-		// maps to the moved routing interval changes owner, on this
-		// thread, so no latch-free descent of ours can be in flight.
-		p.moveAccessPaths(t.at, t.hi, t.to)
-		t.to.in.push(&adoptMsg{locks: moved})
-	case *adoptMsg:
-		// Merge adoption into a live partition.
-		runnable := p.locks.adopt(t.locks)
-		p.HeldKeys.Set(int64(p.locks.heldKeys()))
-		for _, am := range runnable {
-			p.execute(am)
-		}
-	case *evacuateMsg:
-		moved := p.locks.extractAll()
-		p.HeldKeys.Set(0)
-		// The adopter takes our subtrees wholesale (no data movement)
-		// — and with them our heap-page stamps: it inherits all our
-		// ranges, so the exclusivity promise transfers intact.
-		for _, ix := range p.tbl.Indexes() {
-			if pt := ix.Partitioned(); pt != nil {
-				pt.ReassignOwner(p.token, t.to.token, t.to.ownerExec(), t.to.ownerExecAsync())
-			}
-		}
-		p.tbl.Heap.ReassignStamps(p.token, t.to.token)
-		t.to.in.push(&adoptMsg{locks: moved})
-		p.forward = t.to
-		p.fwd.Store(t.to)
-		close(t.ack)
-	case *clearMsg:
-		// The table is replaced (its key space changed meaning); fold its
-		// cumulative accounting into the engine's retired totals first so
-		// LockSnapshot never goes backward.
-		p.eng.retiredLocks.fold(p.locks.snapshotStats())
-		p.locks = newHierLockTable(p.eng.cfg.EscalateAt)
-		p.mirrorLockStats()
-		close(t.ack)
-	case tickMsg:
-		if tid := osThreadID(); tid != p.lastTID {
-			if p.lastTID != 0 && tid != 0 {
-				p.ThreadSwitches.Inc()
-			}
-			p.lastTID = tid
-		}
-		p.sweepTimeouts()
-	case *dieMsg:
-		close(t.ack)
-		return true
 	}
-	return false
+}
+
+// splitOut hands routing interval [at, hi] over to partition to:
+// local-lock state for keys >= at migrates, and every claimed index
+// subtree range mapping to the interval changes owner.
+func (p *partition) splitOut(at, hi int64, to *partition) {
+	moved := p.locks.extractAbove(at)
+	p.HeldKeys.Set(int64(p.locks.heldKeys()))
+	// Heap hand-over: pages holding records of the moved interval lose
+	// our exclusivity promise — the new owner's mutations will run on ITS
+	// thread. Strip our stamps from them (here, on our thread, so none of
+	// our latch-free reads are in flight); the maintenance daemon
+	// re-converges the layout behind the split.
+	p.unstampMoved(at, hi)
+	// Access-path hand-over: every claimed index subtree range that maps
+	// to the moved routing interval changes owner, on this thread, so no
+	// latch-free descent of ours can be in flight.
+	p.moveAccessPaths(at, hi, to)
+	to.in.push(&adoptMsg{locks: moved})
+}
+
+// evacuate hands everything to partition to and enters forwarding mode
+// (merge).
+func (p *partition) evacuate(to *partition) {
+	moved := p.locks.extractAll()
+	p.HeldKeys.Set(0)
+	// The adopter takes our subtrees wholesale (no data movement) — and
+	// with them our heap-page stamps: it inherits all our ranges, so the
+	// exclusivity promise transfers intact.
+	for _, ix := range p.tbl.Indexes() {
+		if pt := ix.Partitioned(); pt != nil {
+			pt.ReassignOwner(p.token, to.token, to.accessExec, to.accessExecAsync)
+		}
+	}
+	p.tbl.Heap.ReassignStamps(p.token, to.token)
+	to.in.push(&adoptMsg{locks: moved})
+	p.forward = to
+	p.fwd.Store(to)
+}
+
+// clearLocks resets the local lock table under a quiesced engine
+// (re-partitioning on a new field). The table is replaced (its key space
+// changed meaning); its cumulative accounting folds into the engine's
+// retired totals first so LockSnapshot never goes backward.
+func (p *partition) clearLocks() {
+	p.eng.retiredLocks.fold(p.locks.snapshotStats())
+	p.locks = newHierLockTable(p.eng.cfg.EscalateAt)
+	p.mirrorLockStats()
+}
+
+// tick runs the waiter-timeout sweep and notes OS-thread migrations.
+func (p *partition) tick() {
+	if tid := osThreadID(); tid != p.lastTID {
+		if p.lastTID != 0 && tid != 0 {
+			p.ThreadSwitches.Inc()
+		}
+		p.lastTID = tid
+	}
+	p.sweepTimeouts()
 }
 
 // unstampMoved strips this worker's heap-page stamps from every page
@@ -502,7 +408,7 @@ func (p *partition) moveAccessPaths(at, hi int64, q *partition) {
 			continue
 		}
 		keyLo, keyHi := rr(at, hi)
-		pt.MoveRange(p.token, keyLo, keyHi, q.token, q.ownerExec(), q.ownerExecAsync())
+		pt.MoveRange(p.token, keyLo, keyHi, q.token, q.accessExec, q.accessExecAsync)
 	}
 }
 
@@ -511,7 +417,7 @@ func (p *partition) handleAction(am *actionMsg) {
 	// Send it to the current owner.
 	if owner := p.eng.ownerOf(p.tbl, am.routeKey); owner != nil && owner != p {
 		p.Stale.Inc()
-		owner.in.push(am)
+		p.reroute(am, owner)
 		return
 	}
 	if am.claim && am.run.failed() {

@@ -2,6 +2,7 @@ package dora
 
 import (
 	"fmt"
+	"sync"
 
 	"dora/internal/dora/router"
 	"dora/internal/metrics"
@@ -12,14 +13,15 @@ type PartitionStat struct {
 	Table    string `json:"table"`
 	Worker   int    `json:"worker"`
 	QueueLen int    `json:"queue_len"`
-	// QueueCont is how much of QueueLen is continuation traffic (ships,
-	// continuation deliveries) rather than routed actions.
+	// QueueCont is how much of QueueLen is ship traffic (every shipMsg,
+	// parked or continuation, and every kontMsg) rather than routed
+	// actions and control messages.
 	QueueCont int   `json:"queue_cont"`
 	Waiting   int64 `json:"waiting"` // actions parked in the local lock table
 	Executed  int64 `json:"executed"`
 	Waited    int64 `json:"waited"`
-	// Shipped counts blocking (parked-sender) foreign access-path
-	// operations executed on this worker; ContShipped counts
+	// Shipped counts foreign access-path operations executed on this
+	// worker for a parked sender; ContShipped counts
 	// continuation-passing ones; KontRun counts continuations delivered
 	// back to this worker (completions of foreign operations it
 	// suspended on).
@@ -92,8 +94,10 @@ func (e *Dora) PartitionStats() []PartitionStat {
 // ShipStats aggregates the engine's ship accounting across all live
 // partitions (monitor, experiment E14).
 type ShipStats struct {
-	// BlockingShips / ContShips are foreign operations executed on owner
-	// threads, by protocol; KontsRun counts delivered continuations.
+	// BlockingShips / ContShips are foreign access-path operations
+	// executed on owner threads for a parked sender / with a
+	// continuation (maintenance and page-snapshot ships count in
+	// neither); KontsRun counts delivered continuations.
 	BlockingShips int64 `json:"blocking_ships"`
 	ContShips     int64 `json:"cont_ships"`
 	KontsRun      int64 `json:"konts_run"`
@@ -102,8 +106,8 @@ type ShipStats struct {
 	// actions executed by workers while they had one suspended.
 	SuspendedNow int64 `json:"suspended_now"`
 	OverlapExec  int64 `json:"overlap_exec"`
-	// ContQueue is the current inbox depth contributed by continuation
-	// traffic, summed over workers.
+	// ContQueue is the current inbox depth contributed by ship traffic
+	// (every shipMsg and kontMsg), summed over workers.
 	ContQueue int64 `json:"cont_queue"`
 	// AsyncResolves counts unaligned-action resolver probes run in
 	// continuation-passing form during phase dispatch.
@@ -262,14 +266,15 @@ func (e *Dora) SplitPartition(table string, from int, mid int64) (int, error) {
 	// Tell the source to hand over the migrated range's lock state and
 	// index subtrees. New dispatches for the moved range already go to q
 	// (buffered there until the adopt message arrives).
-	src.in.push(&splitMsg{at: mid, hi: moved.Hi, to: q})
+	src.in.push(ctlMsg(func(p *partition) { p.splitOut(mid, moved.Hi, q) }))
 	e.fireRebalance(table, RebalanceSplit)
 	return q.worker, nil
 }
 
 // MergePartition retires worker `from` of table `table`, folding its
 // ranges and lock-table state into worker `into`. Messages in flight are
-// forwarded; the retired worker then exits.
+// forwarded (ships are failed back and re-resolved); the retired worker
+// then exits.
 func (e *Dora) MergePartition(table string, from, into int) error {
 	tbl := e.sm.Cat.Table(table)
 	if tbl == nil {
@@ -293,7 +298,10 @@ func (e *Dora) MergePartition(table string, from, into int) error {
 	//    the reverse, so a sender whose parked ship was failed back
 	//    re-resolves to claims that already point at the adopter.
 	ack := make(chan struct{})
-	src.in.push(&evacuateMsg{to: dst, ack: ack})
+	src.in.push(ctlMsg(func(p *partition) {
+		p.evacuate(dst)
+		close(ack)
+	}))
 	<-ack
 	// 2. Now repoint the routing rule and drop src from the live set —
 	// folding its cumulative ship history into the retired totals under
@@ -324,10 +332,11 @@ func (e *Dora) MergePartition(table string, from, into int) error {
 	e.retiredLocks.keyProbes.Add(src.MaintKeyProbes.Load())
 	e.retiredLocks.rangeProbes.Add(src.MaintRangeProbes.Load())
 	e.topoMu.Unlock()
-	// 3. Let the forwarder drain and die.
-	dack := make(chan struct{})
-	src.in.push(&dieMsg{ack: dack})
-	<-dack
+	// 3. Retire the forwarder (checked pushes now fail and re-resolve to
+	// dst) and wait until it has forwarded its queue, so a release queued
+	// behind the evacuation reaches dst ahead of any later split.
+	src.in.close()
+	<-src.exited
 	e.fireRebalance(table, RebalanceMerge)
 	return nil
 }
@@ -368,14 +377,15 @@ func (e *Dora) Repartition(table, field string, lo, hi int64) error {
 	// No transactions are active, so the lock tables must be empty;
 	// clear them anyway via the owning workers (the table's key space
 	// changed meaning).
-	acks := make([]chan struct{}, len(parts))
-	for i, p := range parts {
-		acks[i] = make(chan struct{})
-		p.in.push(&clearMsg{ack: acks[i]})
+	var cleared sync.WaitGroup
+	cleared.Add(len(parts))
+	for _, p := range parts {
+		p.in.push(ctlMsg(func(p *partition) {
+			p.clearLocks()
+			cleared.Done()
+		}))
 	}
-	for _, a := range acks {
-		<-a
-	}
+	cleared.Wait()
 	// Re-claim, under the same quiesce, every index routable on the NEW
 	// field (the identity case: repartitioning back onto a field an
 	// index declares a RouteRange for). Indexes not routable on it stay

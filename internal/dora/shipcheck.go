@@ -12,27 +12,31 @@ import (
 
 // Ship-graph discipline checking (debug mode, Config.DebugShipCheck).
 //
-// A BLOCKING ship executes on the owner's thread and PARKS the sender,
-// so a chain of blocking ships must stay acyclic: an action body on
-// worker A whose shipped work on worker B ships back to A deadlocks — A
-// waits in its inbox hand-off for B, B waits for A to drain. A
+// Every owner-thread ship is a shipMsg; its parked flag says whether the
+// sender waits for the reply (shipWait). A PARKED ship executes on the
+// owner's thread while its sender sits in a channel receive, so a chain
+// of parked ships must stay acyclic: an operation on worker A whose
+// shipped work on worker B ships back to A deadlocks — A waits for B, B
+// waits for A to drain. Workers never park on their own ships (action
+// bodies use continuations); parked chains arise only from non-worker
+// senders and from maintenance operations that nest ExecOnOwner. A
 // CONTINUATION ship parks nobody: the sender keeps draining its inbox
 // while the operation is in flight, so a chain that revisits it merely
 // round-trips messages.
 //
 // The detector therefore tracks, per worker goroutine, the chain of
 // workers the currently-executing shipped operation has traveled AND
-// whether each of them is parked (its outbound hop was blocking) —
-// continuation ships carry the chain in their messages exactly like
-// blocking ones. A ship targeting a worker that is parked on this very
-// chain fails fast with a diagnostic panic BEFORE the message is
-// enqueued (it would deadlock: the target cannot drain); the resulting
-// shipCycleError unwinds the chain hop by hop (each blocking hop's
-// sender re-panics after its hand-off completes), so it surfaces at the
-// origin of the cyclic operation. A ship targeting a worker that is in
-// the chain but NOT parked — possible only via continuation hops — is
-// diagnosed (counted, recorded for the monitor) and allowed to proceed:
-// cycles cannot wedge a non-blocking sender.
+// whether each of them is parked (its outbound hop was a parked ship) —
+// every shipMsg carries the chain. A ship targeting a worker that is
+// parked on this very chain fails fast with a diagnostic panic BEFORE
+// the message is enqueued (it would deadlock: the target cannot drain);
+// the resulting shipCycleError travels back in the reply's cyc field and
+// unwinds the chain hop by hop (each parked sender re-panics after its
+// reply arrives), so it surfaces at the origin of the cyclic operation.
+// A ship targeting a worker that is in the chain but NOT parked —
+// possible only via continuation hops — is diagnosed (counted, recorded
+// for the monitor) and allowed to proceed: cycles cannot wedge a
+// non-blocking sender.
 //
 // Chains cover the ships of one operation in flight; a suspended
 // action's RESUME starts a fresh chain. That is sound, not a gap: by
@@ -168,19 +172,18 @@ func (d *shipDetector) extendPath(target int, blocking bool) []shipHop {
 	return base
 }
 
-// runShipped executes a shipped message body under the detector: the
-// worker's frame carries the message's path for the duration, and a
+// runShip executes a shipped operation under the detector: the worker's
+// frame carries the message's path for the duration, and a
 // shipCycleError panicking out of the body (a deeper hop detected the
-// cycle) is captured for the sender to re-raise — hop-by-hop unwinding
-// that lands the diagnostic at the chain's origin. Other panics pass
-// through untouched.
-func (p *partition) runShipped(path []shipHop, fn func()) (cyc *shipCycleError) {
-	det := p.eng.shipDet
-	if det == nil || p.frame == nil {
-		fn()
-		return nil
+// cycle) is captured in m.cyc for the sender to re-raise — hop-by-hop
+// unwinding that lands the diagnostic at the chain's origin. Other
+// panics pass through untouched.
+func (p *partition) runShip(m *shipMsg) {
+	if p.eng.shipDet == nil || p.frame == nil {
+		m.fn(p.token)
+		return
 	}
-	p.frame.path = path
+	p.frame.path = m.path
 	defer func() {
 		p.frame.path = nil
 		if r := recover(); r != nil {
@@ -188,11 +191,10 @@ func (p *partition) runShipped(path []shipHop, fn func()) (cyc *shipCycleError) 
 			if !ok {
 				panic(r)
 			}
-			cyc = ce
+			m.cyc = ce
 		}
 	}()
-	fn()
-	return nil
+	m.fn(p.token)
 }
 
 // goid parses the current goroutine id from the stack header ("goroutine

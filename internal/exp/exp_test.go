@@ -281,8 +281,8 @@ func TestE14Quick(t *testing.T) {
 		return nil
 	}
 	// Structural claims (stable under any scheduler): the workload's
-	// foreign ops all ride contMsgs — no worker ever parks on a ship —
-	// and senders provably drained while suspended. The experiment
+	// foreign ops all ride continuation ships — no worker ever parks on
+	// a ship — and senders provably drained while suspended. The experiment
 	// itself verifies exactly-once side effects, and the conventional
 	// engine performs no ships (its row has none).
 	tb, err := E14ContinuationShips(Config{Quick: true, Duration: 250 * time.Millisecond})

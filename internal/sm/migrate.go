@@ -25,7 +25,7 @@ import (
 // maintenance daemon reaches it through dora's owner-thread executor),
 // which is what makes the delete→insert→re-point window invisible:
 // every aligned access and every shipped foreign access to the key —
-// blocking applyMsgs and continuation-passing contMsgs alike —
+// every shipMsg, parked or continuation-passing —
 // serializes behind it in the owner's inbox, so the maintenance txn
 // composes with the asynchronous ship path unchanged.
 //

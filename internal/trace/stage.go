@@ -21,7 +21,7 @@ const (
 	// StageSuspend is a suspended action's wall time from Suspend to
 	// resume: the full foreign round trip as the transaction sees it.
 	StageSuspend
-	// StageShip is a contMsg's flight time from enqueue to the foreign
+	// StageShip is a shipMsg's flight time from enqueue to the owning
 	// worker picking it up (one outbound hop).
 	StageShip
 	// StageKont is a kontMsg's flight time back to the home worker.
