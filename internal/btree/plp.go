@@ -100,6 +100,11 @@ type AccessMethod interface {
 	// one at a time with the walk resuming from each continuation; done()
 	// fires exactly once after the scan finished or fn stopped it.
 	AscendRangeAsync(caller *Owner, lo, hi int64, home ContExec, fn func(key int64, val uint64) bool, done func())
+	// Local reports whether caller may run an operation on key's subtree
+	// inline, and with which token — ExecAt's own inline test (unowned:
+	// nil; owned by the caller: the caller's token). Callers branch on it
+	// to keep their owner path free of the closure ExecAt needs.
+	Local(caller *Owner, key int64) (tok *Owner, ok bool)
 	Len() int
 }
 
@@ -134,6 +139,9 @@ func (t *Tree) ExecAtAsync(_ *Owner, _ int64, _ ContExec, fn func(tok *Owner), d
 	done()
 }
 
+// Local implements AccessMethod: a shared tree is local to everyone.
+func (t *Tree) Local(_ *Owner, _ int64) (*Owner, bool) { return nil, true }
+
 // AscendRangeAsync implements AccessMethod: inline on a shared tree.
 func (t *Tree) AscendRangeAsync(_ *Owner, lo, hi int64, _ ContExec, fn func(key int64, val uint64) bool, done func()) {
 	t.AscendRange(lo, hi, fn)
@@ -147,6 +155,33 @@ type subtree struct {
 	exec      OwnerExec
 	execAsync OwnerExecAsync
 	tree      *Tree
+}
+
+// get, upsert and del run one point operation on the subtree by the
+// path its ownership allows: latch-free when owned (the caller is then
+// its owner), crabbed/latched when shared.
+func (st *subtree) get(key int64) (uint64, error) {
+	if st.owner != nil {
+		return st.tree.getNL(key)
+	}
+	return st.tree.Get(key)
+}
+
+func (st *subtree) upsert(key int64, val uint64, replace bool) error {
+	switch {
+	case st.owner != nil:
+		return st.tree.upsertNL(key, val, replace)
+	case replace:
+		return st.tree.Put(key, val)
+	}
+	return st.tree.Insert(key, val)
+}
+
+func (st *subtree) del(key int64) (uint64, error) {
+	if st.owner != nil {
+		return st.tree.deleteNL(key)
+	}
+	return st.tree.Delete(key)
 }
 
 // PartitionedTree is the partitioned access method. The zero value is not
@@ -218,8 +253,23 @@ func (pt *PartitionedTree) locate(key int64) *subtree {
 	return subs[i]
 }
 
+// local returns key's subtree with pt.mu held shared when the caller
+// may run an operation on it directly (unowned, or owned by the caller);
+// the caller runs it and then releases pt.mu. nil (pt.mu released) means
+// the operation ships.
+func (pt *PartitionedTree) local(caller *Owner, key int64) *subtree {
+	pt.mu.RLock()
+	if st := pt.locate(key); st.owner == nil || st.owner == caller {
+		return st
+	}
+	pt.mu.RUnlock()
+	return nil
+}
+
 // runAt executes op against the subtree holding key under the access
-// protocol. op receives the tree and whether the latch-free path applies.
+// protocol, shipping it to the owner when the caller is someone else.
+// The point operations below try local first and build the closure they
+// hand runAt only to ship, so the owner path allocates nothing.
 //
 // A shipped operation that lands on a worker whose ownership has since
 // moved on (split/merge raced the hand-off) does NOT chain another ship
@@ -229,12 +279,12 @@ func (pt *PartitionedTree) locate(key int64) *subtree {
 // blocking ship), so chaining deadlocks. Instead the stale hop fails
 // back and the ORIGINAL caller re-resolves — ships are always a single
 // sender→owner hop.
-func (pt *PartitionedTree) runAt(caller *Owner, key int64, op func(t *Tree, latchFree bool)) {
+func (pt *PartitionedTree) runAt(caller *Owner, key int64, op func(st *subtree)) {
 	for attempt := 0; ; attempt++ {
 		pt.mu.RLock()
 		st := pt.locate(key)
 		if st.owner == nil || st.owner == caller {
-			op(st.tree, st.owner != nil)
+			op(st)
 			pt.mu.RUnlock()
 			return
 		}
@@ -251,7 +301,7 @@ func (pt *PartitionedTree) runAt(caller *Owner, key int64, op func(t *Tree, latc
 				pt.mu.RUnlock()
 				return // stale hop: fail back, caller re-resolves
 			}
-			op(st.tree, st.owner != nil)
+			op(st)
 			pt.mu.RUnlock()
 			ran = true
 		})
@@ -265,50 +315,49 @@ func (pt *PartitionedTree) runAt(caller *Owner, key int64, op func(t *Tree, latc
 }
 
 // GetAs implements AccessMethod.
-func (pt *PartitionedTree) GetAs(caller *Owner, key int64) (v uint64, err error) {
-	pt.runAt(caller, key, func(t *Tree, lf bool) {
-		if lf {
-			v, err = t.getNL(key)
-		} else {
-			v, err = t.Get(key)
-		}
-	})
+func (pt *PartitionedTree) GetAs(caller *Owner, key int64) (uint64, error) {
+	if st := pt.local(caller, key); st != nil {
+		v, err := st.get(key)
+		pt.mu.RUnlock()
+		return v, err
+	}
+	var v uint64
+	var err error
+	pt.runAt(caller, key, func(st *subtree) { v, err = st.get(key) })
 	return v, err
 }
 
 // InsertAs implements AccessMethod.
-func (pt *PartitionedTree) InsertAs(caller *Owner, key int64, val uint64) (err error) {
-	pt.runAt(caller, key, func(t *Tree, lf bool) {
-		if lf {
-			err = t.upsertNL(key, val, false)
-		} else {
-			err = t.Insert(key, val)
-		}
-	})
-	return err
+func (pt *PartitionedTree) InsertAs(caller *Owner, key int64, val uint64) error {
+	return pt.upsertAs(caller, key, val, false)
 }
 
 // PutAs implements AccessMethod.
-func (pt *PartitionedTree) PutAs(caller *Owner, key int64, val uint64) (err error) {
-	pt.runAt(caller, key, func(t *Tree, lf bool) {
-		if lf {
-			err = t.upsertNL(key, val, true)
-		} else {
-			err = t.Put(key, val)
-		}
-	})
+func (pt *PartitionedTree) PutAs(caller *Owner, key int64, val uint64) error {
+	return pt.upsertAs(caller, key, val, true)
+}
+
+func (pt *PartitionedTree) upsertAs(caller *Owner, key int64, val uint64, replace bool) error {
+	if st := pt.local(caller, key); st != nil {
+		err := st.upsert(key, val, replace)
+		pt.mu.RUnlock()
+		return err
+	}
+	var err error
+	pt.runAt(caller, key, func(st *subtree) { err = st.upsert(key, val, replace) })
 	return err
 }
 
 // DeleteAs implements AccessMethod.
-func (pt *PartitionedTree) DeleteAs(caller *Owner, key int64) (v uint64, err error) {
-	pt.runAt(caller, key, func(t *Tree, lf bool) {
-		if lf {
-			v, err = t.deleteNL(key)
-		} else {
-			v, err = t.Delete(key)
-		}
-	})
+func (pt *PartitionedTree) DeleteAs(caller *Owner, key int64) (uint64, error) {
+	if st := pt.local(caller, key); st != nil {
+		v, err := st.del(key)
+		pt.mu.RUnlock()
+		return v, err
+	}
+	var v uint64
+	var err error
+	pt.runAt(caller, key, func(st *subtree) { v, err = st.del(key) })
 	return v, err
 }
 
@@ -389,6 +438,14 @@ func (pt *PartitionedTree) ascendAs(caller *Owner, lo, hi int64, fn func(key int
 		cur = segHi + 1
 	}
 	return true
+}
+
+// Local implements AccessMethod.
+func (pt *PartitionedTree) Local(caller *Owner, key int64) (*Owner, bool) {
+	pt.mu.RLock()
+	owner := pt.locate(key).owner
+	pt.mu.RUnlock()
+	return owner, owner == nil || owner == caller
 }
 
 // ExecAt implements AccessMethod: fn runs on the thread owning key's

@@ -160,11 +160,13 @@ func (p *partition) onOwner(fn func(*OwnerCtx)) func(*btree.Owner) {
 // actionHost implements xct.AsyncHost for one action execution: the
 // bridge between an action body that wants to suspend on a foreign
 // operation and the partition worker that must keep draining its inbox
-// meanwhile.
+// meanwhile. It lives inside its actionMsg.
 type actionHost struct {
 	p         *partition
 	am        *actionMsg
 	suspended bool
+	// resumed swallows duplicate resume calls.
+	resumed atomic.Bool
 }
 
 // Home implements xct.AsyncHost.
@@ -187,9 +189,8 @@ func (h *actionHost) Suspend() func(error) {
 	if tt != nil {
 		t0 = time.Now()
 	}
-	done := new(atomic.Bool)
 	return func(err error) {
-		if !done.CompareAndSwap(false, true) {
+		if !h.resumed.CompareAndSwap(false, true) {
 			return
 		}
 		if tt != nil {

@@ -34,10 +34,10 @@
 package dora
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dora/internal/btree"
@@ -311,30 +311,25 @@ func (e *Dora) ExecAsync(worker int, flow *xct.Flow, done func(error)) {
 		t0 = time.Now()
 	}
 	e.execGate.RLock()
-	released := new(atomic.Bool)
-	release := func() {
-		if released.CompareAndSwap(false, true) {
-			e.execGate.RUnlock()
-		}
-	}
+	var run *flowRun
 	defer func() {
 		if r := recover(); r != nil {
-			release()
+			if run != nil {
+				run.releaseGate()
+			} else {
+				e.execGate.RUnlock()
+			}
 			panic(r)
 		}
 	}()
 	txn := e.sm.Begin()
-	tt := e.cfg.Tracer.Begin(txn.ID)
-	if tt != nil {
+	if tt := e.cfg.Tracer.Begin(txn.ID); tt != nil {
 		tt.SetStart(t0)
 		tt.Span(trace.StageAdmission, worker, t0, time.Since(t0))
 		txn.Trace = tt
 	}
-	run := newFlowRun(e, flow, txn, func(err error) {
-		release()
-		tt.Finish(err)
-		done(err)
-	})
+	run = newFlowRun(e, flow, txn, done)
+	run.gated.Store(true)
 	e.dispatchPhase(run, 0)
 }
 
@@ -345,9 +340,9 @@ func (e *Dora) ExecAsync(worker int, flow *xct.Flow, done func(error)) {
 // cycles (single-phase conflicts).
 func (e *Dora) dispatchPhase(run *flowRun, phase int) {
 	actions := run.flow.Phases[phase].Actions
-	r := newRVP(run, phase, len(actions))
-	claims := make([]dispatchTarget, 0, len(actions))
-	now := time.Now()
+	r := run.phaseRVP(phase, len(actions))
+	r.at = time.Now()
+	r.env = xct.Env{Txn: run.txn, Ses: e.coordSes}
 	// With phase 0 we also enqueue lock *claims* for every later-phase
 	// action whose key is static and aligned, so the transaction's whole
 	// (static) lock set enters all queues in one atomic canonical batch —
@@ -363,8 +358,8 @@ func (e *Dora) dispatchPhase(run *flowRun, phase int) {
 					continue
 				}
 				run.addTable(tbl.ID)
-				claims = append(claims, dispatchTarget{tbl, e.ownerOf(tbl, a.Key), &actionMsg{
-					act: a, run: run, routeKey: a.Key, at: now, claim: true,
+				r.targets = append(r.targets, dispatchTarget{tbl, e.ownerOf(tbl, a.Key), &actionMsg{
+					act: a, run: run, routeKey: a.Key, at: r.at, claim: true,
 				}})
 			}
 		}
@@ -374,78 +369,76 @@ func (e *Dora) dispatchPhase(run *flowRun, phase int) {
 	// suspends (pending countdown) instead of parking this thread on a
 	// cross-partition ship, and the last resolution to land enqueues the
 	// phase. Aligned actions and sync-only resolvers keep the inline path.
-	rks := make([]int64, len(actions))
-	skip := make([]bool, len(actions))
-	finish := func() {
-		targets := claims
-		failed := 0
-		for i, a := range actions {
-			if skip[i] {
-				failed++
-				continue
-			}
-			tbl := e.sm.Cat.Table(a.Table)
-			targets = append(targets, dispatchTarget{tbl, e.ownerOf(tbl, rks[i]), &actionMsg{act: a, run: run, rvp: r, routeKey: rks[i], at: now}})
-		}
-		e.enqueuePhase(targets)
-		// Account for actions that never dispatched (resolve failures).
-		for i := 0; i < failed; i++ {
-			e.report(r, nil) // error already recorded on the run
-		}
-	}
-	// pending starts at 1 for the routing loop itself, so finish cannot
-	// fire before every action has been examined.
-	pending := new(atomic.Int32)
-	pending.Store(1)
-	done := func() {
-		if pending.Add(-1) == 0 {
-			finish()
-		}
-	}
+	// pending starts at 1 for the routing loop itself, so the enqueue
+	// cannot fire before every action has been examined.
+	r.pending.Store(1)
 	for i, a := range actions {
 		tbl := e.sm.Cat.Table(a.Table)
 		if tbl == nil {
 			run.fail(fmt.Errorf("dora: unknown table %q", a.Table))
-			skip[i] = true
+			r.skip[i] = true
 			continue
 		}
 		run.addTable(tbl.ID)
 		pf := tbl.PartitionField()
 		if a.KeyField == pf {
 			e.noteAligned(tbl.ID)
-			rks[i] = a.Key
+			r.rks[i] = a.Key
 			continue
 		}
 		e.noteUnaligned(tbl.ID, a.KeyField)
 		if a.ResolveAsync != nil {
-			i := i
-			pending.Add(1)
+			r.pending.Add(1)
 			e.AsyncResolves.Inc()
-			a.ResolveAsync(&xct.Env{Txn: run.txn, Ses: e.coordSes}, pf, func(v int64, err error) {
+			a.ResolveAsync(&r.env, pf, func(v int64, err error) {
 				if err != nil {
 					run.fail(err)
-					skip[i] = true
+					r.skip[i] = true
 				} else {
-					rks[i] = v
+					r.rks[i] = v
 				}
-				done()
+				r.routed()
 			})
 			continue
 		}
 		if a.Resolve == nil {
 			run.fail(fmt.Errorf("dora: action on %s keyed by %s needs a resolver", a.Table, a.KeyField))
-			skip[i] = true
+			r.skip[i] = true
 			continue
 		}
-		v, err := a.Resolve(&xct.Env{Txn: run.txn, Ses: e.coordSes}, pf)
+		v, err := a.Resolve(&r.env, pf)
 		if err != nil {
 			run.fail(err)
-			skip[i] = true
+			r.skip[i] = true
 			continue
 		}
-		rks[i] = v
+		r.rks[i] = v
 	}
-	done()
+	r.routed()
+}
+
+// routed counts one routing step of the phase down; the last one
+// enqueues the routed actions and reports the ones that failed to route.
+func (r *rvp) routed() {
+	if r.pending.Add(-1) != 0 {
+		return
+	}
+	run := r.run
+	e := run.eng
+	failed := 0
+	for i, a := range run.flow.Phases[r.phase].Actions {
+		if r.skip[i] {
+			failed++
+			continue
+		}
+		tbl := e.sm.Cat.Table(a.Table)
+		r.targets = append(r.targets, dispatchTarget{tbl, e.ownerOf(tbl, r.rks[i]), &actionMsg{act: a, run: run, rvp: r, routeKey: r.rks[i], at: r.at}})
+	}
+	e.enqueuePhase(r.targets)
+	// Account for actions that never dispatched (resolve failures).
+	for i := 0; i < failed; i++ {
+		e.report(r, nil) // error already recorded on the run
+	}
 }
 
 // dispatchTarget is one routed action of a phase and the partition its
@@ -464,14 +457,15 @@ type dispatchTarget struct {
 // nothing is appended: every target is re-resolved (the merge reassigned
 // the range before closing) and the enqueue retried.
 func (e *Dora) enqueuePhase(targets []dispatchTarget) {
+	var lockedBuf [phaseInline]*inbox
 	for {
-		sort.Slice(targets, func(i, j int) bool {
-			if targets[i].p.worker != targets[j].p.worker {
-				return targets[i].p.worker < targets[j].p.worker
+		slices.SortFunc(targets, func(a, b dispatchTarget) int {
+			if c := cmp.Compare(a.p.worker, b.p.worker); c != 0 {
+				return c
 			}
-			return targets[i].m.routeKey < targets[j].m.routeKey
+			return cmp.Compare(a.m.routeKey, b.m.routeKey)
 		})
-		var locked []*inbox
+		locked := lockedBuf[:0]
 		stale := false
 		for _, t := range targets {
 			if ib := t.p.in; len(locked) == 0 || locked[len(locked)-1] != ib {
@@ -588,7 +582,7 @@ func (e *Dora) broadcastRelease(run *flowRun) {
 	defer e.topoMu.RUnlock()
 	for _, id := range ids {
 		for _, p := range e.tableParts[id] {
-			p.in.push(releaseMsg{txn: run.txn.ID})
+			p.in.push(&run.rel)
 		}
 	}
 }

@@ -15,7 +15,7 @@ import (
 
 // rig builds an SM with one "accounts" table (id, owner_nbr, balance)
 // loaded with n rows, plus a secondary index on owner_nbr = id + 10000.
-func rig(t *testing.T, n int64, parts int) (*sm.SM, *catalog.Table, *Dora) {
+func rig(t testing.TB, n int64, parts int) (*sm.SM, *catalog.Table, *Dora) {
 	t.Helper()
 	s, err := sm.Open(sm.Options{Frames: 256})
 	if err != nil {

@@ -1,7 +1,7 @@
 package dora
 
 import (
-	"sort"
+	"slices"
 
 	"dora/internal/xct"
 )
@@ -40,6 +40,16 @@ import (
 //     prefixes); the transaction's release drops them. That guarantees
 //     that every blocker's release re-triggers promotion at the nodes it
 //     held.
+//
+// Allocation discipline: the per-transaction index (txnLocks), granules
+// and key nodes are recycled through bounded free lists, so a warmed
+// table grants and releases point locks without allocating. Only the
+// owning worker touches the lists — they are as thread-private as the
+// table itself. A node enters a list only when it is unreachable from
+// the hierarchy: release, dropKey and dropEmptyGranule recycle; state
+// handed to another partition (hierMoved) is never recycled by its
+// source, and the node being promoted from is never recycled while the
+// promotion loop still reads it.
 type hierLockTable struct {
 	root     hnode
 	granules map[int64]*granule
@@ -62,7 +72,22 @@ type hierLockTable struct {
 	// keyNodes counts live key nodes across all granules (heldKeys).
 	keyNodes int
 	stats    lockStats
+
+	// Free lists (at most lockFreeCap entries each) and the scratch
+	// release and promote reuse between calls (adoption, rare and
+	// possibly wide, allocates its own set so the reused one stays
+	// small).
+	freeTxns  []*txnLocks
+	freeGrans []*granule
+	freeNodes []*hnode
+	affected  map[int64]bool
+	gids, ks  []int64
 }
+
+// lockFreeCap bounds each free list: enough for the steady state of a
+// worker with a few hundred transactions in flight, small enough that a
+// burst (a wide de-escalation, a mass release) cannot pin memory.
+const lockFreeCap = 256
 
 // granuleBits sizes a granule at 2^granuleBits routing values.
 const granuleBits = 8
@@ -94,10 +119,11 @@ type hnode struct {
 type granule struct {
 	node hnode
 	keys map[int64]*hnode
-	// keyNodes points at the table's key-node counter; key()/dropKey
-	// maintain it so the heldKeys gauge (mirrored after every batch)
-	// stays O(1) instead of summing per-granule map sizes.
-	keyNodes *int
+	// lt is the owning table: key()/dropKey draw nodes from and return
+	// them to its free list, and maintain its key-node counter so the
+	// heldKeys gauge (mirrored after every batch) stays O(1) instead of
+	// summing per-granule map sizes.
+	lt *hierLockTable
 }
 
 // txnGran tracks one transaction's state under one granule.
@@ -143,6 +169,9 @@ type txnLocks struct {
 	// byTxn probe plus a coverage check.
 	lastID int64
 	last   *txnGran
+	// spare keeps the txnGrans of a recycled index for reuse (at most
+	// rootSpanGranules: wider ranges lock the root instead).
+	spare []*txnGran
 }
 
 // hierMoved is lock state in flight between partitions (split/merge).
@@ -165,6 +194,7 @@ func newHierLockTable(escalateAt int) *hierLockTable {
 		granules:   make(map[int64]*granule),
 		byTxn:      make(map[uint64]*txnLocks),
 		escalateAt: escalateAt,
+		affected:   make(map[int64]bool),
 	}
 }
 
@@ -206,6 +236,14 @@ func (n *hnode) mergeHold(h llHold) {
 }
 
 func (n *hnode) empty() bool { return len(n.holders) == 0 && len(n.waiters) == 0 }
+
+// reset empties an unreachable node for reuse, keeping the capacity of
+// both slices (the waiter slots are cleared so no retired action stays
+// reachable from a free list).
+func (n *hnode) reset() {
+	clear(n.waiters[:cap(n.waiters)])
+	n.holders, n.waiters = n.holders[:0], n.waiters[:0]
+}
 
 // waiterWant is the mode a parked waiter needs at its park node: the
 // full lock at the level its request targets, the intent above it.
@@ -291,7 +329,9 @@ func (lt *hierLockTable) ensureHold(n *hnode, txn uint64, want xct.LockMode, sel
 func (lt *hierLockTable) granule(gid int64) *granule {
 	g := lt.granules[gid]
 	if g == nil {
-		g = &granule{keys: make(map[int64]*hnode), keyNodes: &lt.keyNodes}
+		if g = popFree(&lt.freeGrans); g == nil {
+			g = &granule{keys: make(map[int64]*hnode), lt: lt}
+		}
 		lt.granules[gid] = g
 	}
 	return g
@@ -300,25 +340,73 @@ func (lt *hierLockTable) granule(gid int64) *granule {
 func (g *granule) key(k int64) *hnode {
 	kn := g.keys[k]
 	if kn == nil {
-		kn = &hnode{}
+		if kn = popFree(&g.lt.freeNodes); kn == nil {
+			kn = &hnode{}
+		}
 		g.keys[k] = kn
-		*g.keyNodes++
+		g.lt.keyNodes++
 	}
 	return kn
 }
 
+// dropKey removes an empty key node and recycles it.
 func (g *granule) dropKey(k int64) {
+	kn := g.keys[k]
+	g.detachKey(k)
+	lt := g.lt
+	if kn != lt.promotingFrom && len(lt.freeNodes) < lockFreeCap {
+		kn.reset()
+		lt.freeNodes = append(lt.freeNodes, kn)
+	}
+}
+
+// detachKey removes a key node without recycling it (it moves to
+// another partition).
+func (g *granule) detachKey(k int64) {
 	delete(g.keys, k)
-	*g.keyNodes--
+	g.lt.keyNodes--
 }
 
 func (lt *hierLockTable) txnOf(txn uint64) *txnLocks {
 	th := lt.byTxn[txn]
 	if th == nil {
-		th = &txnLocks{}
+		if th = popFree(&lt.freeTxns); th == nil {
+			th = &txnLocks{}
+		}
 		lt.byTxn[txn] = th
 	}
 	return th
+}
+
+// popFree takes the last entry off a free list; nil when it is empty.
+func popFree[T any](list *[]*T) *T {
+	n := len(*list)
+	if n == 0 {
+		return nil
+	}
+	x := (*list)[n-1]
+	(*list)[n-1] = nil
+	*list = (*list)[:n-1]
+	return x
+}
+
+// recycleTxn returns a released transaction's index to the free list,
+// keeping its key-list capacities and its (cleared) granule map.
+func (lt *hierLockTable) recycleTxn(th *txnLocks) {
+	if len(lt.freeTxns) >= lockFreeCap {
+		return
+	}
+	keys, grans, spare := th.first.keys[:0], th.grans, th.spare
+	for _, tg := range grans {
+		if len(spare) < rootSpanGranules {
+			*tg = txnGran{keys: tg.keys[:0]}
+			spare = append(spare, tg)
+		}
+	}
+	clear(grans)
+	*th = txnLocks{grans: grans, spare: spare}
+	th.first.keys = keys
+	lt.freeTxns = append(lt.freeTxns, th)
 }
 
 func (th *txnLocks) gran(gid int64) *txnGran {
@@ -336,7 +424,9 @@ func (th *txnLocks) gran(gid int64) *txnGran {
 	}
 	tg := th.grans[gid]
 	if tg == nil {
-		tg = &txnGran{}
+		if tg = popFree(&th.spare); tg == nil {
+			tg = &txnGran{}
+		}
 		if th.grans == nil {
 			th.grans = make(map[int64]*txnGran)
 		}
@@ -655,7 +745,8 @@ func (lt *hierLockTable) wait(am *actionMsg) {
 func (lt *hierLockTable) release(txn uint64) []*actionMsg {
 	th := lt.byTxn[txn]
 	delete(lt.byTxn, txn)
-	affected := make(map[int64]bool)
+	affected := lt.affected
+	clear(affected)
 	rootChanged := false
 	if th != nil {
 		th.eachGran(func(gid int64, tg *txnGran) {
@@ -683,6 +774,7 @@ func (lt *hierLockTable) release(txn uint64) []*actionMsg {
 			lt.root.removeHold(txn)
 			rootChanged = true
 		}
+		lt.recycleTxn(th)
 	}
 	// Claims may wait at nodes the transaction never held; sweep them
 	// out wherever they parked (they block grants via the no-overtake
@@ -741,30 +833,32 @@ func (lt *hierLockTable) dropClaims(txn uint64, affected map[int64]bool, rootCha
 func (lt *hierLockTable) promote(affected map[int64]bool, rootChanged bool) []*actionMsg {
 	var runnable []*actionMsg
 	if rootChanged {
-		runnable = append(runnable, lt.promoteNode(&lt.root)...)
+		runnable = lt.promoteNode(&lt.root, runnable)
 	}
-	gids := make([]int64, 0, len(affected))
+	gids := lt.gids[:0]
 	for gid := range affected {
 		gids = append(gids, gid)
 	}
-	sort.Slice(gids, func(i, j int) bool { return gids[i] < gids[j] })
+	slices.Sort(gids)
+	lt.gids = gids
 	for _, gid := range gids {
 		g := lt.granules[gid]
 		if g == nil {
 			continue
 		}
-		runnable = append(runnable, lt.promoteNode(&g.node)...)
+		runnable = lt.promoteNode(&g.node, runnable)
 		if lt.keysWithWaiters(g) {
-			ks := make([]int64, 0, len(g.keys))
+			ks := lt.ks[:0]
 			for k, kn := range g.keys {
 				if len(kn.waiters) > 0 {
 					ks = append(ks, k)
 				}
 			}
-			sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
+			slices.Sort(ks)
+			lt.ks = ks
 			for _, k := range ks {
 				if kn := g.keys[k]; kn != nil {
-					runnable = append(runnable, lt.promoteNode(kn)...)
+					runnable = lt.promoteNode(kn, runnable)
 				}
 			}
 		}
@@ -786,9 +880,9 @@ func (lt *hierLockTable) keysWithWaiters(g *granule) bool {
 // the queue front and stops the scan; one now blocked at a different
 // level re-parks there (tail) and the scan continues. Re-attempting is
 // deterministic between grants, so a moved waiter cannot ping-pong:
-// its next failure at the new node front-parks it there.
-func (lt *hierLockTable) promoteNode(n *hnode) []*actionMsg {
-	var out []*actionMsg
+// its next failure at the new node front-parks it there. The runnable
+// waiters are appended to out.
+func (lt *hierLockTable) promoteNode(n *hnode, out []*actionMsg) []*actionMsg {
 	prev := lt.promotingFrom
 	lt.promotingFrom = n
 	defer func() { lt.promotingFrom = prev }()
@@ -815,7 +909,19 @@ func (lt *hierLockTable) promoteNode(n *hnode) []*actionMsg {
 func (lt *hierLockTable) dropEmptyGranule(gid int64) {
 	if g := lt.granules[gid]; g != nil && g.node.empty() && len(g.keys) == 0 {
 		delete(lt.granules, gid)
+		lt.recycleGranule(g)
 	}
+}
+
+// recycleGranule returns an empty, unlinked granule to the free list,
+// keeping its node's capacity and its (cleared) key map.
+func (lt *hierLockTable) recycleGranule(g *granule) {
+	if &g.node == lt.promotingFrom || len(lt.freeGrans) >= lockFreeCap {
+		return
+	}
+	g.node.reset()
+	clear(g.keys)
+	lt.freeGrans = append(lt.freeGrans, g)
 }
 
 // sweepWaiters visits every parked waiter; judge returning false removes
@@ -843,6 +949,7 @@ func (lt *hierLockTable) sweepWaiters(judge func(*actionMsg) bool) {
 		}
 		if g.node.empty() && len(g.keys) == 0 {
 			delete(lt.granules, gid)
+			lt.recycleGranule(g)
 		}
 	}
 }
@@ -898,7 +1005,7 @@ func (lt *hierLockTable) extractAbove(cut int64) *hierMoved {
 			if k >= cut {
 				mg.keys[k] = kn
 				lt.waiting -= len(kn.waiters)
-				g.dropKey(k)
+				g.detachKey(k)
 			}
 		}
 		if len(mg.node.holders) > 0 || len(mg.node.waiters) > 0 || len(mg.keys) > 0 {

@@ -44,9 +44,16 @@ type actionMsg struct {
 	wnLevel   uint8
 	wnID      int64
 	rangeNext int64
+	// host and env are the body's execution environment, filled in when
+	// the action runs (execute); embedding them keeps an action's run
+	// free of allocations of its own.
+	host actionHost
+	env  xct.Env
 }
 
 // releaseMsg tells a partition that txn finished; drop its local locks.
+// The commit broadcast pushes one shared *releaseMsg per run; a value
+// releaseMsg is handled alike.
 type releaseMsg struct{ txn uint64 }
 
 // adoptMsg delivers migrated lock-table state.
@@ -265,12 +272,10 @@ func (p *partition) handle(m msg) {
 	switch t := m.(type) {
 	case *actionMsg:
 		p.handleAction(t)
+	case *releaseMsg:
+		p.release(t.txn)
 	case releaseMsg:
-		runnable := p.locks.release(t.txn)
-		p.HeldKeys.Set(int64(p.locks.heldKeys()))
-		for _, am := range runnable {
-			p.execute(am)
-		}
+		p.release(t.txn)
 	case *adoptMsg:
 		// Merge adoption into a live partition.
 		runnable := p.locks.adopt(t.locks)
@@ -310,6 +315,16 @@ func (p *partition) handle(m msg) {
 			p.eng.cfg.Tracer.RecordSpan(trace.StageKont, p.worker, time.Since(t.at))
 		}
 		t.k()
+	}
+}
+
+// release drops txn's local locks and runs the actions that became
+// grantable.
+func (p *partition) release(txn uint64) {
+	runnable := p.locks.release(txn)
+	p.HeldKeys.Set(int64(p.locks.heldKeys()))
+	for _, am := range runnable {
+		p.execute(am)
 	}
 }
 
@@ -463,12 +478,13 @@ func (p *partition) execute(am *actionMsg) {
 		execAt = time.Now()
 		tt.Span(trace.StageQueueWait, p.worker, am.at, execAt.Sub(am.at))
 	}
-	host := &actionHost{p: p, am: am}
-	err := am.act.Run(&xct.Env{Txn: am.run.txn, Ses: p.ses, Async: host})
+	am.host = actionHost{p: p, am: am}
+	am.env = xct.Env{Txn: am.run.txn, Ses: p.ses, Async: &am.host}
+	err := am.act.Run(&am.env)
 	if tt != nil {
 		tt.Span(trace.StageExec, p.worker, execAt, time.Since(execAt))
 	}
-	if host.suspended {
+	if am.host.suspended {
 		return // the resume continuation owns the RVP report
 	}
 	p.eng.report(am.rvp, err)

@@ -1,7 +1,6 @@
 package sm
 
 import (
-	"errors"
 	"fmt"
 
 	"dora/internal/btree"
@@ -41,6 +40,10 @@ type ContExec = btree.ContExec
 // ReadAsync is Read in continuation-passing style.
 func (ss *Session) ReadAsync(t *tx.Txn, tbl *catalog.Table, key int64, home ContExec, k func(tuple.Record, error)) {
 	ss.trace(tbl, key, false)
+	if tok, ok := tbl.Primary.Tree.Local(ss.owner, key); ok {
+		k(ss.readAt(tok, tbl, key))
+		return
+	}
 	var rec tuple.Record
 	var err error
 	tbl.Primary.Tree.ExecAtAsync(ss.owner, key, home, func(tok *btree.Owner) {
@@ -116,31 +119,16 @@ func (ss *Session) ReadByIndexAsync(t *tx.Txn, tbl *catalog.Table, idx string, k
 		k(nil, fmt.Errorf("sm: no index %q on %s", idx, tbl.Name))
 		return
 	}
+	if tok, ok := ix.Tree.Local(ss.owner, key); ok {
+		rec, err := readIndexAt(tok, tbl, ix, key)
+		k(ss.indexRead(tbl, rec, err))
+		return
+	}
 	var rec tuple.Record
 	var err error
 	ix.Tree.ExecAtAsync(ss.owner, key, home, func(tok *btree.Owner) {
-		var v uint64
-		v, err = ix.Tree.GetAs(tok, key)
-		if err != nil {
-			if errors.Is(err, btree.ErrNotFound) {
-				err = fmt.Errorf("%w: %s.%s[%d]", ErrNotFound, tbl.Name, idx, key)
-			}
-			return
-		}
-		var img []byte
-		img, err = tbl.Heap.GetOwned(tok, storage.UnpackRID(v))
-		if err != nil {
-			return
-		}
-		rec, err = tuple.Decode(img)
-	}, func() {
-		if err != nil {
-			k(nil, err)
-			return
-		}
-		ss.trace(tbl, tbl.Primary.Key(rec), false)
-		k(rec, nil)
-	})
+		rec, err = readIndexAt(tok, tbl, ix, key)
+	}, func() { k(ss.indexRead(tbl, rec, err)) })
 }
 
 // RollbackAsync is Rollback in continuation-passing style: the undo

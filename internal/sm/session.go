@@ -54,9 +54,34 @@ func (ss *Session) trace(tbl *catalog.Table, key int64, write bool) {
 	tr.Record(metrics.Access{Worker: ss.worker, Table: int(tbl.ID), Key: key, Write: write})
 }
 
-// Read returns the record with the given primary key.
-func (ss *Session) Read(t *tx.Txn, tbl *catalog.Table, key int64) (rec tuple.Record, err error) {
+// notFoundError is ErrNotFound for one key of a table (index == "") or
+// of one of its secondary indexes. Its message is built only when asked
+// for: a miss the workload expects (TATP probes absent rows by design)
+// costs one small allocation instead of a formatted string.
+type notFoundError struct {
+	table, index string
+	key          int64
+}
+
+func (e *notFoundError) Error() string {
+	if e.index == "" {
+		return fmt.Sprintf("%v: %s[%d]", ErrNotFound, e.table, e.key)
+	}
+	return fmt.Sprintf("%v: %s.%s[%d]", ErrNotFound, e.table, e.index, e.key)
+}
+
+func (e *notFoundError) Unwrap() error { return ErrNotFound }
+
+// Read returns the record with the given primary key. When the key's
+// subtree is local to the session (unowned, or owned by it) the read
+// runs inline with no closure; otherwise it ships to the owner.
+func (ss *Session) Read(t *tx.Txn, tbl *catalog.Table, key int64) (tuple.Record, error) {
 	ss.trace(tbl, key, false)
+	if tok, ok := tbl.Primary.Tree.Local(ss.owner, key); ok {
+		return ss.readAt(tok, tbl, key)
+	}
+	var rec tuple.Record
+	var err error
 	tbl.Primary.Tree.ExecAt(ss.owner, key, func(tok *btree.Owner) {
 		rec, err = ss.readAt(tok, tbl, key)
 	})
@@ -67,15 +92,22 @@ func (ss *Session) readAt(tok *btree.Owner, tbl *catalog.Table, key int64) (tupl
 	v, err := tbl.Primary.Tree.GetAs(tok, key)
 	if err != nil {
 		if errors.Is(err, btree.ErrNotFound) {
-			return nil, fmt.Errorf("%w: %s[%d]", ErrNotFound, tbl.Name, key)
+			return nil, &notFoundError{table: tbl.Name, key: key}
 		}
 		return nil, err
 	}
-	img, err := tbl.Heap.GetOwned(tok, storage.UnpackRID(v))
-	if err != nil {
-		return nil, err
-	}
-	return tuple.Decode(img)
+	return decodeAt(tok, tbl, storage.UnpackRID(v))
+}
+
+// decodeAt decodes the record at rid; on tok's own stamped page it
+// decodes straight from the frame (tuple.Decode copies what it keeps).
+func decodeAt(tok *btree.Owner, tbl *catalog.Table, rid storage.RID) (rec tuple.Record, err error) {
+	err = tbl.Heap.ViewOwned(tok, rid, func(img []byte) error {
+		var derr error
+		rec, derr = tuple.Decode(img)
+		return derr
+	})
+	return rec, err
 }
 
 // ReadByIndex returns the record whose secondary index entry equals key.
@@ -84,31 +116,40 @@ func (ss *Session) ReadByIndex(t *tx.Txn, tbl *catalog.Table, idx string, key in
 	if ix == nil {
 		return nil, fmt.Errorf("sm: no index %q on %s", idx, tbl.Name)
 	}
+	if tok, ok := ix.Tree.Local(ss.owner, key); ok {
+		rec, err := readIndexAt(tok, tbl, ix, key)
+		return ss.indexRead(tbl, rec, err)
+	}
 	var rec tuple.Record
 	var err error
 	ix.Tree.ExecAt(ss.owner, key, func(tok *btree.Owner) {
-		var v uint64
-		v, err = ix.Tree.GetAs(tok, key)
-		if err != nil {
-			if errors.Is(err, btree.ErrNotFound) {
-				err = fmt.Errorf("%w: %s.%s[%d]", ErrNotFound, tbl.Name, idx, key)
-			}
-			return
-		}
-		// A routable secondary maps a routing range to the same worker
-		// as the primary, so tok also matches the heap page stamps.
-		var img []byte
-		img, err = tbl.Heap.GetOwned(tok, storage.UnpackRID(v))
-		if err != nil {
-			return
-		}
-		rec, err = tuple.Decode(img)
+		rec, err = readIndexAt(tok, tbl, ix, key)
 	})
+	return ss.indexRead(tbl, rec, err)
+}
+
+// indexRead traces the row an index read found.
+func (ss *Session) indexRead(tbl *catalog.Table, rec tuple.Record, err error) (tuple.Record, error) {
 	if err != nil {
 		return nil, err
 	}
 	ss.trace(tbl, tbl.Primary.Key(rec), false)
 	return rec, nil
+}
+
+// readIndexAt is the owner-thread body of ReadByIndex: probe the
+// secondary, then decode the row it points at. A routable secondary maps
+// a routing range to the same worker as the primary, so tok also matches
+// the heap page stamps.
+func readIndexAt(tok *btree.Owner, tbl *catalog.Table, ix *catalog.Index, key int64) (tuple.Record, error) {
+	v, err := ix.Tree.GetAs(tok, key)
+	if err != nil {
+		if errors.Is(err, btree.ErrNotFound) {
+			return nil, &notFoundError{table: tbl.Name, index: ix.Name, key: key}
+		}
+		return nil, err
+	}
+	return decodeAt(tok, tbl, storage.UnpackRID(v))
 }
 
 // scanHit is one index entry collected by a range scan before its heap
@@ -213,7 +254,7 @@ func (ss *Session) updateAt(tok *btree.Owner, t *tx.Txn, tbl *catalog.Table, key
 	v, err := tbl.Primary.Tree.GetAs(tok, key)
 	if err != nil {
 		if errors.Is(err, btree.ErrNotFound) {
-			return fmt.Errorf("%w: %s[%d]", ErrNotFound, tbl.Name, key)
+			return &notFoundError{table: tbl.Name, key: key}
 		}
 		return err
 	}
@@ -281,7 +322,7 @@ func (ss *Session) mutateAt(tok *btree.Owner, t *tx.Txn, tbl *catalog.Table, key
 	v, err := tbl.Primary.Tree.GetAs(tok, key)
 	if err != nil {
 		if errors.Is(err, btree.ErrNotFound) {
-			return fmt.Errorf("%w: %s[%d]", ErrNotFound, tbl.Name, key)
+			return &notFoundError{table: tbl.Name, key: key}
 		}
 		return err
 	}
@@ -333,7 +374,7 @@ func (ss *Session) deleteAt(tok *btree.Owner, t *tx.Txn, tbl *catalog.Table, key
 	v, err := tbl.Primary.Tree.GetAs(tok, key)
 	if err != nil {
 		if errors.Is(err, btree.ErrNotFound) {
-			return fmt.Errorf("%w: %s[%d]", ErrNotFound, tbl.Name, key)
+			return &notFoundError{table: tbl.Name, key: key}
 		}
 		return err
 	}

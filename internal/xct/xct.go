@@ -250,6 +250,10 @@ type Flow struct {
 	// Name identifies the transaction type (statistics, designer).
 	Name   string
 	Phases []Phase
+	// inline backs Phases for flows built with AddPhase until they grow
+	// past two phases, so building a typical flow allocates the Flow
+	// once instead of once more per phase.
+	inline [2]Phase
 }
 
 // NewFlow starts a flow-graph builder.
@@ -257,6 +261,9 @@ func NewFlow(name string) *Flow { return &Flow{Name: name} }
 
 // AddPhase appends a phase with the given actions and returns the flow.
 func (f *Flow) AddPhase(actions ...*Action) *Flow {
+	if f.Phases == nil {
+		f.Phases = f.inline[:0]
+	}
 	f.Phases = append(f.Phases, Phase{Actions: actions})
 	return f
 }
