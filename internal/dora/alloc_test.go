@@ -14,9 +14,9 @@ import (
 // execAsyncReadAllocs is the allocation ceiling of one ExecAsync of a
 // prebuilt single-action aligned read flow on a one-partition engine,
 // measured from dispatch to the client's verdict (every goroutine
-// counts). It was 27 before worker-private lock-table reuse,
-// closure-free dispatch and the owner read fast path, and measured 7
-// after: the run, its transaction, the action message, the commit
+// counts). It measured 40 (41 in some runs) before worker-private
+// lock-table reuse, closure-free dispatch and the owner read fast path,
+// and 7 after: the run, its transaction, the action message, the commit
 // continuation, the read-only commit's completion, the record decode
 // and its latched copy (the test loads its rows on the shared path, so
 // their pages are unstamped).

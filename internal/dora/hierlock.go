@@ -84,10 +84,17 @@ type hierLockTable struct {
 	gids, ks  []int64
 }
 
-// lockFreeCap bounds each free list: enough for the steady state of a
-// worker with a few hundred transactions in flight, small enough that a
-// burst (a wide de-escalation, a mass release) cannot pin memory.
+// lockFreeCap bounds the entry count of each free list: enough for the
+// steady state of a worker with a few hundred transactions in flight.
 const lockFreeCap = 256
+
+// lockReuseCap bounds what a recycled entry keeps: a holders, waiters or
+// key slice, or a granule or key map, that grew past this many entries
+// is dropped rather than recycled (a cleared map never shrinks), so one
+// wide transaction or long waiter queue cannot pin its backing store in
+// a free list. Together with lockFreeCap it bounds a table's free-list
+// memory.
+const lockReuseCap = 2 * defaultEscalateAt
 
 // granuleBits sizes a granule at 2^granuleBits routing values.
 const granuleBits = 8
@@ -124,6 +131,9 @@ type granule struct {
 	// heldKeys gauge (mirrored after every batch) stays O(1) instead of
 	// summing per-granule map sizes.
 	lt *hierLockTable
+	// wide marks that keys grew past lockReuseCap: the granule is not
+	// recycled.
+	wide bool
 }
 
 // txnGran tracks one transaction's state under one granule.
@@ -237,6 +247,12 @@ func (n *hnode) mergeHold(h llHold) {
 
 func (n *hnode) empty() bool { return len(n.holders) == 0 && len(n.waiters) == 0 }
 
+// reusable reports whether an unreachable node is small enough to
+// recycle (see lockReuseCap).
+func (n *hnode) reusable() bool {
+	return cap(n.holders) <= lockReuseCap && cap(n.waiters) <= lockReuseCap
+}
+
 // reset empties an unreachable node for reuse, keeping the capacity of
 // both slices (the waiter slots are cleared so no retired action stays
 // reachable from a free list).
@@ -345,6 +361,9 @@ func (g *granule) key(k int64) *hnode {
 		}
 		g.keys[k] = kn
 		g.lt.keyNodes++
+		if len(g.keys) > lockReuseCap {
+			g.wide = true
+		}
 	}
 	return kn
 }
@@ -354,7 +373,7 @@ func (g *granule) dropKey(k int64) {
 	kn := g.keys[k]
 	g.detachKey(k)
 	lt := g.lt
-	if kn != lt.promotingFrom && len(lt.freeNodes) < lockFreeCap {
+	if kn != lt.promotingFrom && kn.reusable() && len(lt.freeNodes) < lockFreeCap {
 		kn.reset()
 		lt.freeNodes = append(lt.freeNodes, kn)
 	}
@@ -391,22 +410,36 @@ func popFree[T any](list *[]*T) *T {
 }
 
 // recycleTxn returns a released transaction's index to the free list,
-// keeping its key-list capacities and its (cleared) granule map.
+// keeping its key-list capacities and its (cleared) granule map, each
+// only up to lockReuseCap.
 func (lt *hierLockTable) recycleTxn(th *txnLocks) {
 	if len(lt.freeTxns) >= lockFreeCap {
 		return
 	}
-	keys, grans, spare := th.first.keys[:0], th.grans, th.spare
+	keys, grans, spare := reuseKeys(th.first.keys), th.grans, th.spare
 	for _, tg := range grans {
-		if len(spare) < rootSpanGranules {
-			*tg = txnGran{keys: tg.keys[:0]}
+		if len(spare) < lockReuseCap {
+			*tg = txnGran{keys: reuseKeys(tg.keys)}
 			spare = append(spare, tg)
 		}
 	}
-	clear(grans)
+	if len(grans) > lockReuseCap {
+		grans = nil
+	} else {
+		clear(grans)
+	}
 	*th = txnLocks{grans: grans, spare: spare}
 	th.first.keys = keys
 	lt.freeTxns = append(lt.freeTxns, th)
+}
+
+// reuseKeys empties a recycled key list, dropping it when it grew past
+// lockReuseCap.
+func reuseKeys(keys []int64) []int64 {
+	if cap(keys) > lockReuseCap {
+		return nil
+	}
+	return keys[:0]
 }
 
 func (th *txnLocks) gran(gid int64) *txnGran {
@@ -916,7 +949,7 @@ func (lt *hierLockTable) dropEmptyGranule(gid int64) {
 // recycleGranule returns an empty, unlinked granule to the free list,
 // keeping its node's capacity and its (cleared) key map.
 func (lt *hierLockTable) recycleGranule(g *granule) {
-	if &g.node == lt.promotingFrom || len(lt.freeGrans) >= lockFreeCap {
+	if &g.node == lt.promotingFrom || g.wide || !g.node.reusable() || len(lt.freeGrans) >= lockFreeCap {
 		return
 	}
 	g.node.reset()

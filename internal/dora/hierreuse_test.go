@@ -28,6 +28,78 @@ func TestHierLockReuseHygiene(t *testing.T) {
 	}
 }
 
+// TestHierLockReuseBounded: a wide transaction (100 keys in one
+// granule, one key in each of 40 more), a 40-deep waiter queue and a
+// 40-holder key leave nothing larger than lockReuseCap in the free
+// lists once released, while the small nodes around them are still
+// recycled.
+func TestHierLockReuseBounded(t *testing.T) {
+	lt := newHierLockTable(-1) // no escalation: every key keeps its node
+	const wide, readers = 100, 40
+	hotRead, hotWait := int64(200)<<granuleBits, int64(300)<<granuleBits
+	if !lt.acquire(hierPoint(1, hotWait, xct.Write)) {
+		t.Fatal("wide writer refused the contended key")
+	}
+	for k := int64(0); k < wide; k++ {
+		if !lt.acquire(hierPoint(1, k, xct.Write)) {
+			t.Fatalf("wide writer refused key %d", k)
+		}
+	}
+	for g := int64(1); g <= readers; g++ {
+		if !lt.acquire(hierPoint(1, g<<granuleBits, xct.Write)) {
+			t.Fatalf("wide writer refused granule %d", g)
+		}
+	}
+	for txn := uint64(2); txn < 2+readers; txn++ {
+		if !lt.acquire(hierPoint(txn, hotRead, xct.Read)) {
+			t.Fatalf("reader %d refused the shared key", txn)
+		}
+		if am := hierPoint(txn, hotWait, xct.Read); !lt.acquire(am) {
+			lt.wait(am)
+		}
+	}
+	wideTxn := lt.byTxn[1]
+	if lt.waiting != readers {
+		t.Fatalf("%d waiters parked, want %d", lt.waiting, readers)
+	}
+	if granted := lt.release(1); len(granted) != readers {
+		t.Fatalf("release granted %d waiters, want %d", len(granted), readers)
+	}
+	for txn := uint64(2); txn < 2+readers; txn++ {
+		lt.release(txn)
+	}
+	if len(lt.granules) != 0 || lt.keyNodes != 0 || lt.waiting != 0 || len(lt.byTxn) != 0 {
+		t.Fatalf("table not empty: granules=%d keyNodes=%d waiting=%d txns=%d",
+			len(lt.granules), lt.keyNodes, lt.waiting, len(lt.byTxn))
+	}
+	if len(lt.freeNodes) == 0 || len(lt.freeGrans) == 0 || len(lt.freeTxns) == 0 {
+		t.Fatalf("small entries not recycled: %d nodes, %d indexes", len(lt.freeNodes), len(lt.freeTxns))
+	}
+	fail := func(format string, args ...any) { t.Fatalf(format, args...) }
+	for _, kn := range lt.freeNodes {
+		emptyPooled(fail, 0, kn)
+	}
+	for _, g := range lt.freeGrans {
+		if g.wide {
+			t.Fatal("a granule that held more than lockReuseCap keys was recycled")
+		}
+		emptyPooled(fail, 0, &g.node)
+	}
+	for _, th := range lt.freeTxns {
+		if th == wideTxn && th.grans != nil {
+			t.Fatal("the wide transaction's index kept its granule map")
+		}
+		if cap(th.first.keys) > lockReuseCap || len(th.spare) > lockReuseCap {
+			t.Fatalf("a recycled index keeps %d key slots, %d spare granule entries", cap(th.first.keys), len(th.spare))
+		}
+		for _, tg := range th.spare {
+			if cap(tg.keys) > lockReuseCap {
+				t.Fatalf("a recycled granule entry keeps %d key slots", cap(tg.keys))
+			}
+		}
+	}
+}
+
 // reuseRig is the hygiene test's model: the tables and which actions of
 // which transactions are parked.
 type reuseRig struct {
@@ -265,7 +337,7 @@ func (r *reuseRig) check(seed int64, step int, inFlight *hierMoved) {
 			if grans[g] || reach[&g.node] {
 				fail("table %d: pooled granule still reachable", i)
 			}
-			if g.lt != lt || len(g.keys) != 0 {
+			if g.lt != lt || len(g.keys) != 0 || g.wide {
 				fail("table %d: pooled granule not reset", i)
 			}
 			emptyPooled(fail, i, &g.node)
@@ -280,6 +352,14 @@ func (r *reuseRig) check(seed int64, step int, inFlight *hierMoved) {
 			}
 			if th.hasFirst || th.last != nil || th.rootMode != xct.LockNone || len(th.grans) != 0 || len(th.first.keys) != 0 {
 				fail("table %d: pooled transaction index not reset", i)
+			}
+			if cap(th.first.keys) > lockReuseCap || len(th.spare) > lockReuseCap {
+				fail("table %d: pooled transaction index keeps more than lockReuseCap", i)
+			}
+			for _, tg := range th.spare {
+				if cap(tg.keys) > lockReuseCap {
+					fail("table %d: pooled txnGran keeps %d key slots", i, cap(tg.keys))
+				}
 			}
 		}
 	}
@@ -314,6 +394,9 @@ func (r *reuseRig) movedNotPooled(seed int64, step int, mv *hierMoved) {
 func emptyPooled(fail func(string, ...any), table int, n *hnode) {
 	if len(n.holders) != 0 || len(n.waiters) != 0 {
 		fail("table %d: pooled node has %d holders, %d waiters", table, len(n.holders), len(n.waiters))
+	}
+	if !n.reusable() {
+		fail("table %d: pooled node keeps %d holder and %d waiter slots", table, cap(n.holders), cap(n.waiters))
 	}
 	for _, w := range n.waiters[:cap(n.waiters)] {
 		if w != nil {

@@ -52,8 +52,7 @@ type actionMsg struct {
 }
 
 // releaseMsg tells a partition that txn finished; drop its local locks.
-// The commit broadcast pushes one shared *releaseMsg per run; a value
-// releaseMsg is handled alike.
+// The commit broadcast pushes one shared *releaseMsg per run.
 type releaseMsg struct{ txn uint64 }
 
 // adoptMsg delivers migrated lock-table state.
@@ -273,8 +272,6 @@ func (p *partition) handle(m msg) {
 	case *actionMsg:
 		p.handleAction(t)
 	case *releaseMsg:
-		p.release(t.txn)
-	case releaseMsg:
 		p.release(t.txn)
 	case *adoptMsg:
 		// Merge adoption into a live partition.

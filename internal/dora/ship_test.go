@@ -146,7 +146,7 @@ func TestMergeForwardsBacklogBeforeSplit(t *testing.T) {
 		case <-time.After(100 * time.Millisecond):
 		}
 	}}})
-	src.in.push(releaseMsg{txn: holder.ID})
+	src.in.push(&releaseMsg{txn: holder.ID})
 	close(gate)
 	if err := <-merged; err != nil {
 		t.Fatal(err)

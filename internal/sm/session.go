@@ -96,18 +96,11 @@ func (ss *Session) readAt(tok *btree.Owner, tbl *catalog.Table, key int64) (tupl
 		}
 		return nil, err
 	}
-	return decodeAt(tok, tbl, storage.UnpackRID(v))
-}
-
-// decodeAt decodes the record at rid; on tok's own stamped page it
-// decodes straight from the frame (tuple.Decode copies what it keeps).
-func decodeAt(tok *btree.Owner, tbl *catalog.Table, rid storage.RID) (rec tuple.Record, err error) {
-	err = tbl.Heap.ViewOwned(tok, rid, func(img []byte) error {
-		var derr error
-		rec, derr = tuple.Decode(img)
-		return derr
-	})
-	return rec, err
+	img, err := tbl.Heap.GetOwned(tok, storage.UnpackRID(v))
+	if err != nil {
+		return nil, err
+	}
+	return tuple.Decode(img)
 }
 
 // ReadByIndex returns the record whose secondary index entry equals key.
@@ -149,7 +142,11 @@ func readIndexAt(tok *btree.Owner, tbl *catalog.Table, ix *catalog.Index, key in
 		}
 		return nil, err
 	}
-	return decodeAt(tok, tbl, storage.UnpackRID(v))
+	img, err := tbl.Heap.GetOwned(tok, storage.UnpackRID(v))
+	if err != nil {
+		return nil, err
+	}
+	return tuple.Decode(img)
 }
 
 // scanHit is one index entry collected by a range scan before its heap

@@ -34,8 +34,8 @@ func ownedRig(t *testing.T) (*SM, *catalog.Table, *Session, *btree.Owner) {
 }
 
 // TestReadOwnedAllocs: the owner's read of its own key allocates only
-// what decoding the record allocates — no ship closure, no copy of the
-// page bytes.
+// what decoding the record allocates plus GetOwned's copy of the record
+// bytes — no ship closure — and takes no frame latch.
 func TestReadOwnedAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -66,8 +66,8 @@ func TestReadOwnedAllocs(t *testing.T) {
 			t.Fatalf("owned read: %v %v", rec, err)
 		}
 	})
-	if read > decode {
-		t.Fatalf("owned Session.Read: %.1f allocs, tuple.Decode alone %.1f", read, decode)
+	if read > decode+1 {
+		t.Fatalf("owned Session.Read: %.1f allocs, tuple.Decode alone %.1f plus one copy", read, decode)
 	}
 	if n := tbl.Heap.OwnedReadsLatched.Load() - latched; n != 0 {
 		t.Fatalf("%d owned reads fell back to the frame latch", n)

@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"dora/internal/btree"
-	"dora/internal/buffer"
 	"dora/internal/page"
 )
 
@@ -100,62 +99,21 @@ func (h *Heap) GetOwned(tok *btree.Owner, rid RID) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if h.ownerRead(tok, rid, f) {
-		b, err := f.Page.Get(int(rid.Slot))
-		var out []byte
-		if err == nil {
-			out = append([]byte(nil), b...)
+	if tok != nil {
+		h.OwnedReads.Inc()
+		// Loading: the frame is mid-disk-read (some latched reader's
+		// miss); fall back to the latched path, which waits for it.
+		if h.StampOwner(rid.Page) == tok && !f.Loading() {
+			b, err := f.Page.Get(int(rid.Slot))
+			var out []byte
+			if err == nil {
+				out = append([]byte(nil), b...)
+			}
+			h.pool.Unpin(f, false)
+			return out, err
 		}
-		h.pool.Unpin(f, false)
-		return out, err
+		h.OwnedReadsLatched.Inc()
 	}
-	return h.getLatched(f, rid)
-}
-
-// ViewOwned is GetOwned without the copy on the latch-free owner path:
-// view sees the record's bytes in the pinned frame itself, valid only
-// until it returns (the caller is the page's only writer, so nothing
-// changes them meanwhile). Every other read hands view a copy taken
-// under the frame latch, as GetOwned does. It returns view's error.
-func (h *Heap) ViewOwned(tok *btree.Owner, rid RID, view func(img []byte) error) error {
-	f, err := h.pool.Fetch(rid.Page)
-	if err != nil {
-		return err
-	}
-	if h.ownerRead(tok, rid, f) {
-		b, err := f.Page.Get(int(rid.Slot))
-		if err == nil {
-			err = view(b)
-		}
-		h.pool.Unpin(f, false)
-		return err
-	}
-	img, err := h.getLatched(f, rid)
-	if err != nil {
-		return err
-	}
-	return view(img)
-}
-
-// ownerRead counts an owner's read of the pinned frame f and reports
-// whether it may skip the frame latch: the page is stamped to tok and
-// not mid-disk-read (a latched reader's miss is loading it; the latched
-// path waits for that).
-func (h *Heap) ownerRead(tok *btree.Owner, rid RID, f *buffer.Frame) bool {
-	if tok == nil {
-		return false
-	}
-	h.OwnedReads.Inc()
-	if h.StampOwner(rid.Page) == tok && !f.Loading() {
-		return true
-	}
-	h.OwnedReadsLatched.Inc()
-	return false
-}
-
-// getLatched copies the record at rid out of the pinned frame f under
-// its shared latch, then unpins f.
-func (h *Heap) getLatched(f *buffer.Frame, rid RID) ([]byte, error) {
 	if cs := h.pool.Stats(); cs != nil {
 		cs.FrameLatch.Inc()
 	}
