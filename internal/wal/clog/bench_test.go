@@ -1,0 +1,75 @@
+package clog
+
+import (
+	"testing"
+
+	"dora/internal/wal"
+)
+
+// nullStore is a wal.Store that keeps nothing, so a benchmark measures
+// the append and flush pipeline, not a growing in-memory copy.
+type nullStore struct{}
+
+func (nullStore) Write([]byte) error        { return nil }
+func (nullStore) Sync() error               { return nil }
+func (nullStore) Contents() ([]byte, error) { return nil, nil }
+func (nullStore) Close() error              { return nil }
+
+// tpcbUpdate is a TPC-B account-balance update record: a three-column
+// tuple image before and after, at the LSN and transaction magnitudes of
+// a 20-s tpcb-durable run.
+func tpcbUpdate() *wal.Record {
+	img := make([]byte, 29)
+	return &wal.Record{Kind: wal.KUpdate, PrevLSN: 12 << 20, TxnID: 21337, Table: 3,
+		Page: 301, Slot: 187, Key: 64512, Redo: img, Undo: append([]byte(nil), img...)}
+}
+
+func benchLog(b *testing.B) *Log {
+	l, err := New(nullStore{}, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { _ = l.Close() })
+	return l
+}
+
+// BenchmarkClogAppend is one appender alone: the uncontended solo
+// reservation plus the record fill.
+func BenchmarkClogAppend(b *testing.B) {
+	l := benchLog(b)
+	rec := tpcbUpdate()
+	b.ReportAllocs()
+	b.SetBytes(int64(wal.EncodedSize(rec)))
+	for i := 0; i < b.N; i++ {
+		l.Append(rec)
+	}
+}
+
+// BenchmarkClogAppendParallel is GOMAXPROCS appenders at once, so the
+// consolidation array groups their reservations.
+func BenchmarkClogAppendParallel(b *testing.B) {
+	l := benchLog(b)
+	b.ReportAllocs()
+	b.SetBytes(int64(wal.EncodedSize(tpcbUpdate())))
+	b.RunParallel(func(pb *testing.PB) {
+		rec := tpcbUpdate()
+		for pb.Next() {
+			l.Append(rec)
+		}
+	})
+	b.ReportMetric(float64(l.Groups.Load())/float64(l.Appends.Load()), "groups/append")
+}
+
+// BenchmarkClogForce is an append followed by a force of it: the flush
+// daemon's hand-off, write and sync round trip for one record.
+func BenchmarkClogForce(b *testing.B) {
+	l := benchLog(b)
+	rec := tpcbUpdate()
+	b.ReportAllocs()
+	b.SetBytes(int64(wal.EncodedSize(rec)))
+	for i := 0; i < b.N; i++ {
+		if err := l.Force(l.Append(rec)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

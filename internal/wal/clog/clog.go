@@ -47,8 +47,11 @@ const (
 	// join CASes; every slot's group still reserves through one mutex, so
 	// LSN space stays contiguous.
 	numSlots = 4
-	// maxPending bounds bytes reserved but not yet hardened; leaders wait
-	// for the flush daemon past this (backpressure grows their groups).
+	// maxPending bounds bytes reserved but not yet hardened: a
+	// reservation waits for the flush daemon until its extent fits under
+	// it (backpressure grows the waiting leaders' groups). Only an extent
+	// larger than the bound by itself is admitted past it, and only into
+	// an empty pipeline.
 	maxPending = 8 << 20
 	// flushEvery is the pending-byte level past which group completion
 	// wakes the flush daemon even with no force outstanding; below it the
@@ -136,9 +139,15 @@ type Log struct {
 	head, tail *group
 
 	durable atomic.Uint64
+	// pending counts bytes reserved but not yet hardened. It grows only
+	// under tailMu, after fits admitted the extent, and the flush daemon
+	// only shrinks it, so it never exceeds maxPending (see fits).
 	pending atomic.Int64
 	roomMu  sync.Mutex
 	room    *sync.Cond
+	// roomWait counts reservations parked in waitForRoom; a completing
+	// group wakes the flush daemon for them.
+	roomWait atomic.Int64
 
 	// ioMu serializes store writes (flush daemon) against Truncate's
 	// store rewrite; sink holds the hardened-extent observer.
@@ -225,7 +234,7 @@ func (l *Log) Append(rec *wal.Record) wal.LSN {
 	// consolidate with — reserve a solo extent directly. Under contention
 	// the TryLock fails and appends consolidate instead, which is exactly
 	// when grouping pays.
-	if l.pending.Load() < maxPending && l.tailMu.TryLock() {
+	if l.pending.Load()+size <= maxPending && l.tailMu.TryLock() {
 		g := getGroup() // pooled groups are born closed: no one can join
 		l.reserveLocked(g, size)
 		if l.cs != nil {
@@ -295,7 +304,9 @@ func join(g *group, size int64) (off int64, ok bool) {
 // their regions in parallel. slot is nil when the group never made it
 // into the consolidation array.
 func (l *Log) lead(slot *atomic.Pointer[group], g *group) {
-	l.waitForRoom()
+	// Waiting for room before taking the tail keeps the group open, so
+	// backpressure grows it; reserveLocked re-checks the closed total.
+	l.waitForRoom(1)
 	if l.cs != nil {
 		if !l.tailMu.TryLock() {
 			l.cs.Contended.Inc()
@@ -323,8 +334,17 @@ func (l *Log) lead(slot *atomic.Pointer[group], g *group) {
 
 // reserveLocked fixes g's extent at the current tail and queues it on the
 // flush FIFO — the whole serialized step. Called with tailMu held;
-// releases it.
+// releases it. The extent is admitted only once it fits under maxPending;
+// until then the tail is released while the flush daemon drains. Because
+// the admission check and the pending increment happen under the same
+// hold of tailMu, no concurrent reservation can slip in between them.
 func (l *Log) reserveLocked(g *group, total int64) {
+	for !fits(l.pending.Load(), total) {
+		l.tailMu.Unlock()
+		l.waitForRoom(total)
+		l.tailMu.Lock()
+	}
+	l.pending.Add(total)
 	g.size = total
 	g.base = l.nextLSN
 	l.nextLSN += uint64(total)
@@ -336,7 +356,13 @@ func (l *Log) reserveLocked(g *group, total int64) {
 	l.tail = g
 	l.tailMu.Unlock()
 	l.Groups.Inc()
-	l.pending.Add(total)
+}
+
+// fits reports whether an extent of total bytes may be reserved with
+// pending bytes awaiting hardening. An extent larger than maxPending by
+// itself fits only an empty pipeline, so it cannot wait forever.
+func fits(pending, total int64) bool {
+	return pending+total <= maxPending || pending == 0
 }
 
 // awaitBase waits for the leader to publish the group's base LSN: a short
@@ -371,7 +397,7 @@ func (l *Log) finishCopy(g *group, size int64) {
 	if g.copied.Add(size) != total {
 		return
 	}
-	if l.nwait.Load() > 0 || l.pending.Load() >= flushEvery {
+	if l.nwait.Load() > 0 || l.roomWait.Load() > 0 || l.pending.Load() >= flushEvery {
 		l.kick()
 	}
 }
@@ -383,18 +409,24 @@ func (l *Log) kick() {
 	}
 }
 
-// waitForRoom blocks while too many reserved bytes await hardening. Only
-// leaders wait here, before the tail mutex, so their groups keep
-// consolidating and the FIFO keeps draining.
-func (l *Log) waitForRoom() {
-	if l.pending.Load() < maxPending {
+// waitForRoom blocks until an extent of total bytes fits under
+// maxPending. Callers never hold the tail mutex here, so the FIFO keeps
+// draining; a waiting leader's group keeps consolidating.
+func (l *Log) waitForRoom(total int64) {
+	if fits(l.pending.Load(), total) {
 		return
 	}
+	l.roomWait.Add(1)
 	l.roomMu.Lock()
-	for l.pending.Load() >= maxPending {
+	for !fits(l.pending.Load(), total) {
+		// Every reserved group may already be complete with nothing left
+		// to kick the daemon (no force outstanding, pending under
+		// flushEvery): wake it here.
+		l.kick()
 		l.room.Wait()
 	}
 	l.roomMu.Unlock()
+	l.roomWait.Add(-1)
 }
 
 // daemon is the flush pipeline: it hardens completed groups in LSN order,

@@ -399,7 +399,10 @@ func TestStoreFailureIsStickyAndFreezesDurable(t *testing.T) {
 
 func TestBackpressureBoundsPending(t *testing.T) {
 	// A slow store must not let reserved-but-unflushed bytes grow without
-	// bound; appenders throttle on the room condition instead.
+	// bound; appenders throttle on the room condition instead. The bound
+	// holds by construction (an extent is admitted under the tail mutex
+	// only if it fits), so not even the appends in flight may push
+	// pending past maxPending.
 	store := wal.NewMemStore()
 	l, err := New(store, nil)
 	if err != nil {
@@ -414,14 +417,36 @@ func TestBackpressureBoundsPending(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 64; i++ {
 				l.Append(&wal.Record{Kind: wal.KUpdate, TxnID: 1, Redo: big})
-				if p := l.pending.Load(); p > maxPending+8*int64(len(big)+1024) {
-					t.Errorf("pending %d exceeded bound", p)
+				if p := l.pending.Load(); p > maxPending {
+					t.Errorf("pending %d exceeded bound %d", p, maxPending)
 					return
 				}
 			}
 		}()
 	}
 	wg.Wait()
+}
+
+func TestOversizedExtentWaitsForEmptyPipeline(t *testing.T) {
+	// A record larger than maxPending is admitted only into an empty
+	// pipeline. Here the small record before it is complete with nothing
+	// outstanding to wake the flush daemon: the waiting reservation must
+	// wake it itself, or the append never returns.
+	l, _ := mk(t)
+	l.Append(&wal.Record{Kind: wal.KCommit, TxnID: 1})
+	done := make(chan error, 1)
+	go func() {
+		lsn := l.Append(&wal.Record{Kind: wal.KUpdate, TxnID: 2, Redo: make([]byte, maxPending)})
+		done <- l.Force(lsn)
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("oversized append never admitted")
+	}
 }
 
 // slowSyncStore simulates a slow log device so pending bytes pile up.

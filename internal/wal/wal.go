@@ -17,6 +17,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"sync"
@@ -95,7 +97,7 @@ type Record struct {
 	Undo     []byte
 }
 
-const fileHeader = "DORALOG1"
+const fileHeader = "DORALOG2"
 
 // HeaderSize is the length of the file header that precedes the first
 // record; the first valid LSN equals HeaderSize.
@@ -104,7 +106,7 @@ const HeaderSize = len(fileHeader)
 // truncHeader is the alternate file header of a prefix-truncated stream;
 // it is followed by the 8-byte LSN (= original stream offset) of the first
 // retained record, so LSNs survive truncation unchanged.
-const truncHeader = "DORATRNC"
+const truncHeader = "DORATRN2"
 
 // TruncHeaderSize is the length of the truncated-stream header: magic plus
 // the origin LSN.
@@ -457,8 +459,8 @@ func InitStore(store Store) (LSN, error) {
 }
 
 // StreamOrigin parses a raw log image's header, returning the LSN of the
-// first byte of body. Full streams ("DORALOG1") begin at HeaderSize;
-// prefix-truncated streams ("DORATRNC" + origin) begin wherever
+// first byte of body. Full streams ("DORALOG2") begin at HeaderSize;
+// prefix-truncated streams ("DORATRN2" + origin) begin wherever
 // truncation left them.
 func StreamOrigin(raw []byte) (LSN, []byte, error) {
 	if len(raw) >= HeaderSize && string(raw[:HeaderSize]) == fileHeader {
@@ -493,9 +495,9 @@ func (l *Log) Append(rec *Record) LSN {
 	}
 	rec.LSN = l.nextLSN
 	// Patch the LSN into the already-encoded frame.
-	binary.LittleEndian.PutUint64(b[8:], rec.LSN)
+	binary.LittleEndian.PutUint64(b[lsnOff:], rec.LSN)
 	// Recompute checksum over payload (LSN is inside the payload).
-	binary.LittleEndian.PutUint32(b[4:], crc32.ChecksumIEEE(b[8:]))
+	binary.LittleEndian.PutUint32(b[4:], crc32.ChecksumIEEE(b[lsnOff:]))
 	l.buf = append(l.buf, b...)
 	l.nextLSN += LSN(len(b))
 	l.Appends.Inc()
@@ -729,17 +731,44 @@ func PageKey(r *Record) (page.ID, bool) {
 	return r.Page, true
 }
 
+// Record layout. Every frame starts with a fixed 17-byte prefix:
+//
+//	u32 frame length | u32 CRC-32 (IEEE) of the payload | u64 LSN | u8 Kind|Sub<<4
+//
+// where the payload is everything after the CRC. The rest are unsigned
+// varints (encoding/binary's uvarint): PrevLSN, TxnID, Table, Page,
+// Slot, the zigzag-mapped Key, UndoNext, then len(Redo) followed by Redo
+// and len(Undo) followed by Undo. A record's size depends on its fields
+// but never on its own LSN (the LSN is fixed-width and PrevLSN stays
+// absolute), because both log managers size a record before its LSN is
+// known. Kind and Sub each fit in four bits.
+const (
+	lsnOff     = 8           // the LSN sits right after length and CRC
+	kindOff    = lsnOff + 8  // then the Kind|Sub<<4 byte
+	fixedBytes = kindOff + 1 // where the varints start
+)
+
+// uvarintLen is the number of bytes binary.PutUvarint writes for v.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// zigzag maps signed keys to unsigned so small negative keys stay short.
+func zigzag(k int64) uint64 { return uint64(k<<1) ^ uint64(k>>63) }
+
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
+
 // EncodedSize returns the framed size of r in bytes — the number of LSN
 // units the record occupies in the stream.
 func EncodedSize(r *Record) int {
-	return 8 + // frame header
-		8 + 8 + 8 + 1 + 1 + 4 + 4 + 2 + 8 + 8 + // fixed payload
-		4 + len(r.Redo) + 4 + len(r.Undo)
+	return fixedBytes +
+		uvarintLen(r.PrevLSN) + uvarintLen(r.TxnID) +
+		uvarintLen(uint64(r.Table)) + uvarintLen(uint64(r.Page)) + uvarintLen(uint64(r.Slot)) +
+		uvarintLen(zigzag(r.Key)) + uvarintLen(r.UndoNext) +
+		uvarintLen(uint64(len(r.Redo))) + len(r.Redo) +
+		uvarintLen(uint64(len(r.Undo))) + len(r.Undo)
 }
 
-// encode frames rec: u32 total length, u32 crc, then payload beginning
-// with the (to-be-patched) LSN. The checksum is left for Append to fill
-// after it patches the LSN.
+// encode frames rec. The checksum is left for Append to fill after it
+// patches the LSN.
 func encode(r *Record) []byte {
 	b := make([]byte, EncodedSize(r))
 	encodeInto(b, r, false)
@@ -752,84 +781,89 @@ func encode(r *Record) []byte {
 func EncodeInto(b []byte, r *Record) { encodeInto(b, r, true) }
 
 func encodeInto(b []byte, r *Record, withCRC bool) {
-	n := len(b)
-	binary.LittleEndian.PutUint32(b[0:], uint32(n))
-	w := 8
-	binary.LittleEndian.PutUint64(b[w:], r.LSN)
-	w += 8
-	binary.LittleEndian.PutUint64(b[w:], r.PrevLSN)
-	w += 8
-	binary.LittleEndian.PutUint64(b[w:], r.TxnID)
-	w += 8
-	b[w] = byte(r.Kind)
-	w++
-	b[w] = byte(r.Sub)
-	w++
-	binary.LittleEndian.PutUint32(b[w:], r.Table)
-	w += 4
-	binary.LittleEndian.PutUint32(b[w:], uint32(r.Page))
-	w += 4
-	binary.LittleEndian.PutUint16(b[w:], r.Slot)
-	w += 2
-	binary.LittleEndian.PutUint64(b[w:], uint64(r.Key))
-	w += 8
-	binary.LittleEndian.PutUint64(b[w:], r.UndoNext)
-	w += 8
-	binary.LittleEndian.PutUint32(b[w:], uint32(len(r.Redo)))
-	w += 4
-	copy(b[w:], r.Redo)
-	w += len(r.Redo)
-	binary.LittleEndian.PutUint32(b[w:], uint32(len(r.Undo)))
-	w += 4
+	binary.LittleEndian.PutUint32(b[0:], uint32(len(b)))
+	binary.LittleEndian.PutUint64(b[lsnOff:], r.LSN)
+	b[kindOff] = byte(r.Kind&0xF) | byte(r.Sub)<<4
+	w := fixedBytes
+	w += binary.PutUvarint(b[w:], r.PrevLSN)
+	w += binary.PutUvarint(b[w:], r.TxnID)
+	w += binary.PutUvarint(b[w:], uint64(r.Table))
+	w += binary.PutUvarint(b[w:], uint64(r.Page))
+	w += binary.PutUvarint(b[w:], uint64(r.Slot))
+	w += binary.PutUvarint(b[w:], zigzag(r.Key))
+	w += binary.PutUvarint(b[w:], r.UndoNext)
+	w += binary.PutUvarint(b[w:], uint64(len(r.Redo)))
+	w += copy(b[w:], r.Redo)
+	w += binary.PutUvarint(b[w:], uint64(len(r.Undo)))
 	copy(b[w:], r.Undo)
 	if withCRC {
-		binary.LittleEndian.PutUint32(b[4:], crc32.ChecksumIEEE(b[8:]))
+		binary.LittleEndian.PutUint32(b[4:], crc32.ChecksumIEEE(b[lsnOff:]))
 	}
 }
 
+// payloadReader decodes the varint fields of a payload. The first
+// malformed field sets err and every later read returns zero, so
+// decodePayload checks once at the end.
+type payloadReader struct {
+	p   []byte
+	w   int
+	err error
+}
+
+// uvarint reads one canonical uvarint no larger than max: a truncated,
+// overflowing or non-minimal encoding (which would break
+// EncodedSize(decoded) == frame length) is corruption.
+func (d *payloadReader) uvarint(max uint64) uint64 {
+	if d.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(d.p[d.w:])
+	if n <= 0 || n != uvarintLen(v) || v > max {
+		d.err = fmt.Errorf("%w: bad varint at payload offset %d", ErrCorrupt, d.w)
+		return 0
+	}
+	d.w += n
+	return v
+}
+
+// image reads a length-prefixed record image into a fresh slice (nil
+// when empty).
+func (d *payloadReader) image() []byte {
+	n := d.uvarint(math.MaxUint32)
+	if d.err != nil || n == 0 {
+		return nil
+	}
+	if n > uint64(len(d.p)-d.w) {
+		d.err = fmt.Errorf("%w: image length %d past payload end", ErrCorrupt, n)
+		return nil
+	}
+	out := append([]byte(nil), d.p[d.w:d.w+int(n)]...)
+	d.w += int(n)
+	return out
+}
+
+// decodePayload parses the bytes after a frame's length and CRC.
 func decodePayload(p []byte) (*Record, error) {
-	const fixed = 8 + 8 + 8 + 1 + 1 + 4 + 4 + 2 + 8 + 8
-	if len(p) < fixed {
+	if len(p) < fixedBytes-lsnOff {
 		return nil, fmt.Errorf("%w: short payload", ErrCorrupt)
 	}
-	r := &Record{}
-	w := 0
-	r.LSN = binary.LittleEndian.Uint64(p[w:])
-	w += 8
-	r.PrevLSN = binary.LittleEndian.Uint64(p[w:])
-	w += 8
-	r.TxnID = binary.LittleEndian.Uint64(p[w:])
-	w += 8
-	r.Kind = Kind(p[w])
-	w++
-	r.Sub = Kind(p[w])
-	w++
-	r.Table = binary.LittleEndian.Uint32(p[w:])
-	w += 4
-	r.Page = page.ID(binary.LittleEndian.Uint32(p[w:]))
-	w += 4
-	r.Slot = binary.LittleEndian.Uint16(p[w:])
-	w += 2
-	r.Key = int64(binary.LittleEndian.Uint64(p[w:]))
-	w += 8
-	r.UndoNext = binary.LittleEndian.Uint64(p[w:])
-	w += 8
-	rl := int(binary.LittleEndian.Uint32(p[w:]))
-	w += 4
-	if w+rl+4 > len(p) {
-		return nil, fmt.Errorf("%w: bad redo length", ErrCorrupt)
+	ks := p[kindOff-lsnOff]
+	r := &Record{LSN: binary.LittleEndian.Uint64(p), Kind: Kind(ks & 0xF), Sub: Kind(ks >> 4)}
+	d := payloadReader{p: p, w: fixedBytes - lsnOff}
+	r.PrevLSN = d.uvarint(math.MaxUint64)
+	r.TxnID = d.uvarint(math.MaxUint64)
+	r.Table = uint32(d.uvarint(math.MaxUint32))
+	r.Page = page.ID(d.uvarint(math.MaxUint32))
+	r.Slot = uint16(d.uvarint(math.MaxUint16))
+	r.Key = unzigzag(d.uvarint(math.MaxUint64))
+	r.UndoNext = d.uvarint(math.MaxUint64)
+	r.Redo = d.image()
+	r.Undo = d.image()
+	if d.err != nil {
+		return nil, d.err
 	}
-	if rl > 0 {
-		r.Redo = append([]byte(nil), p[w:w+rl]...)
-	}
-	w += rl
-	ul := int(binary.LittleEndian.Uint32(p[w:]))
-	w += 4
-	if w+ul > len(p) {
-		return nil, fmt.Errorf("%w: bad undo length", ErrCorrupt)
-	}
-	if ul > 0 {
-		r.Undo = append([]byte(nil), p[w:w+ul]...)
+	if d.w != len(p) {
+		return nil, fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, len(p)-d.w)
 	}
 	return r, nil
 }

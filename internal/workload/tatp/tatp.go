@@ -259,22 +259,6 @@ func Load(s *sm.SM, n int64) (*DB, error) {
 	return db, nil
 }
 
-// resolveBySID returns a Resolver for actions keyed by s_id: it reads the
-// subscriber row by primary key and projects the requested field.
-func (db *DB) resolveBySID(sid int64) xct.Resolver {
-	return func(env *xct.Env, field string) (int64, error) {
-		rec, err := env.Ses.Read(env.Txn, db.Subscriber, sid)
-		if err != nil {
-			return 0, err
-		}
-		i := db.Subscriber.FieldIndex(field)
-		if i < 0 {
-			return 0, fmt.Errorf("tatp: subscriber has no field %q", field)
-		}
-		return rec[i].Int, nil
-	}
-}
-
 // resolveByNbr returns a Resolver for actions keyed by sub_nbr: it probes
 // the sub_by_nbr secondary index.
 func (db *DB) resolveByNbr(nbr int64) xct.Resolver {
@@ -291,9 +275,12 @@ func (db *DB) resolveByNbr(nbr int64) xct.Resolver {
 	}
 }
 
-// resolveBySIDAsync is resolveBySID in continuation-passing form: the
-// subscriber read ships asynchronously and the dispatcher suspends
-// instead of blocking on it.
+// resolveBySIDAsync returns an AsyncResolver for subscriber actions keyed
+// by s_id: it reads the row by primary key and projects the requested
+// field. Only DORA, once subscriber is repartitioned onto sub_nbr, calls
+// it (the conventional engine locks s_id itself), so these actions carry
+// no sync Resolve. The read ships asynchronously and the dispatcher
+// suspends instead of blocking on it.
 func (db *DB) resolveBySIDAsync(sid int64) xct.AsyncResolver {
 	return func(env *xct.Env, field string, k func(int64, error)) {
 		env.Ses.ReadAsync(env.Txn, db.Subscriber, sid, nil, func(rec tuple.Record, err error) {
@@ -333,7 +320,7 @@ func (db *DB) resolveByNbrAsync(nbr int64) xct.AsyncResolver {
 func (db *DB) GetSubscriberData(sid int64) *xct.Flow {
 	return xct.NewFlow("GetSubscriberData").AddPhase(&xct.Action{
 		Table: "subscriber", KeyField: "s_id", Key: sid, Mode: xct.Read,
-		Resolve: db.resolveBySID(sid), ResolveAsync: db.resolveBySIDAsync(sid), Label: "read-sub",
+		ResolveAsync: db.resolveBySIDAsync(sid), Label: "read-sub",
 		Run: func(env *xct.Env) error {
 			_, err := env.Ses.Read(env.Txn, db.Subscriber, sid)
 			return err
@@ -421,7 +408,7 @@ func (db *DB) UpdateSubscriberData(sid, sfType, bit, dataA int64) *xct.Flow {
 	return xct.NewFlow("UpdateSubscriberData").AddPhase(
 		&xct.Action{
 			Table: "subscriber", KeyField: "s_id", Key: sid, Mode: xct.Write,
-			Resolve: db.resolveBySID(sid), ResolveAsync: db.resolveBySIDAsync(sid), Label: "upd-sub",
+			ResolveAsync: db.resolveBySIDAsync(sid), Label: "upd-sub",
 			Run: func(env *xct.Env) error {
 				return env.Ses.Mutate(env.Txn, db.Subscriber, sid, func(r tuple.Record) tuple.Record {
 					r[subBit1] = tuple.I(bit)

@@ -219,3 +219,59 @@ func TestYCSBMix(t *testing.T) {
 		t.Fatal("YCSB mix committed nothing")
 	}
 }
+
+// TestSIDFlowsAfterRepartitionOntoNbr: once subscriber is partitioned on
+// sub_nbr, DORA routes the s_id-keyed GetSubscriberData and
+// UpdateSubscriberData through their async resolver (the only resolver
+// they carry); the conventional engine, which locks s_id itself, runs
+// them with no resolver call at all.
+func TestSIDFlowsAfterRepartitionOntoNbr(t *testing.T) {
+	const n = 100
+	bits := func(db *DB) []int64 {
+		out := make([]int64, 0, n)
+		ses := db.SM.Session(0)
+		for sid := int64(1); sid <= n; sid++ {
+			rec, err := ses.Read(db.SM.Begin(), db.Subscriber, sid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, rec[subBit1].Int)
+		}
+		return out
+	}
+	run := func(e engine.Engine, db *DB) {
+		for sid := int64(1); sid <= n; sid++ {
+			if err := e.Exec(0, db.UpdateSubscriberData(sid, 1, (sid+1)%2, sid)); err != nil {
+				t.Fatalf("%s: UpdateSubscriberData(%d): %v", e.Name(), sid, err)
+			}
+			if err := e.Exec(0, db.GetSubscriberData(sid)); err != nil {
+				t.Fatalf("%s: GetSubscriberData(%d): %v", e.Name(), sid, err)
+			}
+		}
+	}
+
+	db := loadDB(t, n)
+	de := dora.New(db.SM, dora.Config{PartitionsPerTable: 2, Domains: db.Domains()})
+	defer de.Close()
+	if err := de.Repartition("subscriber", "sub_nbr", 1, n); err != nil {
+		t.Fatal(err)
+	}
+	run(de, db)
+	if got := de.AsyncResolves.Load(); got != 2*n {
+		t.Fatalf("DORA ran %d async resolves, want %d (one per s_id-keyed action)", got, 2*n)
+	}
+	if _, unaligned := de.AlignmentStats(false); unaligned[db.Subscriber.ID]["s_id"] != 2*n {
+		t.Fatalf("unaligned s_id dispatches = %d, want %d", unaligned[db.Subscriber.ID]["s_id"], 2*n)
+	}
+	doraBits := bits(db)
+
+	cdb := loadDB(t, n)
+	conv := conventional.New(cdb.SM)
+	defer conv.Close()
+	run(conv, cdb)
+	for i, b := range bits(cdb) {
+		if want := int64(i+2) % 2; b != want || doraBits[i] != want {
+			t.Fatalf("s_id %d: bit_1 = %d (conventional), %d (DORA), want %d", i+1, b, doraBits[i], want)
+		}
+	}
+}
