@@ -137,7 +137,3 @@ func BenchmarkE18LatencyAttribution(b *testing.B) {
 func BenchmarkE19LockHierarchy(b *testing.B) {
 	runTable(b, func() (*exp.Table, error) { return exp.E19LockHierarchy(quickCfg()) })
 }
-
-func BenchmarkE20OverloadAutopilot(b *testing.B) {
-	runTable(b, func() (*exp.Table, error) { return exp.E20OverloadAutopilot(quickCfg()) })
-}

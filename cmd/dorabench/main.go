@@ -1,4 +1,4 @@
-// Command dorabench runs the reproduction experiments (E1–E20 and the
+// Command dorabench runs the reproduction experiments (E1–E19 and the
 // A1–A2 ablations; see README.md) at configurable scale and prints their
 // result tables.
 //
@@ -21,7 +21,7 @@ import (
 
 func main() {
 	var (
-		which    = flag.String("exp", "all", "experiment id (e1..e20, a1..a2, comma-separated, or 'all')")
+		which    = flag.String("exp", "all", "experiment id (e1..e19, a1..a2, comma-separated, or 'all')")
 		subs     = flag.Int64("subscribers", 20000, "TATP scale (subscribers)")
 		whs      = flag.Int64("warehouses", 4, "TPC-C scale (warehouses)")
 		branches = flag.Int64("branches", 8, "TPC-B scale (branches)")
@@ -51,7 +51,7 @@ func main() {
 
 	ids := strings.Split(strings.ToLower(*which), ",")
 	if *which == "all" {
-		ids = []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15", "e16", "e17", "e18", "e19", "e20", "a1", "a2"}
+		ids = []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15", "e16", "e17", "e18", "e19", "a1", "a2"}
 	}
 	for _, id := range ids {
 		if err := runOne(strings.TrimSpace(id), cfg); err != nil {
@@ -115,8 +115,6 @@ func runOne(id string, cfg exp.Config) error {
 		return show(exp.E18LatencyAttribution(cfg))
 	case "e19":
 		return show(exp.E19LockHierarchy(cfg))
-	case "e20":
-		return show(exp.E20OverloadAutopilot(cfg))
 	case "a1":
 		return show(exp.A1PartitionCount(cfg, nil))
 	case "a2":

@@ -20,11 +20,9 @@ import (
 	"os/signal"
 	"time"
 
-	"dora/internal/admission"
 	"dora/internal/buffer"
 	"dora/internal/dora"
 	"dora/internal/dora/balance"
-	"dora/internal/engine"
 	"dora/internal/engine/conventional"
 	"dora/internal/maint"
 	"dora/internal/metrics"
@@ -52,8 +50,6 @@ func main() {
 		httpOn  = flag.String("http", "", "HTTP observability address (/metrics, /snapshot, /debug/pprof; empty = off)")
 		sample  = flag.Int("trace-sample", 64, "latency tracer: trace 1 in N transactions (0 = tracing off)")
 		slowMS  = flag.Int("trace-slow-ms", 0, "emit JSON span trees for traced txns slower than this (0 = off)")
-		pilot   = flag.Bool("autopilot", false, "SLO-driven admission control in front of the DORA engine")
-		sloMS   = flag.Int("slo-p99-ms", 50, "autopilot p99 latency target in milliseconds")
 	)
 	flag.Parse()
 
@@ -137,38 +133,12 @@ func main() {
 		rsrc = &monitor.ReplSource{Shipper: sh, Trimmer: trim, Replica: rep, Primary: doraDB.SM}
 	}
 
-	// Overload autopilot: an SLO-targeted admission controller in front
-	// of the DORA engine. Its windowed p99 signal comes from the same
-	// tracer the snapshot stream publishes; read-only flows it would
-	// shed are offloaded to the replica when one runs; and while it is
-	// shedding, the maintenance daemon pauses its migration ticks and
-	// the balancer defers repartitions (neither competes with the
-	// overload for the same workers).
-	var ctrl *admission.Controller
-	doraEng := engine.Engine(de)
-	if *pilot {
-		cfg := admission.Config{SLO: time.Duration(*sloMS) * time.Millisecond}
-		if tracer != nil {
-			cfg.Signal = (&admission.TraceSignal{T: tracer}).Window
-		}
-		if rep != nil {
-			cfg.Offload = repl.ReadEngine{R: rep}
-		}
-		ctrl = admission.New(de, cfg)
-		defer ctrl.Stop()
-		md.SetPaceGate(ctrl.Shedding)
-		bal.SetLoadGate(ctrl.Shedding)
-		doraEng = ctrl
-		fmt.Printf("autopilot: p99 SLO %dms (adaptive admission + load shedding)\n", *sloMS)
-	}
-
 	src := &monitor.Source{
-		SM:        doraDB.SM,
-		Dora:      de,
-		Maint:     md,
-		Repl:      rsrc,
-		Trace:     tracer,
-		Admission: ctrl,
+		SM:    doraDB.SM,
+		Dora:  de,
+		Maint: md,
+		Repl:  rsrc,
+		Trace: tracer,
 		Engines: []monitor.CommitCounter{
 			monitor.CounterAdapter{EngineName: "conventional", Committed: &conv.Committed, Aborted: &conv.Aborted},
 			monitor.CounterAdapter{EngineName: "dora", Committed: &de.Committed, Aborted: &de.Aborted},
@@ -198,7 +168,7 @@ func main() {
 	}()
 	go func() {
 		(&workload.Driver{
-			Engine: doraEng, Mix: doraDB.NewMix(tatp.MixOptions{SIDGen: hot}),
+			Engine: de, Mix: doraDB.NewMix(tatp.MixOptions{SIDGen: hot}),
 			Clients: *clients, Duration: runDur, Seed: 2,
 		}).Run()
 	}()
@@ -293,17 +263,6 @@ func printSnapshot(s *monitor.Snapshot) {
 				fmt.Println()
 			}
 		}
-	}
-	if ad := s.Admission; ad != nil {
-		state := "admitting"
-		if ad.Shedding {
-			state = "SHEDDING"
-		}
-		fmt.Printf("  autopilot: %s cap=%d inflight=%d window p99=%.1fms slo=%.0fms attained=%.1f%%\n",
-			state, ad.Cap, ad.InFlight, ad.WindowP99MS, ad.SLOMS, ad.SLOAttainedPct())
-		fmt.Printf("  autopilot: admitted r/w/m=%d/%d/%d shed r/w/m=%d/%d/%d offloaded reads=%d\n",
-			ad.AdmittedRead, ad.AdmittedWrite, ad.AdmittedMaint,
-			ad.ShedRead, ad.ShedWrite, ad.ShedMaint, ad.OffloadedReads)
 	}
 	if sl := s.StageLatency; sl != nil && sl.Sampled > 0 {
 		fmt.Printf("  trace: sampled=%d slow=%d coverage=%.0f%% e2e p50=%dus p99=%dus\n",

@@ -132,24 +132,6 @@
 // exec — grows past the saturation knee) and the sampling cost (<2%
 // throughput, measured drift-robustly in alternating windows).
 //
-// The overload autopilot (internal/admission, experiment E20) turns
-// those signals into control: an AIMD controller in front of the
-// engine bounds in-flight transactions against a single p99 SLO knob,
-// reading the tracer's windowed tail latency each tick — multiplying
-// the cap down when over, creeping up when comfortably under, and
-// treating a full-but-silent window as over so convoys can't blind it.
-// Excess load is shed at the door with a typed ErrOverload carrying an
-// exponentially backed-off RetryAfter hint; class limits make
-// maintenance shed first and reads last, with over-cap reads optionally
-// offloaded to a read replica. While shedding, pace gates make the
-// maintenance daemon yield its ticks and the balancer defer
-// repartitions — deferring the work, never dropping it. E20 drives
-// four adversarial storms (hot-key zipfian, flash crowd, mid-run skew
-// shift with a forced repartition, uniform YCSB 50/50) at 2–4× each
-// mix's own measured knee and shows the off arm blowing p99 out or
-// collapsing goodput while the on arm holds the band and the deferred
-// background work re-converges afterwards.
-//
 // See README.md for the package tour, quickstart, and the experiment
 // index. The packages live under internal/; the runnable entry points
 // are the examples/ programs and the cmd/ tools.

@@ -75,13 +75,10 @@ type Balancer struct {
 
 	// maintGate, when set, reports whether a table's physical layout is
 	// still converging under the maintenance daemon (see SetMaintGate).
-	// loadGate, when set and returning true, defers every decision: the
-	// overload autopilot installs its Shedding probe so repartitions
-	// never pile quiesce pauses on top of an SLO violation. Guarded by
-	// gateMu: gates may be installed while the observation loop runs.
+	// Guarded by gateMu: the gate may be installed while the observation
+	// loop runs.
 	gateMu    sync.Mutex
 	maintGate func(table string) bool
-	loadGate  func() bool
 
 	// lastExec tracks per-worker executed counts between samples; idle
 	// counts consecutive samples with no work (merge candidates).
@@ -108,28 +105,12 @@ func (b *Balancer) SetMaintGate(gate func(table string) bool) {
 	b.gateMu.Unlock()
 }
 
-// SetLoadGate installs (or clears, with nil) the overload pacing gate:
-// while it returns true the balancer defers split and merge decisions
-// on every table (counted in Deferred). A split or merge quiesces
-// in-flight work on the partitions it touches — exactly the wrong
-// moment is while the admission controller is already shedding to get
-// p99 back under the SLO. The deferred imbalance is acted on by the
-// first sample after the gate opens.
-func (b *Balancer) SetLoadGate(gate func() bool) {
-	b.gateMu.Lock()
-	b.loadGate = gate
-	b.gateMu.Unlock()
-}
-
-// gatedBy reports whether either gate currently defers decisions on
-// table.
+// gatedBy reports whether the maintenance gate currently defers
+// decisions on table.
 func (b *Balancer) gatedBy(table string) bool {
 	b.gateMu.Lock()
-	maint, load := b.maintGate, b.loadGate
+	maint := b.maintGate
 	b.gateMu.Unlock()
-	if load != nil && load() {
-		return true
-	}
 	return maint != nil && maint(table)
 }
 

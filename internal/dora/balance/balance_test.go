@@ -231,65 +231,3 @@ func TestAdvisorSuggestsRepartitioning(t *testing.T) {
 	}
 	_ = tbl
 }
-
-// TestBalancerDefersUnderLoadGate: the overload autopilot's load gate
-// defers repartition decisions exactly like the maintenance gate — a
-// standing imbalance registers only as deferrals while the system is
-// shedding, and is acted on once the gate opens.
-func TestBalancerDefersUnderLoadGate(t *testing.T) {
-	_, tbl, e := rig(t, 1000, 2)
-	var shedding atomic.Bool
-	shedding.Store(true)
-	b := NewBalancer(e, Policy{Every: 10 * time.Millisecond, MinQueue: 2, MaxParts: 8}, "kv")
-	b.SetLoadGate(shedding.Load)
-	b.Start()
-	defer b.Stop()
-
-	hot := workload.NewHotspot(1, 1000, 0.95, 50)
-	hot.SetCenter(250)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for c := 0; c < 32; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(c)))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				_ = e.Exec(c, writeFlow(tbl, hot.Next(rng)))
-			}
-		}(c)
-	}
-	deadline := time.After(3 * time.Second)
-	for b.Deferred.Load() == 0 {
-		select {
-		case <-deadline:
-			close(stop)
-			wg.Wait()
-			t.Fatalf("no deferred decisions while shedding (stats: %+v)", e.PartitionStats())
-		case <-time.After(20 * time.Millisecond):
-		}
-	}
-	if b.Splits.Load() != 0 {
-		close(stop)
-		wg.Wait()
-		t.Fatalf("balancer repartitioned while shedding (splits=%d)", b.Splits.Load())
-	}
-	shedding.Store(false)
-	deadline = time.After(3 * time.Second)
-	for b.Splits.Load() == 0 {
-		select {
-		case <-deadline:
-			close(stop)
-			wg.Wait()
-			t.Fatal("balancer never split after shedding cleared")
-		case <-time.After(20 * time.Millisecond):
-		}
-	}
-	close(stop)
-	wg.Wait()
-}

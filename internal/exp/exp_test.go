@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -473,103 +472,5 @@ func TestE17Quick(t *testing.T) {
 		if r[3] != "0B" {
 			t.Fatalf("%s: residual lag %s after catch-up", r[0], r[3])
 		}
-	}
-}
-
-// TestE20Quick runs the overload-autopilot experiment in quick mode and
-// checks the table's structure plus the properties that hold even on a
-// noisy single-core box: the post-storm layout re-converges, the gates
-// actually paced/deferred background work during the storms, the
-// autopilot shed traffic, and in at least half the scenarios the off
-// arm degrades (p99 blowout or goodput collapse) while the on arm's
-// p99 is no worse.
-func TestE20Quick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	tb, err := E20OverloadAutopilot(Config{Quick: true, Duration: 150 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// capacity + baseline + 4 scenarios x (off, on, class sub-row) + drain.
-	if len(tb.Rows) != 15 {
-		t.Fatalf("rows = %d, want 15", len(tb.Rows))
-	}
-	num := func(row []string, col int) float64 {
-		v, perr := strconv.ParseFloat(row[col], 64)
-		if perr != nil {
-			t.Fatalf("row %q col %d = %q: %v", row[0], col, row[col], perr)
-		}
-		return v
-	}
-	ms := func(row []string, col int) float64 {
-		s := strings.TrimSuffix(row[col], " ms")
-		v, perr := strconv.ParseFloat(s, 64)
-		if perr != nil {
-			t.Fatalf("row %q col %d = %q: %v", row[0], col, row[col], perr)
-		}
-		return v
-	}
-	var offRows, onRows [][]string
-	for _, r := range tb.Rows {
-		switch r[1] {
-		case "off":
-			offRows = append(offRows, r)
-		case "on":
-			if r[0] != "  class latency" {
-				onRows = append(onRows, r)
-			}
-		}
-	}
-	if len(offRows) != 4 || len(onRows) != 4 {
-		t.Fatalf("arms: %d off, %d on, want 4/4", len(offRows), len(onRows))
-	}
-	var totalShed, pacedDeferred float64
-	degradedAndHeld := 0
-	for i := range offRows {
-		off, on := offRows[i], onRows[i]
-		if off[0] != on[0] {
-			t.Fatalf("arm mismatch: %q vs %q", off[0], on[0])
-		}
-		slo := num(on, 6)
-		totalShed += num(on, 4)
-		var paced, deferred int64
-		if _, err := fmt.Sscanf(on[9], "%d/%d", &paced, &deferred); err != nil {
-			t.Fatalf("paced/deferred cell %q: %v", on[9], err)
-		}
-		pacedDeferred += float64(paced + deferred)
-		// Off-arm degradation: latency blowout past 2x SLO, or goodput
-		// collapsing under 70% of offered.
-		offDegraded := ms(off, 5) > 2*slo || num(off, 3) < 0.7*num(off, 2)
-		if offDegraded && ms(on, 5) <= ms(off, 5) {
-			degradedAndHeld++
-		}
-		if att := num(on, 7); att < 0 || att > 100 {
-			t.Fatalf("%s attain %% = %.1f", on[0], att)
-		}
-		if num(on, 8) <= 0 {
-			t.Fatalf("%s adaptive cap = %s", on[0], on[8])
-		}
-	}
-	if totalShed == 0 {
-		t.Fatal("autopilot never shed under 2-4x overload")
-	}
-	if raceEnabled {
-		// The off-vs-on latency comparison and the gate activity are
-		// timing claims the detector's slowdown distorts; race coverage
-		// of the shed path lives in admission's TestShedStormRace.
-		t.Logf("race detector on: structural checks only (%d/4 degraded-and-held, paced+deferred %.0f)",
-			degradedAndHeld, pacedDeferred)
-		return
-	}
-	if pacedDeferred == 0 {
-		t.Fatal("gates never paced maintenance nor deferred repartitions")
-	}
-	if degradedAndHeld < 2 {
-		t.Fatalf("only %d/4 scenarios show off-arm degradation with on-arm holding", degradedAndHeld)
-	}
-	last := tb.Rows[len(tb.Rows)-1]
-	if last[0] != "post-storm drain" || !strings.Contains(last[9], "reconverged=true") {
-		t.Fatalf("post-storm row: %v", last)
 	}
 }

@@ -125,14 +125,6 @@ type Daemon struct {
 	stop    chan struct{}
 	wg      sync.WaitGroup
 
-	// paceGate, when set and returning true, makes the paced loop skip
-	// its tick while it has pending work (counting UnitsPaced): the
-	// overload autopilot installs its Shedding probe here so migration
-	// batches yield to foreground SLO. Explicit Drain calls ignore the
-	// gate — the work is only deferred, never lost.
-	paceMu   sync.Mutex
-	paceGate func() bool
-
 	// Progress counters (monitor, experiments).
 	PagesStamped    metrics.Counter
 	RecordsMigrated metrics.Counter
@@ -142,31 +134,7 @@ type Daemon struct {
 	SubtreesRebuilt metrics.Counter
 	GhostsPurged    metrics.Counter
 	UnitsDeferred   metrics.Counter // backpressure skips
-	UnitsPaced      metrics.Counter // ticks yielded to the overload pace gate
 	UnitsRun        metrics.Counter
-}
-
-// SetPaceGate installs (or clears, with nil) the overload pacing gate
-// consulted once per loop tick. Safe to call while running.
-func (d *Daemon) SetPaceGate(gate func() bool) {
-	d.paceMu.Lock()
-	d.paceGate = gate
-	d.paceMu.Unlock()
-}
-
-// paced reports whether the pacing gate is currently closed.
-func (d *Daemon) paced() bool {
-	d.paceMu.Lock()
-	gate := d.paceGate
-	d.paceMu.Unlock()
-	return gate != nil && gate()
-}
-
-// hasWork reports whether any table is dirty or units are queued.
-func (d *Daemon) hasWork() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.queue) > 0 || len(d.dirtyQ) > 0
 }
 
 // New wires a daemon to the engine (installing the rebalance hook) but
@@ -280,15 +248,6 @@ func (d *Daemon) loop() {
 		case <-d.stop:
 			return
 		case <-t.C:
-			if d.paced() {
-				// Overload autopilot is shedding: background convergence
-				// yields this tick. Counted only when work actually waits,
-				// so an idle daemon doesn't inflate the signal.
-				if d.hasWork() {
-					d.UnitsPaced.Inc()
-				}
-				continue
-			}
 			u, ok := d.next()
 			if !ok {
 				sweepTick++
@@ -654,7 +613,6 @@ type Stats struct {
 	SubtreesRebuilt int64 `json:"subtrees_rebuilt"`
 	GhostsPurged    int64 `json:"ghosts_purged"`
 	UnitsDeferred   int64 `json:"units_deferred"`
-	UnitsPaced      int64 `json:"units_paced"`
 	UnitsRun        int64 `json:"units_run"`
 	QueueLen        int   `json:"queue_len"`
 }
@@ -673,7 +631,6 @@ func (d *Daemon) Snapshot() Stats {
 		SubtreesRebuilt: d.SubtreesRebuilt.Load(),
 		GhostsPurged:    d.GhostsPurged.Load(),
 		UnitsDeferred:   d.UnitsDeferred.Load(),
-		UnitsPaced:      d.UnitsPaced.Load(),
 		UnitsRun:        d.UnitsRun.Load(),
 		QueueLen:        qlen,
 	}

@@ -483,68 +483,3 @@ func updateFlow(table string, id, bal int64) *xct.Flow {
 		},
 	})
 }
-
-// TestPaceGateYieldsTicks: with the overload gate closed and pending
-// work queued, the paced loop yields its ticks (counted in UnitsPaced)
-// instead of running units; opening the gate lets the backlog drain and
-// an explicit Drain always converges regardless of the gate.
-func TestPaceGateYieldsTicks(t *testing.T) {
-	s, err := sm.Open(sm.Options{Frames: 1 << 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	db, err := tatp.Load(s, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := dora.New(s, dora.Config{PartitionsPerTable: 2, Domains: db.Domains()})
-	defer e.Close()
-	d := New(s, e, Config{Interval: 200 * time.Microsecond})
-	var shedding atomic.Bool
-	shedding.Store(true)
-	d.SetPaceGate(shedding.Load)
-	d.Start()
-	defer d.Close()
-
-	// A split marks the table dirty: the daemon now has work it is not
-	// allowed to run.
-	rt := e.Router("subscriber")
-	r := rt.Ranges()[0]
-	if _, err := e.SplitPartition("subscriber", r.Part, r.Lo+(r.Hi-r.Lo)/2); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.After(3 * time.Second)
-	for d.UnitsPaced.Load() == 0 {
-		select {
-		case <-deadline:
-			t.Fatalf("gated daemon with dirty work never counted a paced tick: %+v", d.Snapshot())
-		case <-time.After(time.Millisecond):
-		}
-	}
-	if got := d.UnitsRun.Load(); got != 0 {
-		t.Fatalf("daemon ran %d units through a closed gate", got)
-	}
-	if !d.Converging("subscriber") {
-		t.Fatal("paced table no longer reports converging")
-	}
-	// Drain ignores the gate: deferred work is never lost.
-	d.Drain("subscriber")
-	if d.Converging("subscriber") {
-		t.Fatal("subscriber still converging after Drain with gate closed")
-	}
-	// Open the gate: ticks run units again (sweeps count too).
-	shedding.Store(false)
-	r2 := e.Router("subscriber").Ranges()[0]
-	if _, err := e.SplitPartition("subscriber", r2.Part, r2.Lo+(r2.Hi-r2.Lo)/2); err != nil {
-		t.Fatal(err)
-	}
-	deadline = time.After(3 * time.Second)
-	for d.UnitsRun.Load() == 0 {
-		select {
-		case <-deadline:
-			t.Fatalf("daemon never resumed after gate opened: %+v", d.Snapshot())
-		case <-time.After(time.Millisecond):
-		}
-	}
-}

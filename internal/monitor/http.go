@@ -114,31 +114,6 @@ func writeProm(w http.ResponseWriter, src *Source, snap *Snapshot) {
 			writePromHist(w, name, h)
 		})
 	}
-	if ad := snap.Admission; ad != nil {
-		fmt.Fprintf(w, "# HELP dora_admission_cap Adaptive in-flight admission cap.\n# TYPE dora_admission_cap gauge\ndora_admission_cap %d\n", ad.Cap)
-		fmt.Fprintf(w, "# HELP dora_admission_in_flight Admitted flows in flight.\n# TYPE dora_admission_in_flight gauge\ndora_admission_in_flight %d\n", ad.InFlight)
-		fmt.Fprintf(w, "# HELP dora_admission_shedding Whether the controller is currently shedding (1) or not (0).\n# TYPE dora_admission_shedding gauge\ndora_admission_shedding %d\n", boolGauge(ad.Shedding))
-		fmt.Fprintf(w, "# HELP dora_admission_window_p99_ms Windowed p99 latency seen by the control loop.\n# TYPE dora_admission_window_p99_ms gauge\ndora_admission_window_p99_ms %g\n", ad.WindowP99MS)
-		fmt.Fprintf(w, "# HELP dora_admission_slo_ms Configured p99 SLO target.\n# TYPE dora_admission_slo_ms gauge\ndora_admission_slo_ms %g\n", ad.SLOMS)
-		fmt.Fprintf(w, "# HELP dora_admission_slo_attained_pct Share of control ticks within the SLO.\n# TYPE dora_admission_slo_attained_pct gauge\ndora_admission_slo_attained_pct %g\n", ad.SLOAttainedPct())
-		fmt.Fprintf(w, "# HELP dora_admission_admitted_total Flows admitted, by class.\n# TYPE dora_admission_admitted_total counter\n")
-		fmt.Fprintf(w, "dora_admission_admitted_total{class=\"read\"} %d\n", ad.AdmittedRead)
-		fmt.Fprintf(w, "dora_admission_admitted_total{class=\"write\"} %d\n", ad.AdmittedWrite)
-		fmt.Fprintf(w, "dora_admission_admitted_total{class=\"maintenance\"} %d\n", ad.AdmittedMaint)
-		fmt.Fprintf(w, "# HELP dora_admission_shed_total Flows shed with ErrOverload, by class.\n# TYPE dora_admission_shed_total counter\n")
-		fmt.Fprintf(w, "dora_admission_shed_total{class=\"read\"} %d\n", ad.ShedRead)
-		fmt.Fprintf(w, "dora_admission_shed_total{class=\"write\"} %d\n", ad.ShedWrite)
-		fmt.Fprintf(w, "dora_admission_shed_total{class=\"maintenance\"} %d\n", ad.ShedMaint)
-		fmt.Fprintf(w, "# HELP dora_admission_offloaded_reads_total Read flows diverted to the replica offload engine.\n# TYPE dora_admission_offloaded_reads_total counter\ndora_admission_offloaded_reads_total %d\n", ad.OffloadedReads)
-	}
-}
-
-// boolGauge renders a bool as a 0/1 Prometheus gauge value.
-func boolGauge(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // writePromHist emits one stage histogram in the text format: cumulative

@@ -14,7 +14,6 @@ import (
 	"sync"
 	"time"
 
-	"dora/internal/admission"
 	"dora/internal/dora"
 	"dora/internal/maint"
 	"dora/internal/metrics"
@@ -77,15 +76,7 @@ type Snapshot struct {
 	// StageLatency is the transaction tracer's per-stage latency
 	// decomposition (nil when no tracer is wired into the Source).
 	StageLatency *StageLatencyView `json:"stage_latency,omitempty"`
-	// Admission is the overload autopilot's state: the adaptive
-	// in-flight cap, windowed p99 against the SLO target, and per-class
-	// admit/shed totals (nil when no controller runs).
-	Admission *AdmissionView `json:"admission,omitempty"`
 }
-
-// AdmissionView is the admission controller's snapshot as it appears
-// on the monitoring wire.
-type AdmissionView = admission.Stats
 
 // StageLatencyView is the tracer's aggregate snapshot as it appears on
 // the monitoring wire: sample accounting, end-to-end quantiles, span
@@ -229,13 +220,12 @@ type CommitCounter interface {
 
 // Source bundles what the monitor samples.
 type Source struct {
-	SM        *sm.SM
-	Dora      *dora.Dora            // optional
-	Maint     *maint.Daemon         // optional
-	Repl      *ReplSource           // optional replication endpoints
-	Trace     *trace.Tracer         // optional latency tracer
-	Admission *admission.Controller // optional overload autopilot
-	Engines   []CommitCounter       // any number of engines
+	SM      *sm.SM
+	Dora    *dora.Dora      // optional
+	Maint   *maint.Daemon   // optional
+	Repl    *ReplSource     // optional replication endpoints
+	Trace   *trace.Tracer   // optional latency tracer
+	Engines []CommitCounter // any number of engines
 }
 
 // Sample builds one snapshot; prev (may be nil) supplies deltas for
@@ -312,10 +302,6 @@ func (s *Source) Sample(prev *Snapshot, dt time.Duration) *Snapshot {
 	}
 	if sl := s.Trace.Snapshot(); sl != nil && sl.Sampled > 0 {
 		snap.StageLatency = sl
-	}
-	if s.Admission != nil {
-		st := s.Admission.Snapshot()
-		snap.Admission = &st
 	}
 	if s.Dora != nil {
 		snap.Partitions = s.Dora.PartitionStats()

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"dora/internal/admission"
 	"dora/internal/catalog"
 	"dora/internal/dora"
 	"dora/internal/engine/conventional"
@@ -247,75 +246,5 @@ func TestHTTPEndpoints(t *testing.T) {
 
 	if code, _ = get("/debug/pprof/"); code != http.StatusOK {
 		t.Fatalf("/debug/pprof/ status %d", code)
-	}
-}
-
-// TestAdmissionOnTheWire wires a live admission controller into the
-// Source and checks both surfaces doramon and Prometheus scrape: the
-// JSON snapshot carries the autopilot view, and /metrics exposes the
-// cap/shedding/per-class series.
-func TestAdmissionOnTheWire(t *testing.T) {
-	s, tbl, de, _ := rig(t)
-	ctrl := admission.New(de, admission.Config{
-		SLO:      50 * time.Millisecond,
-		Interval: time.Hour, // no autonomous ticks: the test drives traffic only
-	})
-	defer ctrl.Stop()
-
-	flow := func(k int64) *xct.Flow {
-		return xct.NewFlow("r").AddPhase(&xct.Action{
-			Table: "kv", KeyField: "k", Key: k, Mode: xct.Read,
-			Run: func(env *xct.Env) error {
-				_, err := env.Ses.Read(env.Txn, tbl, k)
-				return err
-			},
-		})
-	}
-	for i := int64(1); i <= 5; i++ {
-		done := make(chan error, 1)
-		ctrl.ExecAsync(0, flow(i), func(err error) { done <- err })
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	src := &Source{SM: s, Dora: de, Admission: ctrl}
-	snap := src.Sample(nil, 0)
-	if snap.Admission == nil {
-		t.Fatal("snapshot missing admission view")
-	}
-	if snap.Admission.AdmittedRead != 5 {
-		t.Fatalf("admitted reads = %d, want 5", snap.Admission.AdmittedRead)
-	}
-	if snap.Admission.Cap == 0 || snap.Admission.SLOMS != 50 {
-		t.Fatalf("admission view: %+v", snap.Admission)
-	}
-	b, err := json.Marshal(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{`"admission"`, `"slo_ms"`, `"admitted_read"`, `"shed_read"`} {
-		if !strings.Contains(string(b), key) {
-			t.Fatalf("wire format missing %s", key)
-		}
-	}
-
-	ts := httptest.NewServer(Handler(src))
-	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	for _, want := range []string{
-		"dora_admission_cap ",
-		"dora_admission_shedding 0",
-		`dora_admission_admitted_total{class="read"} 5`,
-		"dora_admission_slo_ms 50",
-	} {
-		if !strings.Contains(string(body), want) {
-			t.Fatalf("/metrics missing %q in:\n%s", want, body)
-		}
 	}
 }

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"errors"
 	"math/rand"
 	"sync"
 	"time"
@@ -11,17 +10,10 @@ import (
 )
 
 // AsyncEngine is the slice of an engine the open-loop driver needs: the
-// non-blocking transaction entry (dora.Dora.ExecAsync satisfies it, as
-// does admission.Controller wrapping it).
+// non-blocking transaction entry (dora.Dora.ExecAsync satisfies it).
 type AsyncEngine interface {
 	ExecAsync(worker int, flow *xct.Flow, done func(error))
 }
-
-// RateFn is a time-varying arrival rate: offered transactions per
-// second as a function of time since the run started. It lets the
-// open-loop driver model adversarial arrival shapes (flash crowds)
-// instead of a constant Poisson rate.
-type RateFn func(elapsed time.Duration) float64
 
 // OpenLoop is an arrival-rate (open-loop) workload driver: transactions
 // arrive by a Poisson process at Rate per second regardless of how many
@@ -39,10 +31,6 @@ type OpenLoop struct {
 	Mix    Mix
 	// Rate is the offered arrival rate in transactions per second.
 	Rate float64
-	// RateOf, when set, makes the arrival rate time-varying (flash
-	// crowds); it overrides Rate except as the fallback for intervals
-	// where RateOf returns a non-positive rate.
-	RateOf RateFn
 	// MaxInFlight caps concurrent transactions (default 1024).
 	MaxInFlight int
 	// Duration bounds the arrival window; the driver then waits for
@@ -52,25 +40,13 @@ type OpenLoop struct {
 	Seed int64
 }
 
-// LatSummary summarizes the commit latency of one priority class.
-type LatSummary struct {
-	Committed int64
-	MeanUS    float64
-	P50US     int64
-	P95US     int64
-	P99US     int64
-}
-
 // OpenResult summarizes an open-loop run.
 type OpenResult struct {
 	// Offered counts Poisson arrivals. Dropped is the subset refused at
 	// the driver's own in-flight cap (the client gave up before
-	// submitting); Shed is the subset the engine's admission controller
-	// refused with a typed overload error (the engine said "retry
-	// later"). Committed/Aborted partition the remainder.
+	// submitting). Committed/Aborted partition the remainder.
 	Offered   int64
 	Dropped   int64
-	Shed      int64
 	Committed int64
 	Aborted   int64
 	Elapsed   time.Duration
@@ -83,46 +59,14 @@ type OpenResult struct {
 	P50US         int64
 	P95US         int64
 	P99US         int64
-	// Per-class commit latency: a transaction whose every action is a
-	// read is Read class, anything else Write (matching the admission
-	// controller's shed-priority classes).
-	ReadLat  LatSummary
-	WriteLat LatSummary
-	// RetryAfterMeanMS averages the backoff hints attached to sheds.
-	RetryAfterMeanMS float64
-}
-
-// flowReadOnly reports whether every action in the flow is a read
-// (the same classification admission.ClassOf applies).
-func flowReadOnly(flow *xct.Flow) bool {
-	for _, p := range flow.Phases {
-		for _, a := range p.Actions {
-			if a.Mode != xct.Read {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// summarize folds a histogram into a LatSummary.
-func summarize(h *metrics.Histogram) LatSummary {
-	return LatSummary{
-		Committed: h.Count(),
-		MeanUS:    h.MeanMicros(),
-		P50US:     h.Quantile(0.50),
-		P95US:     h.Quantile(0.95),
-		P99US:     h.Quantile(0.99),
-	}
 }
 
 // Run executes the open-loop workload and blocks until the arrival
 // window closes and every admitted transaction completed. A
-// non-positive Rate with no RateOf offers nothing and returns an
-// empty result immediately (there is no sensible default arrival
-// rate).
+// non-positive Rate offers nothing and returns an empty result
+// immediately (there is no sensible default arrival rate).
 func (d *OpenLoop) Run() OpenResult {
-	if d.Rate <= 0 && d.RateOf == nil {
+	if d.Rate <= 0 {
 		return OpenResult{}
 	}
 	maxIn := d.MaxInFlight
@@ -131,11 +75,8 @@ func (d *OpenLoop) Run() OpenResult {
 	}
 	var (
 		offered, dropped   metrics.Counter
-		shed               metrics.Counter
 		committed, aborted metrics.Counter
-		retryNS            metrics.Counter
 		lat                metrics.Histogram
-		readLat, writeLat  metrics.Histogram
 		inFlight           sync.WaitGroup
 		inFlightN          metrics.Gauge
 		rng                = rand.New(rand.NewSource(d.Seed))
@@ -155,19 +96,7 @@ func (d *OpenLoop) Run() OpenResult {
 		if next.After(now) {
 			time.Sleep(next.Sub(now))
 		}
-		rate := d.Rate
-		if d.RateOf != nil {
-			if r := d.RateOf(next.Sub(start)); r > 0 {
-				rate = r
-			}
-		}
-		if rate <= 0 {
-			// No arrivals scheduled for this instant; re-evaluate the
-			// rate a little later rather than dividing by zero.
-			next = next.Add(time.Millisecond)
-			continue
-		}
-		next = next.Add(time.Duration(rng.ExpFloat64() / rate * float64(time.Second)))
+		next = next.Add(time.Duration(rng.ExpFloat64() / d.Rate * float64(time.Second)))
 		offered.Inc()
 		if inFlightN.Load() >= int64(maxIn) {
 			dropped.Inc()
@@ -175,24 +104,14 @@ func (d *OpenLoop) Run() OpenResult {
 		}
 		tt := d.Mix.Pick(rng)
 		flow := tt.Build(rng)
-		readOnly := flowReadOnly(flow)
 		t0 := time.Now()
 		inFlight.Add(1)
 		inFlightN.Add(1)
 		d.Engine.ExecAsync(0, flow, func(err error) {
-			switch {
-			case err == nil:
+			if err == nil {
 				committed.Inc()
-				el := time.Since(t0)
-				lat.Observe(el)
-				if readOnly {
-					readLat.Observe(el)
-				} else {
-					writeLat.Observe(el)
-				}
-			case isOverload(err, &retryNS):
-				shed.Inc()
-			default:
+				lat.Observe(time.Since(t0))
+			} else {
 				aborted.Inc()
 			}
 			inFlightN.Add(-1)
@@ -205,7 +124,6 @@ func (d *OpenLoop) Run() OpenResult {
 	res := OpenResult{
 		Offered:       offered.Load(),
 		Dropped:       dropped.Load(),
-		Shed:          shed.Load(),
 		Committed:     committed.Load(),
 		Aborted:       aborted.Load(),
 		Elapsed:       time.Since(start),
@@ -213,28 +131,10 @@ func (d *OpenLoop) Run() OpenResult {
 		P50US:         lat.Quantile(0.50),
 		P95US:         lat.Quantile(0.95),
 		P99US:         lat.Quantile(0.99),
-		ReadLat:       summarize(&readLat),
-		WriteLat:      summarize(&writeLat),
 	}
 	if s := window.Seconds(); s > 0 {
 		res.Throughput = float64(res.Committed) / s
 		res.AchievedRate = float64(res.Offered-res.Dropped) / s
 	}
-	if res.Shed > 0 {
-		res.RetryAfterMeanMS = float64(retryNS.Load()) / float64(res.Shed) / 1e6
-	}
 	return res
-}
-
-// isOverload probes err for the admission controller's typed shed
-// contract (an Overload() method carrying the RetryAfter hint) without
-// importing the admission package; the hint is accumulated into
-// retryNS for the run's mean-backoff summary.
-func isOverload(err error, retryNS *metrics.Counter) bool {
-	var oe interface{ Overload() time.Duration }
-	if errors.As(err, &oe) {
-		retryNS.Add(int64(oe.Overload()))
-		return true
-	}
-	return false
 }

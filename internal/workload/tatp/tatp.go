@@ -571,28 +571,3 @@ func (db *DB) WriteMix(opt MixOptions) workload.Mix {
 		{Name: m[0].Name, Weight: 20, Build: m[0].Build}, // GetSubscriberData
 	}
 }
-
-// YCSBMix returns a YCSB-style two-operation mix over the subscriber
-// table: point reads (GetSubscriberData) against point updates
-// (UpdateSubscriberData), with readFrac (clamped to [0,1]) of the
-// traffic reading. Combined with a zipfian SIDGen this reproduces the
-// standard YCSB A/B/C workload shapes on TATP's schema — the
-// configurable read/write dial the overload scenarios sweep.
-func (db *DB) YCSBMix(readFrac float64, opt MixOptions) workload.Mix {
-	if readFrac < 0 {
-		readFrac = 0
-	}
-	if readFrac > 1 {
-		readFrac = 1
-	}
-	m := db.NewMix(opt)
-	reads := int(readFrac*100 + 0.5)
-	mix := workload.Mix{}
-	if reads > 0 {
-		mix = append(mix, workload.TxnType{Name: m[0].Name, Weight: reads, Build: m[0].Build})
-	}
-	if reads < 100 {
-		mix = append(mix, workload.TxnType{Name: m[3].Name, Weight: 100 - reads, Build: m[3].Build})
-	}
-	return mix
-}

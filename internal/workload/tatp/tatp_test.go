@@ -182,44 +182,6 @@ func TestEnginesAgreeOnFinalState(t *testing.T) {
 	}
 }
 
-// TestYCSBMix: the two-transaction read/write mix the overload scenarios
-// use — weights track the read fraction, degenerate fractions collapse
-// to a single entry, and the built flows execute.
-func TestYCSBMix(t *testing.T) {
-	db := loadDB(t, 100)
-	defer db.SM.Close()
-
-	ro := db.YCSBMix(1.0, MixOptions{})
-	if len(ro) != 1 || ro[0].Name != "GetSubscriberData" || ro[0].Weight != 100 {
-		t.Fatalf("readFrac 1.0 mix: %+v", ro)
-	}
-	wo := db.YCSBMix(0, MixOptions{})
-	if len(wo) != 1 || wo[0].Name != "UpdateSubscriberData" || wo[0].Weight != 100 {
-		t.Fatalf("readFrac 0 mix: %+v", wo)
-	}
-	half := db.YCSBMix(0.5, MixOptions{})
-	if len(half) != 2 || half[0].Weight != 50 || half[1].Weight != 50 {
-		t.Fatalf("readFrac 0.5 mix: %+v", half)
-	}
-	// Out-of-range fractions clamp instead of panicking.
-	if got := db.YCSBMix(1.7, MixOptions{}); len(got) != 1 {
-		t.Fatalf("clamped mix: %+v", got)
-	}
-
-	// The skewed variant drives keys through the supplied generator and
-	// its flows commit on a real engine.
-	e := dora.New(db.SM, dora.Config{PartitionsPerTable: 2, Domains: db.Domains()})
-	defer e.Close()
-	dr := workload.Driver{
-		Engine: e, Mix: db.YCSBMix(0.5, MixOptions{SIDGen: workload.NewZipf(1, db.N, 1.2)}),
-		Clients: 2, Duration: 100 * time.Millisecond, Seed: 3,
-	}
-	res := dr.Run()
-	if res.Committed == 0 {
-		t.Fatal("YCSB mix committed nothing")
-	}
-}
-
 // TestSIDFlowsAfterRepartitionOntoNbr: once subscriber is partitioned on
 // sub_nbr, DORA routes the s_id-keyed GetSubscriberData and
 // UpdateSubscriberData through their async resolver (the only resolver
