@@ -39,13 +39,26 @@ import (
 // Owner is an opaque ownership token. Subtree ownership is compared by
 // token identity, never by integer worker ids, so an arbitrary session
 // created with a colliding worker number cannot impersonate a partition
-// worker. The struct is deliberately non-zero-sized: Go gives all
-// zero-size allocations the same address, which would make every token
-// compare equal.
-type Owner struct{ _ byte }
+// worker. The struct must stay non-zero-sized: Go gives all zero-size
+// allocations the same address, which would make every token compare
+// equal.
+type Owner struct {
+	// scratch is state an upper layer keeps for the owner's thread (the
+	// storage manager's reusable write buffers). Only the thread the
+	// token belongs to runs with it, so scratch needs no synchronization.
+	scratch any
+}
 
 // NewOwner mints a fresh ownership token.
 func NewOwner() *Owner { return new(Owner) }
+
+// Scratch returns the value last given to SetScratch (nil at first).
+// Call it only on the owner's thread.
+func (o *Owner) Scratch() any { return o.scratch }
+
+// SetScratch attaches per-thread state to the token. Call it only on the
+// owner's thread.
+func (o *Owner) SetScratch(v any) { o.scratch = v }
 
 // OwnerExec runs fn on the goroutine that owns a subtree, passing that
 // goroutine's own token, and blocks until fn completed. It returns false

@@ -55,6 +55,10 @@ func (ss *Session) ReadAsync(t *tx.Txn, tbl *catalog.Table, key int64, home Cont
 func (ss *Session) InsertAsync(t *tx.Txn, tbl *catalog.Table, rec tuple.Record, home ContExec, k func(error)) {
 	key := tbl.Primary.Key(rec)
 	ss.trace(tbl, key, true)
+	if tok, ok := tbl.Primary.Tree.Local(ss.owner, key); ok {
+		k(ss.insertAt(tok, t, tbl, key, rec))
+		return
+	}
 	var err error
 	tbl.Primary.Tree.ExecAtAsync(ss.owner, key, home, func(tok *btree.Owner) {
 		err = ss.insertAt(tok, t, tbl, key, rec)
@@ -68,6 +72,10 @@ func (ss *Session) UpdateAsync(t *tx.Txn, tbl *catalog.Table, key int64, rec tup
 		return
 	}
 	ss.trace(tbl, key, true)
+	if tok, ok := tbl.Primary.Tree.Local(ss.owner, key); ok {
+		k(ss.updateAt(tok, t, tbl, key, rec))
+		return
+	}
 	var err error
 	tbl.Primary.Tree.ExecAtAsync(ss.owner, key, home, func(tok *btree.Owner) {
 		err = ss.updateAt(tok, t, tbl, key, rec)
@@ -77,9 +85,15 @@ func (ss *Session) UpdateAsync(t *tx.Txn, tbl *catalog.Table, key int64, rec tup
 // MutateAsync is Mutate in continuation-passing style: like the
 // synchronous Mutate, the read-modify-write runs as ONE operation on the
 // owning thread — a single ship covers both halves, and on a stamped
-// page the heap pass is latch-free (MutateOwnedWith).
+// page the heap pass is latch-free (MutateOwnedWith). fn runs on the
+// owning thread with that thread's reusable record: the record is valid
+// only during the call and must not be kept.
 func (ss *Session) MutateAsync(t *tx.Txn, tbl *catalog.Table, key int64, fn func(tuple.Record) tuple.Record, home ContExec, k func(error)) {
 	ss.trace(tbl, key, true)
+	if tok, ok := tbl.Primary.Tree.Local(ss.owner, key); ok {
+		k(ss.mutateAt(tok, t, tbl, key, fn))
+		return
+	}
 	var err error
 	tbl.Primary.Tree.ExecAtAsync(ss.owner, key, home, func(tok *btree.Owner) {
 		err = ss.mutateAt(tok, t, tbl, key, fn)
@@ -89,6 +103,10 @@ func (ss *Session) MutateAsync(t *tx.Txn, tbl *catalog.Table, key int64, fn func
 // DeleteAsync is Delete in continuation-passing style.
 func (ss *Session) DeleteAsync(t *tx.Txn, tbl *catalog.Table, key int64, home ContExec, k func(error)) {
 	ss.trace(tbl, key, true)
+	if tok, ok := tbl.Primary.Tree.Local(ss.owner, key); ok {
+		k(ss.deleteAt(tok, t, tbl, key))
+		return
+	}
 	var err error
 	tbl.Primary.Tree.ExecAtAsync(ss.owner, key, home, func(tok *btree.Owner) {
 		err = ss.deleteAt(tok, t, tbl, key)
@@ -140,9 +158,7 @@ func (ss *Session) ReadByIndexAsync(t *tx.Txn, tbl *catalog.Table, idx string, k
 // not idle a committer on every cross-partition round trip.
 func (s *SM) RollbackAsync(caller *btree.Owner, t *tx.Txn, home ContExec, done func(error)) {
 	if t.LastLSN() != 0 {
-		t.Chain(func(prev uint64) uint64 {
-			return s.Log.Append(&wal.Record{Kind: wal.KAbort, TxnID: t.ID, PrevLSN: prev})
-		})
+		t.Append(s.Log, wal.Record{Kind: wal.KAbort, TxnID: t.ID})
 	}
 	undos := t.TakeUndos()
 	var step func(i int)

@@ -61,16 +61,13 @@ func (ss *Session) MigrateRecord(t *tx.Txn, tbl *catalog.Table, key int64) (bool
 	// restores — ending, like recovery's backward chain walk, with
 	// exactly one image under the key.
 	var dPrev, dLSN uint64
-	err = tbl.Heap.DeleteOwnedWith(tok, rid, func(before []byte) uint64 {
-		return t.Chain(func(prev uint64) uint64 {
-			dPrev = prev
-			dLSN = ss.sm.Log.Append(&wal.Record{
-				Kind: wal.KDelete, TxnID: t.ID, PrevLSN: prev,
-				Table: tbl.ID, Page: rid.Page, Slot: rid.Slot, Key: key,
-				Undo: img,
-			})
-			return dLSN
+	err = tbl.Heap.DeleteOwnedWith(tok, rid, func([]byte) uint64 {
+		dLSN, dPrev = t.Append(ss.sm.Log, wal.Record{
+			Kind: wal.KDelete, TxnID: t.ID,
+			Table: tbl.ID, Page: rid.Page, Slot: rid.Slot, Key: key,
+			Undo: img,
 		})
+		return dLSN
 	})
 	if err != nil {
 		return false, err
@@ -81,15 +78,12 @@ func (ss *Session) MigrateRecord(t *tx.Txn, tbl *catalog.Table, key int64) (bool
 	})
 	var iPrev, iLSN uint64
 	nrid, err := tbl.Heap.InsertOwnedWith(tok, ss.worker, img, func(nrid storage.RID) uint64 {
-		return t.Chain(func(prev uint64) uint64 {
-			iPrev = prev
-			iLSN = ss.sm.Log.Append(&wal.Record{
-				Kind: wal.KInsert, TxnID: t.ID, PrevLSN: prev,
-				Table: tbl.ID, Page: nrid.Page, Slot: nrid.Slot, Key: key,
-				Redo: img,
-			})
-			return iLSN
+		iLSN, iPrev = t.Append(ss.sm.Log, wal.Record{
+			Kind: wal.KInsert, TxnID: t.ID,
+			Table: tbl.ID, Page: nrid.Page, Slot: nrid.Slot, Key: key,
+			Redo: img,
 		})
+		return iLSN
 	})
 	if err != nil {
 		return false, err

@@ -19,11 +19,12 @@ import (
 // panel. Sessions add no synchronization and are not themselves
 // goroutine-safe; each worker owns one.
 //
-// Every logical operation executes through the primary index's ExecAt:
-// when the key's subtree is claimed by a partition worker, the WHOLE
+// Every logical operation executes on the thread that owns the key's
+// subtree: when it is claimed by a partition worker, the WHOLE
 // operation — index descents, heap access, log appends — runs on that
-// worker's thread with its ownership token (shipping there when the
-// caller is someone else). That is what lets owned heap pages drop
+// worker's thread with its ownership token (inline when the caller is
+// that worker, otherwise shipped there through the primary index's
+// ExecAt). That is what lets owned heap pages drop
 // their frame latches for reads: the owner's thread is provably the
 // only mutator, and every foreign access serializes through its inbox.
 type Session struct {
@@ -188,11 +189,61 @@ func (ss *Session) ScanRange(t *tx.Txn, tbl *catalog.Table, lo, hi int64, fn fun
 	return ss.visitHits(tbl, hits, fn)
 }
 
+// writeScratch is one thread's reusable write-path state: the decoded
+// before image, the copy of it handed to a Mutate callback, and the
+// encoded after image. The buffers belong to the thread that runs the
+// operation body — on owned subtrees that is the owner's thread, so they
+// hang off its token (scratchFor), never off the calling Session: a
+// MutateAsync runs its body on a foreign owner's thread while the caller
+// goes on using its own session. The log manager and the page copy the
+// encoded image, so it may be overwritten once they return.
+type writeScratch struct {
+	old, upd tuple.Record
+	enc      []byte
+}
+
+// scratchFor returns the write buffers of the thread running with tok,
+// creating them on first use. With a nil token (shared trees: the
+// conventional engine, load phases) it returns fresh, the caller's
+// stack-local zero value, so that path allocates its buffers per call.
+func scratchFor(tok *btree.Owner, fresh *writeScratch) *writeScratch {
+	if tok == nil {
+		return fresh
+	}
+	if sc, ok := tok.Scratch().(*writeScratch); ok {
+		return sc
+	}
+	sc := new(writeScratch)
+	tok.SetScratch(sc)
+	return sc
+}
+
+// encode encodes rec into the scratch buffer and returns it.
+func (sc *writeScratch) encode(rec tuple.Record) []byte {
+	sc.enc = tuple.AppendEncode(sc.enc[:0], rec)
+	return sc.enc
+}
+
+// decodeOld decodes a before image into the scratch record.
+func (sc *writeScratch) decodeOld(img []byte) (tuple.Record, error) {
+	old, err := tuple.DecodeInto(sc.old, img)
+	if err == nil {
+		sc.old = old
+	}
+	return old, err
+}
+
 // Insert stores rec under its primary key, maintaining all indexes and
-// logging for redo/undo.
-func (ss *Session) Insert(t *tx.Txn, tbl *catalog.Table, rec tuple.Record) (err error) {
+// logging for redo/undo. When the key's subtree is local to the session
+// the insert runs inline with no closure; otherwise it ships to the
+// owner.
+func (ss *Session) Insert(t *tx.Txn, tbl *catalog.Table, rec tuple.Record) error {
 	key := tbl.Primary.Key(rec)
 	ss.trace(tbl, key, true)
+	if tok, ok := tbl.Primary.Tree.Local(ss.owner, key); ok {
+		return ss.insertAt(tok, t, tbl, key, rec)
+	}
+	var err error
 	tbl.Primary.Tree.ExecAt(ss.owner, key, func(tok *btree.Owner) {
 		err = ss.insertAt(tok, t, tbl, key, rec)
 	})
@@ -203,22 +254,26 @@ func (ss *Session) insertAt(tok *btree.Owner, t *tx.Txn, tbl *catalog.Table, key
 	if _, err := tbl.Primary.Tree.GetAs(tok, key); err == nil {
 		return fmt.Errorf("%w: %s[%d]", ErrDuplicate, tbl.Name, key)
 	}
-	enc := tuple.Encode(rec)
+	var fresh writeScratch
+	enc := scratchFor(tok, &fresh).encode(rec)
 	var prevLSN, opLSN uint64
 	rid, err := tbl.Heap.InsertOwnedWith(tok, ss.worker, enc, func(rid storage.RID) uint64 {
-		return t.Chain(func(prev uint64) uint64 {
-			prevLSN = prev
-			opLSN = ss.sm.Log.Append(&wal.Record{
-				Kind: wal.KInsert, TxnID: t.ID, PrevLSN: prev,
-				Table: tbl.ID, Page: rid.Page, Slot: rid.Slot, Key: key,
-				Redo: enc,
-			})
-			return opLSN
+		opLSN, prevLSN = t.Append(ss.sm.Log, wal.Record{
+			Kind: wal.KInsert, TxnID: t.ID,
+			Table: tbl.ID, Page: rid.Page, Slot: rid.Slot, Key: key,
+			Redo: enc,
 		})
+		return opLSN
 	})
 	if err != nil {
 		return err
 	}
+	// The heap insert is logged: its undo entry goes in before index
+	// maintenance, so a failed index update below is still rolled back.
+	t.AddUndo(tx.Undo{
+		Kind: tx.UInsert, Table: tbl.ID, Key: key, RID: rid,
+		LSN: opLSN, PrevLSN: prevLSN,
+	})
 	if err := tbl.Primary.Tree.InsertAs(tok, key, rid.Pack()); err != nil {
 		return fmt.Errorf("sm: primary index insert %s[%d]: %w", tbl.Name, key, err)
 	}
@@ -227,20 +282,20 @@ func (ss *Session) insertAt(tok *btree.Owner, t *tx.Txn, tbl *catalog.Table, key
 			return err
 		}
 	}
-	t.AddUndo(tx.Undo{
-		Kind: tx.UInsert, Table: tbl.ID, Key: key, RID: rid,
-		LSN: opLSN, PrevLSN: prevLSN,
-	})
 	return nil
 }
 
 // Update replaces the record stored under key with rec (primary key must
 // be unchanged).
-func (ss *Session) Update(t *tx.Txn, tbl *catalog.Table, key int64, rec tuple.Record) (err error) {
+func (ss *Session) Update(t *tx.Txn, tbl *catalog.Table, key int64, rec tuple.Record) error {
 	if nk := tbl.Primary.Key(rec); nk != key {
 		return fmt.Errorf("sm: update changes primary key %d -> %d on %s", key, nk, tbl.Name)
 	}
 	ss.trace(tbl, key, true)
+	if tok, ok := tbl.Primary.Tree.Local(ss.owner, key); ok {
+		return ss.updateAt(tok, t, tbl, key, rec)
+	}
+	var err error
 	tbl.Primary.Tree.ExecAt(ss.owner, key, func(tok *btree.Owner) {
 		err = ss.updateAt(tok, t, tbl, key, rec)
 	})
@@ -256,65 +311,87 @@ func (ss *Session) updateAt(tok *btree.Owner, t *tx.Txn, tbl *catalog.Table, key
 		return err
 	}
 	rid := storage.UnpackRID(v)
-	enc := tuple.Encode(rec)
-	var beforeCopy []byte
+	var fresh writeScratch
+	sc := scratchFor(tok, &fresh)
+	enc := sc.encode(rec)
+	var before []byte
 	var prevLSN, opLSN uint64
-	err = tbl.Heap.UpdateOwnedWith(tok, rid, enc, func(before []byte) uint64 {
-		beforeCopy = append([]byte(nil), before...)
-		return t.Chain(func(prev uint64) uint64 {
-			prevLSN = prev
-			opLSN = ss.sm.Log.Append(&wal.Record{
-				Kind: wal.KUpdate, TxnID: t.ID, PrevLSN: prev,
-				Table: tbl.ID, Page: rid.Page, Slot: rid.Slot, Key: key,
-				Redo: enc, Undo: beforeCopy,
-			})
-			return opLSN
+	err = tbl.Heap.UpdateOwnedWith(tok, rid, enc, func(img []byte) uint64 {
+		// img aliases the page; the copy is the undo image.
+		before = append([]byte(nil), img...)
+		opLSN, prevLSN = t.Append(ss.sm.Log, wal.Record{
+			Kind: wal.KUpdate, TxnID: t.ID,
+			Table: tbl.ID, Page: rid.Page, Slot: rid.Slot, Key: key,
+			Redo: enc, Undo: before,
 		})
+		return opLSN
 	})
 	if err != nil {
 		return err
 	}
-	old, err := tuple.Decode(beforeCopy)
-	if err != nil {
-		return err
-	}
-	return ss.finishUpdate(tok, t, tbl, key, rid, old, rec, beforeCopy, opLSN, prevLSN)
+	return ss.finishUpdate(tok, t, tbl, key, rid, sc, nil, rec, before, opLSN, prevLSN)
 }
 
-// finishUpdate is the shared tail of updateAt and mutateAt: re-point
-// secondary index entries whose keys moved, then record the UUpdate
-// undo entry.
-func (ss *Session) finishUpdate(tok *btree.Owner, t *tx.Txn, tbl *catalog.Table, key int64, rid storage.RID, old, upd tuple.Record, beforeCopy []byte, opLSN, prevLSN uint64) error {
-	for _, ix := range tbl.Secondaries {
-		okey, nkey := ix.Key(old), ix.Key(upd)
-		if okey != nkey {
-			ix.Tree.DeleteAs(tok, okey)
-			if err := ix.Tree.PutAs(tok, nkey, rid.Pack()); err != nil {
-				return err
-			}
-		}
-	}
+// finishUpdate is the shared tail of updateAt and mutateAt. It records
+// the UUpdate undo entry first, so that a failed index update still rolls
+// the logged heap write back, then re-points secondary index entries
+// whose keys moved. old is the decoded before image, or nil to decode it
+// from before when a secondary needs it.
+func (ss *Session) finishUpdate(tok *btree.Owner, t *tx.Txn, tbl *catalog.Table, key int64, rid storage.RID, sc *writeScratch, old, upd tuple.Record, before []byte, opLSN, prevLSN uint64) error {
 	t.AddUndo(tx.Undo{
 		Kind: tx.UUpdate, Table: tbl.ID, Key: key, RID: rid,
-		Before: beforeCopy, LSN: opLSN, PrevLSN: prevLSN,
+		Before: before, LSN: opLSN, PrevLSN: prevLSN,
 	})
+	if len(tbl.Secondaries) == 0 {
+		return nil
+	}
+	if old == nil {
+		var err error
+		if old, err = sc.decodeOld(before); err != nil {
+			return err
+		}
+	}
+	for _, ix := range tbl.Secondaries {
+		okey, nkey := ix.Key(old), ix.Key(upd)
+		if okey == nkey {
+			continue
+		}
+		ix.Tree.DeleteAs(tok, okey)
+		if err := ix.Tree.PutAs(tok, nkey, rid.Pack()); err != nil {
+			// Put back the entry this update removed; rollback restores
+			// the heap image it points at.
+			_ = ix.Tree.PutAs(tok, okey, rid.Pack())
+			return err
+		}
+	}
 	return nil
 }
 
 // Mutate reads the record under key, applies fn, and writes it back. The
 // read-modify-write executes as ONE operation on the key's owning thread
-// (a single ExecAt ship covers both halves, and on a stamped page the
-// whole pass is latch-free through the heap's MutateOwnedWith), matching
+// (inline when the key's subtree is local to the session, otherwise a
+// single ExecAt ship covers both halves; on a stamped page the whole pass
+// is latch-free through the heap's MutateOwnedWith), matching
 // MutateAsync's single-ship semantics.
-func (ss *Session) Mutate(t *tx.Txn, tbl *catalog.Table, key int64, fn func(tuple.Record) tuple.Record) (err error) {
+//
+// The record passed to fn is the executing thread's reusable buffer: it
+// is valid only during the call and must not be kept. fn may modify and
+// return it.
+func (ss *Session) Mutate(t *tx.Txn, tbl *catalog.Table, key int64, fn func(tuple.Record) tuple.Record) error {
 	ss.trace(tbl, key, true)
+	if tok, ok := tbl.Primary.Tree.Local(ss.owner, key); ok {
+		return ss.mutateAt(tok, t, tbl, key, fn)
+	}
+	var err error
 	tbl.Primary.Tree.ExecAt(ss.owner, key, func(tok *btree.Owner) {
 		err = ss.mutateAt(tok, t, tbl, key, fn)
 	})
 	return err
 }
 
-// mutateAt is the owner-thread body of Mutate.
+// mutateAt is the owner-thread body of Mutate. On an owner's thread its
+// only allocation is the heap's copy of the before image, which becomes
+// the undo image.
 func (ss *Session) mutateAt(tok *btree.Owner, t *tx.Txn, tbl *catalog.Table, key int64, fn func(tuple.Record) tuple.Record) error {
 	v, err := tbl.Primary.Tree.GetAs(tok, key)
 	if err != nil {
@@ -324,43 +401,45 @@ func (ss *Session) mutateAt(tok *btree.Owner, t *tx.Txn, tbl *catalog.Table, key
 		return err
 	}
 	rid := storage.UnpackRID(v)
-	var beforeCopy, enc []byte
+	var fresh writeScratch
+	sc := scratchFor(tok, &fresh)
+	var before, enc []byte
 	var old, upd tuple.Record
 	var prevLSN, opLSN uint64
-	err = tbl.Heap.MutateOwnedWith(tok, rid, func(before []byte) ([]byte, error) {
-		// before aliases the page; copy before anything mutates it.
-		beforeCopy = append([]byte(nil), before...)
+	err = tbl.Heap.MutateOwnedWith(tok, rid, func(img []byte) ([]byte, error) {
+		before = img
 		var derr error
-		old, derr = tuple.Decode(beforeCopy)
-		if derr != nil {
+		if old, derr = sc.decodeOld(img); derr != nil {
 			return nil, derr
 		}
-		upd = fn(old.Clone())
+		sc.upd = append(sc.upd[:0], old...)
+		upd = fn(sc.upd)
 		if nk := tbl.Primary.Key(upd); nk != key {
 			return nil, fmt.Errorf("sm: update changes primary key %d -> %d on %s", key, nk, tbl.Name)
 		}
-		enc = tuple.Encode(upd)
+		enc = sc.encode(upd)
 		return enc, nil
-	}, func(_, _ []byte) uint64 {
-		return t.Chain(func(prev uint64) uint64 {
-			prevLSN = prev
-			opLSN = ss.sm.Log.Append(&wal.Record{
-				Kind: wal.KUpdate, TxnID: t.ID, PrevLSN: prev,
-				Table: tbl.ID, Page: rid.Page, Slot: rid.Slot, Key: key,
-				Redo: enc, Undo: beforeCopy,
-			})
-			return opLSN
+	}, func() uint64 {
+		opLSN, prevLSN = t.Append(ss.sm.Log, wal.Record{
+			Kind: wal.KUpdate, TxnID: t.ID,
+			Table: tbl.ID, Page: rid.Page, Slot: rid.Slot, Key: key,
+			Redo: enc, Undo: before,
 		})
+		return opLSN
 	})
 	if err != nil {
 		return err
 	}
-	return ss.finishUpdate(tok, t, tbl, key, rid, old, upd, beforeCopy, opLSN, prevLSN)
+	return ss.finishUpdate(tok, t, tbl, key, rid, sc, old, upd, before, opLSN, prevLSN)
 }
 
 // Delete removes the record under key from the table and all indexes.
-func (ss *Session) Delete(t *tx.Txn, tbl *catalog.Table, key int64) (err error) {
+func (ss *Session) Delete(t *tx.Txn, tbl *catalog.Table, key int64) error {
 	ss.trace(tbl, key, true)
+	if tok, ok := tbl.Primary.Tree.Local(ss.owner, key); ok {
+		return ss.deleteAt(tok, t, tbl, key)
+	}
+	var err error
 	tbl.Primary.Tree.ExecAt(ss.owner, key, func(tok *btree.Owner) {
 		err = ss.deleteAt(tok, t, tbl, key)
 	})
@@ -378,35 +457,36 @@ func (ss *Session) deleteAt(tok *btree.Owner, t *tx.Txn, tbl *catalog.Table, key
 	rid := storage.UnpackRID(v)
 	// Remove index entries first so no reader can follow a dangling RID.
 	tbl.Primary.Tree.DeleteAs(tok, key)
-	var beforeCopy []byte
+	var before []byte
 	var prevLSN, opLSN uint64
-	err = tbl.Heap.DeleteOwnedWith(tok, rid, func(before []byte) uint64 {
-		beforeCopy = append([]byte(nil), before...)
-		return t.Chain(func(prev uint64) uint64 {
-			prevLSN = prev
-			opLSN = ss.sm.Log.Append(&wal.Record{
-				Kind: wal.KDelete, TxnID: t.ID, PrevLSN: prev,
-				Table: tbl.ID, Page: rid.Page, Slot: rid.Slot, Key: key,
-				Undo: beforeCopy,
-			})
-			return opLSN
+	err = tbl.Heap.DeleteOwnedWith(tok, rid, func(img []byte) uint64 {
+		before = append([]byte(nil), img...)
+		opLSN, prevLSN = t.Append(ss.sm.Log, wal.Record{
+			Kind: wal.KDelete, TxnID: t.ID,
+			Table: tbl.ID, Page: rid.Page, Slot: rid.Slot, Key: key,
+			Undo: before,
 		})
+		return opLSN
 	})
 	if err != nil {
 		// Restore the index entry we removed.
 		_ = tbl.Primary.Tree.PutAs(tok, key, rid.Pack())
 		return err
 	}
-	old, err := tuple.Decode(beforeCopy)
+	t.AddUndo(tx.Undo{
+		Kind: tx.UDelete, Table: tbl.ID, Key: key, RID: rid,
+		Before: before, LSN: opLSN, PrevLSN: prevLSN,
+	})
+	if len(tbl.Secondaries) == 0 {
+		return nil
+	}
+	var fresh writeScratch
+	old, err := scratchFor(tok, &fresh).decodeOld(before)
 	if err != nil {
 		return err
 	}
 	for _, ix := range tbl.Secondaries {
 		ix.Tree.DeleteAs(tok, ix.Key(old))
 	}
-	t.AddUndo(tx.Undo{
-		Kind: tx.UDelete, Table: tbl.ID, Key: key, RID: rid,
-		Before: beforeCopy, LSN: opLSN, PrevLSN: prevLSN,
-	})
 	return nil
 }

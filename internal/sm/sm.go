@@ -369,9 +369,7 @@ func (s *SM) CommitAsync(t *tx.Txn, done func(error)) {
 	if tt != nil {
 		appendAt = time.Now()
 	}
-	lsn := t.Chain(func(prev uint64) uint64 {
-		return s.Log.Append(&wal.Record{Kind: wal.KCommit, TxnID: t.ID, PrevLSN: prev})
-	})
+	lsn, _ := t.Append(s.Log, wal.Record{Kind: wal.KCommit, TxnID: t.ID})
 	if tt != nil {
 		tt.Span(trace.StageLogAppend, -1, appendAt, time.Since(appendAt))
 	}
@@ -387,9 +385,7 @@ func (s *SM) CommitAsync(t *tx.Txn, done func(error)) {
 			done(err)
 			return
 		}
-		t.Chain(func(prev uint64) uint64 {
-			return s.Log.Append(&wal.Record{Kind: wal.KEnd, TxnID: t.ID, PrevLSN: prev})
-		})
+		t.Append(s.Log, wal.Record{Kind: wal.KEnd, TxnID: t.ID})
 		t.SetStatus(tx.Committed)
 		s.Commits.Inc()
 		done(nil)
@@ -471,9 +467,7 @@ func (s *SM) Rollback(t *tx.Txn) error { return s.RollbackAs(nil, t) }
 // own thread to its own inbox would wait on itself forever.
 func (s *SM) RollbackAs(caller *btree.Owner, t *tx.Txn) error {
 	if t.LastLSN() != 0 {
-		t.Chain(func(prev uint64) uint64 {
-			return s.Log.Append(&wal.Record{Kind: wal.KAbort, TxnID: t.ID, PrevLSN: prev})
-		})
+		t.Append(s.Log, wal.Record{Kind: wal.KAbort, TxnID: t.ID})
 	}
 	for _, u := range t.TakeUndos() {
 		if err := s.ApplyUndoAs(caller, t, u); err != nil {
@@ -487,9 +481,7 @@ func (s *SM) RollbackAs(caller *btree.Owner, t *tx.Txn) error {
 // applied (by Rollback, or by DORA's partition-routed compensation).
 func (s *SM) FinishRollback(t *tx.Txn) error {
 	if t.LastLSN() != 0 {
-		t.Chain(func(prev uint64) uint64 {
-			return s.Log.Append(&wal.Record{Kind: wal.KEnd, TxnID: t.ID, PrevLSN: prev})
-		})
+		t.Append(s.Log, wal.Record{Kind: wal.KEnd, TxnID: t.ID})
 	}
 	t.SetStatus(tx.Aborted)
 	s.deregister(t)
@@ -532,20 +524,19 @@ func (s *SM) applyUndoAt(tok *btree.Owner, t *tx.Txn, tbl *catalog.Table, u tx.U
 			return err
 		}
 		err = tbl.Heap.DeleteOwnedWith(tok, u.RID, func(before []byte) uint64 {
-			return t.Chain(func(prev uint64) uint64 {
-				return s.Log.Append(&wal.Record{
-					Kind: wal.KCLR, Sub: wal.KDelete, TxnID: t.ID, PrevLSN: prev,
-					UndoNext: u.PrevLSN, Table: u.Table,
-					Page: u.RID.Page, Slot: u.RID.Slot, Key: u.Key,
-				})
+			lsn, _ := t.Append(s.Log, wal.Record{
+				Kind: wal.KCLR, Sub: wal.KDelete, TxnID: t.ID,
+				UndoNext: u.PrevLSN, Table: u.Table,
+				Page: u.RID.Page, Slot: u.RID.Slot, Key: u.Key,
 			})
+			return lsn
 		})
 		if err != nil {
 			return err
 		}
-		tbl.Primary.Tree.DeleteAs(tok, u.Key)
+		dropEntry(tok, tbl.Primary.Tree, u.Key, u.RID)
 		for _, ix := range tbl.Secondaries {
-			ix.Tree.DeleteAs(tok, ix.Key(rec))
+			dropEntry(tok, ix.Tree, ix.Key(rec), u.RID)
 		}
 		return nil
 
@@ -564,14 +555,13 @@ func (s *SM) applyUndoAt(tok *btree.Owner, t *tx.Txn, tbl *catalog.Table, u tx.U
 			return err
 		}
 		err = tbl.Heap.UpdateOwnedWith(tok, u.RID, u.Before, func(before []byte) uint64 {
-			return t.Chain(func(prev uint64) uint64 {
-				return s.Log.Append(&wal.Record{
-					Kind: wal.KCLR, Sub: wal.KUpdate, TxnID: t.ID, PrevLSN: prev,
-					UndoNext: u.PrevLSN, Table: u.Table,
-					Page: u.RID.Page, Slot: u.RID.Slot, Key: u.Key,
-					Redo: u.Before,
-				})
+			lsn, _ := t.Append(s.Log, wal.Record{
+				Kind: wal.KCLR, Sub: wal.KUpdate, TxnID: t.ID,
+				UndoNext: u.PrevLSN, Table: u.Table,
+				Page: u.RID.Page, Slot: u.RID.Slot, Key: u.Key,
+				Redo: u.Before,
 			})
+			return lsn
 		})
 		if err != nil {
 			return err
@@ -579,7 +569,7 @@ func (s *SM) applyUndoAt(tok *btree.Owner, t *tx.Txn, tbl *catalog.Table, u tx.U
 		for _, ix := range tbl.Secondaries {
 			ok, nk := ix.Key(cur), ix.Key(old)
 			if ok != nk {
-				ix.Tree.DeleteAs(tok, ok)
+				dropEntry(tok, ix.Tree, ok, u.RID)
 				_ = ix.Tree.PutAs(tok, nk, u.RID.Pack())
 			}
 		}
@@ -592,14 +582,13 @@ func (s *SM) applyUndoAt(tok *btree.Owner, t *tx.Txn, tbl *catalog.Table, u tx.U
 			return err
 		}
 		rid, err := tbl.Heap.InsertOwnedWith(tok, 0, u.Before, func(rid storage.RID) uint64 {
-			return t.Chain(func(prev uint64) uint64 {
-				return s.Log.Append(&wal.Record{
-					Kind: wal.KCLR, Sub: wal.KInsert, TxnID: t.ID, PrevLSN: prev,
-					UndoNext: u.PrevLSN, Table: u.Table,
-					Page: rid.Page, Slot: rid.Slot, Key: u.Key,
-					Redo: u.Before,
-				})
+			lsn, _ := t.Append(s.Log, wal.Record{
+				Kind: wal.KCLR, Sub: wal.KInsert, TxnID: t.ID,
+				UndoNext: u.PrevLSN, Table: u.Table,
+				Page: rid.Page, Slot: rid.Slot, Key: u.Key,
+				Redo: u.Before,
 			})
+			return lsn
 		})
 		if err != nil {
 			return err
@@ -613,6 +602,16 @@ func (s *SM) applyUndoAt(tok *btree.Owner, t *tx.Txn, tbl *catalog.Table, u tx.U
 		return nil
 	}
 	return fmt.Errorf("sm: unknown undo kind %d", u.Kind)
+}
+
+// dropEntry removes key's entry from am only while it points at rid. A
+// write whose index maintenance failed part way never installed some of
+// its entries, and compensating it must not remove another row's entry
+// under the same key.
+func dropEntry(tok *btree.Owner, am btree.AccessMethod, key int64, rid storage.RID) {
+	if v, err := am.GetAs(tok, key); err == nil && v == rid.Pack() {
+		am.DeleteAs(tok, key)
+	}
 }
 
 // SetTxnIDFloor ensures future transaction ids exceed floor (recovery).

@@ -114,12 +114,15 @@ func (h *Heap) DeleteOwnedWith(tok *btree.Owner, rid RID, mkLSN func(before []by
 // MutateOwnedWith reads the record at rid, applies mutate to produce the
 // after image, and rewrites in place — one page access for the whole
 // read-modify-write, so an aligned Mutate costs a single latch-free pass
-// instead of a read round and a write round. mutate's argument aliases
-// the page image (copy before retaining); mkLSN receives both images
-// (before aliases the page too) and appends the log record before the
-// bytes change. A nil-token / unstamped call decomposes into the latched
-// Get + UpdateWith pair.
-func (h *Heap) MutateOwnedWith(tok *btree.Owner, rid RID, mutate func(before []byte) ([]byte, error), mkLSN func(before, after []byte) uint64) error {
+// instead of a read round and a write round. mutate receives a private
+// copy of the before image that the caller may keep (the storage manager
+// keeps it as the undo image), and that copy is the only allocation the
+// call makes: the latch-free path copies the page bytes once, the latched
+// path hands over GetOwned's copy. mutate's result must stay unchanged
+// until the call returns. mkLSN appends the log record before the bytes
+// change and returns the LSN to stamp. A nil-token / unstamped call
+// decomposes into the latched GetOwned + UpdateWith pair.
+func (h *Heap) MutateOwnedWith(tok *btree.Owner, rid RID, mutate func(before []byte) ([]byte, error), mkLSN func() uint64) error {
 	fastPath := tok != nil && h.StampOwner(rid.Page) == tok
 	if fastPath {
 		f, err := h.pool.Fetch(rid.Page)
@@ -135,7 +138,7 @@ func (h *Heap) MutateOwnedWith(tok *btree.Owner, rid RID, mutate func(before []b
 				return err
 			}
 			h.OwnedReads.Inc()
-			rec, err := mutate(old)
+			rec, err := mutate(append([]byte(nil), old...))
 			if err != nil {
 				h.pool.Unpin(f, false)
 				return err
@@ -145,7 +148,7 @@ func (h *Heap) MutateOwnedWith(tok *btree.Owner, rid RID, mutate func(before []b
 				return page.ErrPageFull
 			}
 			h.OwnedWrites.Inc()
-			lsn := mkLSN(old, rec)
+			lsn := mkLSN()
 			f.BumpWriteSeq()
 			if err := f.Page.Update(int(rid.Slot), rec); err != nil {
 				h.pool.Unpin(f, false)
@@ -158,7 +161,10 @@ func (h *Heap) MutateOwnedWith(tok *btree.Owner, rid RID, mutate func(before []b
 		}
 	}
 	// Latched decomposition (also the conventional engine's path, and the
-	// mid-load fallback).
+	// mid-load fallback). The record cannot change between the two page
+	// accesses: its owner thread (or, in the conventional engine, the
+	// caller's record lock) is the only mutator, so GetOwned's copy is the
+	// before image UpdateWith sees.
 	img, err := h.GetOwned(tok, rid)
 	if err != nil {
 		return err
@@ -171,7 +177,7 @@ func (h *Heap) MutateOwnedWith(tok *btree.Owner, rid RID, mutate func(before []b
 		h.OwnedWrites.Inc()
 		h.OwnedWritesLatched.Inc()
 	}
-	return h.UpdateWith(rid, rec, func(before []byte) uint64 { return mkLSN(before, rec) })
+	return h.UpdateWith(rid, rec, func([]byte) uint64 { return mkLSN() })
 }
 
 // SnapshotOwnedPage produces the copy-on-write image the cleaning

@@ -114,7 +114,11 @@ var ErrCorrupt = errors.New("tuple: corrupt record encoding")
 
 // Encode serializes r. Layout: uint16 field count, then per field a type
 // byte followed by 8 bytes (int) or uint16 length + bytes (string).
-func Encode(r Record) []byte {
+func Encode(r Record) []byte { return AppendEncode(nil, r) }
+
+// AppendEncode appends r's encoding to dst and returns the extended
+// slice; with a reused dst of sufficient capacity it allocates nothing.
+func AppendEncode(dst []byte, r Record) []byte {
 	n := 2
 	for _, v := range r {
 		switch v.Type {
@@ -124,7 +128,9 @@ func Encode(r Record) []byte {
 			n += 1 + 2 + len(v.Str)
 		}
 	}
-	out := make([]byte, n)
+	start := len(dst)
+	dst = append(dst, make([]byte, n)...)
+	out := dst[start:]
 	binary.LittleEndian.PutUint16(out, uint16(len(r)))
 	w := 2
 	for _, v := range r {
@@ -141,16 +147,25 @@ func Encode(r Record) []byte {
 			w += len(v.Str)
 		}
 	}
-	return out
+	return dst
 }
 
 // Decode parses a record image produced by Encode.
-func Decode(b []byte) (Record, error) {
+func Decode(b []byte) (Record, error) { return DecodeInto(nil, b) }
+
+// DecodeInto parses a record image produced by Encode into dst's backing
+// array (reallocating only when it is too small) and returns the record.
+// An all-integer image decodes into a reused dst without allocating;
+// each string field still allocates its string.
+func DecodeInto(dst Record, b []byte) (Record, error) {
 	if len(b) < 2 {
 		return nil, ErrCorrupt
 	}
 	n := int(binary.LittleEndian.Uint16(b))
-	r := make(Record, 0, n)
+	r := dst[:0]
+	if cap(r) < n {
+		r = make(Record, 0, n)
+	}
 	w := 2
 	for i := 0; i < n; i++ {
 		if w >= len(b) {

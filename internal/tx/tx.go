@@ -13,6 +13,7 @@ import (
 
 	"dora/internal/storage"
 	"dora/internal/trace"
+	"dora/internal/wal"
 )
 
 // Status is the transaction state.
@@ -81,7 +82,18 @@ type Txn struct {
 	lastLSN  uint64
 	firstLSN uint64
 	undos    []Undo
+	// undoBuf backs undos for a transaction's first few writes, so a short
+	// transaction records its undo entries without growing a slice.
+	undoBuf [inlineUndos]Undo
+	// rec stages the record Append hands to the log manager. It is used
+	// only under mu, so a record of this transaction never needs a heap
+	// object of its own.
+	rec wal.Record
 }
+
+// inlineUndos is how many undo entries a transaction holds before its
+// undo list moves to a grown slice (a TPC-B transaction writes four rows).
+const inlineUndos = 4
 
 // IDGen allocates transaction ids.
 type IDGen struct{ next atomic.Uint64 }
@@ -134,24 +146,33 @@ func (t *Txn) FirstLSN() uint64 {
 	return t.firstLSN
 }
 
-// Chain atomically runs fn with the current chain head and installs the
-// LSN fn returns as the new head. The storage manager calls this with a
-// closure that appends the log record, keeping the per-transaction
-// PrevLSN chain consistent even when DORA runs actions in parallel.
-func (t *Txn) Chain(fn func(prev uint64) uint64) uint64 {
+// Append logs rec to m as the transaction's next record: it links rec to
+// the chain head (rec.PrevLSN), appends it, installs the returned LSN as
+// the new head and returns it with the head it replaced. The chain stays
+// consistent even when DORA runs a transaction's actions in parallel.
+// m copies rec's images during Append, so the caller may reuse them as
+// soon as Append returns.
+func (t *Txn) Append(m wal.Manager, rec wal.Record) (lsn, prev uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	lsn := fn(t.lastLSN)
+	prev = t.lastLSN
+	t.rec = rec
+	t.rec.PrevLSN = prev
+	lsn = m.Append(&t.rec)
+	t.rec = wal.Record{}
 	t.lastLSN = lsn
 	if t.firstLSN == 0 {
 		t.firstLSN = lsn
 	}
-	return lsn
+	return lsn, prev
 }
 
 // AddUndo appends a logical undo entry.
 func (t *Txn) AddUndo(u Undo) {
 	t.mu.Lock()
+	if t.undos == nil {
+		t.undos = t.undoBuf[:0]
+	}
 	t.undos = append(t.undos, u)
 	t.mu.Unlock()
 }
@@ -165,7 +186,8 @@ func (t *Txn) TakeUndos() []Undo {
 	for i, u := range t.undos {
 		out[len(t.undos)-1-i] = u
 	}
-	t.undos = nil
+	clear(t.undos)
+	t.undos = t.undos[:0]
 	return out
 }
 

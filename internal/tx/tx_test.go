@@ -3,6 +3,8 @@ package tx
 import (
 	"sync"
 	"testing"
+
+	"dora/internal/wal"
 )
 
 func TestIDGenUnique(t *testing.T) {
@@ -37,23 +39,38 @@ func TestEnsureAtLeast(t *testing.T) {
 	}
 }
 
+// seqLog is a wal.Manager whose Append hands out the LSNs of next in
+// turn and records the PrevLSN each record carried.
+type seqLog struct {
+	wal.Manager
+	mu    sync.Mutex
+	next  func() uint64
+	prevs []uint64
+}
+
+func (l *seqLog) Append(rec *wal.Record) wal.LSN {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.prevs = append(l.prevs, rec.PrevLSN)
+	rec.LSN = l.next()
+	return rec.LSN
+}
+
 func TestChainOrdering(t *testing.T) {
 	txn := &Txn{ID: 1}
-	var order []uint64
-	for i := uint64(1); i <= 5; i++ {
-		txn.Chain(func(prev uint64) uint64 {
-			order = append(order, prev)
-			return i * 10
-		})
+	n := uint64(0)
+	log := &seqLog{next: func() uint64 { n += 10; return n }}
+	for i := 0; i < 5; i++ {
+		txn.Append(log, wal.Record{Kind: wal.KUpdate, TxnID: txn.ID})
 	}
 	want := []uint64{0, 10, 20, 30, 40}
 	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("chain order %v", order)
+		if log.prevs[i] != want[i] {
+			t.Fatalf("chain order %v", log.prevs)
 		}
 	}
-	if txn.LastLSN() != 50 {
-		t.Fatalf("last = %d", txn.LastLSN())
+	if txn.LastLSN() != 50 || txn.FirstLSN() != 10 {
+		t.Fatalf("first %d, last %d", txn.FirstLSN(), txn.LastLSN())
 	}
 }
 
@@ -61,32 +78,32 @@ func TestConcurrentChain(t *testing.T) {
 	// DORA runs actions of one txn on several workers; the chain must
 	// stay consistent: each append sees the previous LSN.
 	txn := &Txn{ID: 1}
-	var mu sync.Mutex
-	seen := map[uint64]bool{}
+	n := uint64(0)
+	log := &seqLog{next: func() uint64 { n += 7; return n }}
 	var wg sync.WaitGroup
-	next := make(chan uint64, 1000)
-	for i := 0; i < 1000; i++ {
-		next <- uint64(i+1) * 7
-	}
-	close(next)
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for lsn := range next {
-				txn.Chain(func(prev uint64) uint64 {
-					mu.Lock()
-					if seen[prev] {
-						t.Errorf("prev %d seen twice", prev)
-					}
-					seen[prev] = true
-					mu.Unlock()
-					return lsn
-				})
+			for i := 0; i < 125; i++ {
+				lsn, prev := txn.Append(log, wal.Record{Kind: wal.KUpdate, TxnID: txn.ID})
+				if lsn != prev+7 {
+					t.Errorf("append got %d after head %d", lsn, prev)
+				}
 			}
 		}()
 	}
 	wg.Wait()
+	seen := map[uint64]bool{}
+	for _, prev := range log.prevs {
+		if seen[prev] {
+			t.Fatalf("prev %d seen twice", prev)
+		}
+		seen[prev] = true
+	}
+	if txn.LastLSN() != 1000*7 {
+		t.Fatalf("last = %d", txn.LastLSN())
+	}
 }
 
 func TestUndoReverseOrder(t *testing.T) {

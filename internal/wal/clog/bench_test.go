@@ -60,16 +60,35 @@ func BenchmarkClogAppendParallel(b *testing.B) {
 	b.ReportMetric(float64(l.Groups.Load())/float64(l.Appends.Load()), "groups/append")
 }
 
-// BenchmarkClogForce is an append followed by a force of it: the flush
-// daemon's hand-off, write and sync round trip for one record.
+// BenchmarkClogForce is a force of an appended record, in two cases:
+// durable forces an LSN the log has already hardened (the buffer pool's
+// write-ahead check on a page whose records are flushed), which neither
+// waits nor allocates; waiting forces the record just appended, the flush
+// daemon's hand-off, write and sync round trip.
 func BenchmarkClogForce(b *testing.B) {
-	l := benchLog(b)
-	rec := tpcbUpdate()
-	b.ReportAllocs()
-	b.SetBytes(int64(wal.EncodedSize(rec)))
-	for i := 0; i < b.N; i++ {
-		if err := l.Force(l.Append(rec)); err != nil {
+	b.Run("durable", func(b *testing.B) {
+		l := benchLog(b)
+		lsn := l.Append(tpcbUpdate())
+		if err := l.Force(lsn); err != nil {
 			b.Fatal(err)
 		}
-	}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := l.Force(lsn); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("waiting", func(b *testing.B) {
+		l := benchLog(b)
+		rec := tpcbUpdate()
+		b.ReportAllocs()
+		b.SetBytes(int64(wal.EncodedSize(rec)))
+		for i := 0; i < b.N; i++ {
+			if err := l.Force(l.Append(rec)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

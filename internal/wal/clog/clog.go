@@ -118,9 +118,20 @@ func (g *group) extent(total int64) {
 	}
 }
 
+// waiter is one outstanding durability request: an asynchronous force's
+// callback, or the wake-up channel of a blocking Force.
 type waiter struct {
-	lsn uint64
-	fn  func(error)
+	lsn  uint64
+	fn   func(error)
+	wake chan struct{}
+}
+
+// callbacks is a batch of asynchronous-force callbacks that became due
+// together; a completion goroutine runs them and hands the batch back
+// for reuse.
+type callbacks struct {
+	fns []func(error)
+	err error
 }
 
 // Log is the consolidation-array log manager. It implements wal.Manager
@@ -161,6 +172,13 @@ type Log struct {
 	waiters []waiter
 	nwait   atomic.Int64
 	err     error
+
+	// batch and fire are the flush daemon's reusable lists of hardened
+	// groups and due waiters; spare holds a finished callback batch for
+	// the next completion to reuse.
+	batch []*group
+	fire  []waiter
+	spare atomic.Pointer[callbacks]
 
 	flushCh chan struct{}
 	stopCh  chan struct{}
@@ -450,7 +468,7 @@ func (l *Log) daemon() {
 // it depends on.
 func (l *Log) flushOnce() {
 	l.tailMu.Lock()
-	var batch []*group
+	batch := l.batch[:0]
 	for g := l.head; g != nil && g.copied.Load() == g.size; g = g.next {
 		batch = append(batch, g)
 	}
@@ -504,6 +522,8 @@ func (l *Log) flushOnce() {
 		g.next = nil
 		groupPool.Put(g)
 	}
+	clear(batch)
+	l.batch = batch[:0]
 	l.pending.Add(-bytes)
 	l.roomMu.Lock()
 	l.room.Broadcast()
@@ -517,13 +537,14 @@ func (l *Log) flushOnce() {
 func (l *Log) completeWaiters(err error) {
 	d := l.durable.Load()
 	l.waitMu.Lock()
-	var fire []waiter
+	fire := l.fire[:0]
 	if err != nil {
 		if l.err == nil {
 			l.err = err
 		}
-		fire = l.waiters
-		l.waiters = nil
+		fire = append(fire, l.waiters...)
+		clear(l.waiters)
+		l.waiters = l.waiters[:0]
 		err = l.err
 	} else {
 		keep := l.waiters[:0]
@@ -534,22 +555,75 @@ func (l *Log) completeWaiters(err error) {
 				keep = append(keep, w)
 			}
 		}
+		clear(l.waiters[len(keep):])
 		l.waiters = keep
 	}
 	l.nwait.Add(-int64(len(fire)))
 	l.waitMu.Unlock()
-	if len(fire) == 0 {
-		return
-	}
-	// Callbacks run off the daemon thread: a commit completion appends
-	// the transaction's end record, and under backpressure that append
-	// would otherwise park the daemon in waitForRoom — waiting for a
-	// flush only the daemon itself can perform.
-	go func() {
-		for _, w := range fire {
-			w.fn(err)
+	// Blocking forces are woken right here: each channel has room for
+	// its one send, so the daemon never blocks on it, and the woken force
+	// reads its outcome from the log itself. Callbacks run off
+	// the daemon thread: a commit completion appends the transaction's
+	// end record, and under backpressure that append would otherwise
+	// park the daemon in waitForRoom — waiting for a flush only the
+	// daemon itself can perform.
+	var cb *callbacks
+	for _, w := range fire {
+		if w.wake != nil {
+			w.wake <- struct{}{}
+			continue
 		}
-	}()
+		if cb == nil {
+			if cb = l.spare.Swap(nil); cb == nil {
+				cb = new(callbacks)
+			}
+		}
+		cb.fns = append(cb.fns, w.fn)
+	}
+	clear(fire)
+	l.fire = fire[:0]
+	if cb != nil {
+		cb.err = err
+		go l.runCallbacks(cb)
+	}
+}
+
+// runCallbacks runs one batch of due callbacks in order, then offers the
+// batch back for reuse.
+func (l *Log) runCallbacks(cb *callbacks) {
+	for _, fn := range cb.fns {
+		fn(cb.err)
+	}
+	clear(cb.fns)
+	cb.fns = cb.fns[:0]
+	l.spare.Store(cb)
+}
+
+// settledLocked reports whether a force of lsn is already decided, and
+// with what outcome: the sticky store error, else the durable horizon
+// (counted as a grouped commit), else ErrClosed — in that order. closing
+// lets Close's final flush through after the closed flag is already up.
+// Called with waitMu held.
+func (l *Log) settledLocked(lsn wal.LSN, closing bool) (settled bool, err error) {
+	if l.err != nil {
+		return true, l.err
+	}
+	if l.durable.Load() > lsn {
+		l.GroupedCommits.Inc()
+		return true, nil
+	}
+	if !closing && l.closed.Load() {
+		return true, ErrClosed
+	}
+	return false, nil
+}
+
+// queueLocked registers w for the flush daemon and releases waitMu.
+func (l *Log) queueLocked(w waiter) {
+	l.nwait.Add(1)
+	l.waiters = append(l.waiters, w)
+	l.waitMu.Unlock()
+	l.kick()
 }
 
 // ForceAsync implements wal.AsyncForcer: fn runs exactly once — inline if
@@ -558,40 +632,42 @@ func (l *Log) completeWaiters(err error) {
 // completion writes the end record); they never run on the daemon itself.
 func (l *Log) ForceAsync(lsn wal.LSN, fn func(error)) {
 	l.Forces.Inc()
-	l.forceAsync(lsn, fn, false)
-}
-
-// forceAsync is ForceAsync's body; closing lets Close's final flush
-// through after the closed flag is already up.
-func (l *Log) forceAsync(lsn wal.LSN, fn func(error), closing bool) {
 	l.waitMu.Lock()
-	if err := l.err; err != nil {
+	if ok, err := l.settledLocked(lsn, false); ok {
 		l.waitMu.Unlock()
 		fn(err)
 		return
 	}
-	if l.durable.Load() > lsn {
-		l.waitMu.Unlock()
-		l.GroupedCommits.Inc()
-		fn(nil)
-		return
-	}
-	if !closing && l.closed.Load() {
-		l.waitMu.Unlock()
-		fn(ErrClosed)
-		return
-	}
-	l.nwait.Add(1)
-	l.waiters = append(l.waiters, waiter{lsn: lsn, fn: fn})
-	l.waitMu.Unlock()
-	l.kick()
+	l.queueLocked(waiter{lsn: lsn, fn: fn})
 }
 
-// Force implements wal.Manager by waiting on ForceAsync.
+// Force implements wal.Manager: it blocks until lsn is durable. A force
+// of an already durable LSN allocates nothing; a waiting one allocates
+// only the channel the flush daemon wakes it through.
 func (l *Log) Force(lsn wal.LSN) error {
-	ch := make(chan error, 1)
-	l.ForceAsync(lsn, func(err error) { ch <- err })
-	return <-ch
+	l.Forces.Inc()
+	return l.force(lsn, false)
+}
+
+// force is Force's body; closing is as for settledLocked.
+func (l *Log) force(lsn wal.LSN, closing bool) error {
+	l.waitMu.Lock()
+	if ok, err := l.settledLocked(lsn, closing); ok {
+		l.waitMu.Unlock()
+		return err
+	}
+	// An element-free channel is a single allocation.
+	wake := make(chan struct{}, 1)
+	l.queueLocked(waiter{lsn: lsn, wake: wake})
+	<-wake
+	// Woken: either the horizon passed lsn, or the store failed before
+	// it did (the horizon then never moves again).
+	if l.durable.Load() > lsn {
+		return nil
+	}
+	l.waitMu.Lock()
+	defer l.waitMu.Unlock()
+	return l.err
 }
 
 // FlushAll implements wal.Manager.
@@ -677,9 +753,7 @@ func (l *Log) Close() error {
 	}
 	var err error
 	if next := l.Next(); next > 0 {
-		ch := make(chan error, 1)
-		l.forceAsync(next-1, func(e error) { ch <- e }, true)
-		err = <-ch
+		err = l.force(next-1, true)
 	}
 	close(l.stopCh)
 	<-l.doneCh

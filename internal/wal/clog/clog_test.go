@@ -523,3 +523,106 @@ func TestCriticalSectionCountsGroupsNotAppends(t *testing.T) {
 		t.Fatalf("appends = %d, want 1600", st.Appends)
 	}
 }
+
+// TestForceAllocs: forcing an already durable LSN allocates nothing and
+// still counts one force and one grouped commit; a waiting force
+// allocates at most its wake-up channel.
+func TestForceAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	l, _ := mk(t)
+	lsn := l.Append(&wal.Record{Kind: wal.KCommit, TxnID: 1})
+	if err := l.Force(lsn); err != nil {
+		t.Fatal(err)
+	}
+	forces, grouped := l.Forces.Load(), l.GroupedCommits.Load()
+	durable := testing.AllocsPerRun(100, func() {
+		if err := l.Force(lsn); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if durable != 0 {
+		t.Fatalf("durable Force: %.1f allocs, want 0", durable)
+	}
+	// AllocsPerRun makes one warm-up call on top of its runs.
+	if df, dg := l.Forces.Load()-forces, l.GroupedCommits.Load()-grouped; df != 101 || dg != 101 {
+		t.Fatalf("durable forces counted %d forces, %d grouped, want 101/101", df, dg)
+	}
+	rec := &wal.Record{Kind: wal.KCommit, TxnID: 2}
+	waiting := testing.AllocsPerRun(100, func() {
+		if err := l.Force(l.Append(rec)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if waiting > 1 {
+		t.Fatalf("waiting Force: %.1f allocs, want at most 1", waiting)
+	}
+}
+
+// gateStore is a MemStore whose Sync waits until open, once set, is
+// closed.
+type gateStore struct {
+	*wal.MemStore
+	open chan struct{}
+}
+
+func (s *gateStore) Sync() error {
+	if s.open != nil {
+		<-s.open
+	}
+	return s.MemStore.Sync()
+}
+
+// TestBlockingAndAsyncForcesShareABatch: blocking forces and callbacks
+// that become due in the same flushes all complete, and a callback that
+// blocks holds up neither the blocking forces due with it nor later ones.
+func TestBlockingAndAsyncForcesShareABatch(t *testing.T) {
+	store := &gateStore{MemStore: wal.NewMemStore()}
+	l, err := New(store, nil) // New syncs the file header
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The daemon syncs only after a force kicks it, which happens after
+	// this assignment.
+	store.open = make(chan struct{})
+	var once sync.Once
+	parked, release := make(chan struct{}), make(chan struct{})
+	var wg, forced sync.WaitGroup
+	for i := 0; i < 16; i++ {
+		lsn := l.Append(&wal.Record{Kind: wal.KCommit, TxnID: uint64(i + 1)})
+		wg.Add(1)
+		forced.Add(1)
+		// Nothing is durable while the store's sync is gated, so the
+		// callback is queued, never run inline on this goroutine.
+		l.ForceAsync(lsn, func(err error) {
+			defer wg.Done()
+			if err != nil {
+				t.Error(err)
+			}
+			once.Do(func() {
+				close(parked)
+				<-release
+			})
+		})
+		go func() {
+			defer forced.Done()
+			if err := l.Force(lsn); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	close(store.open)
+	<-parked
+	forced.Wait()
+	for i := 0; i < 4; i++ {
+		if err := l.Force(l.Append(&wal.Record{Kind: wal.KEnd, TxnID: 99})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(release)
+	wg.Wait()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
