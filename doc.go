@@ -76,8 +76,8 @@
 // counted, when replicas die rather than wedging). Read replicas serve
 // read-only sessions at their hardened commit horizon — bounded
 // staleness, measured in log bytes — via repl.ReadEngine; promotion
-// closes committed-but-unended transactions, rolls back in-flight
-// losers with CLRs, and brings the replica up writable, with the old
+// rolls back in-flight losers with CLRs (a commit record is its
+// transaction's last) and brings the replica up writable, with the old
 // primary's divergent tail truncated (wal.TruncateTail) before it
 // rejoins. A trimmer daemon (sm.Trimmer) checkpoints and truncates the
 // WAL prefix under min(checkpoint redo, oldest active transaction,

@@ -121,7 +121,7 @@ func E16Replication(c Config) (*Table, error) {
 	_ = ce.Close()
 	_ = r.rep.Close()
 	tb.Rows = append(tb.Rows, []string{"promoted (post-failover)", f1(res.Throughput), "-", "-", "-", "-",
-		fmt.Sprintf("%s, winners=%d losers=%d", caught, st.Winners, st.Losers)})
+		fmt.Sprintf("%s, losers=%d", caught, st.Losers)})
 	return tb, nil
 }
 

@@ -185,48 +185,46 @@ func TestPromoteRollsBackInFlight(t *testing.T) {
 	}
 }
 
-// TestPromoteClosesWinners: a commit record without its end record (the
-// primary died between hardening the commit and the end) is a winner —
-// promotion closes it without undoing anything.
-func TestPromoteClosesWinners(t *testing.T) {
-	s, store, _ := func() (*sm.SM, wal.Store, *Shipper) {
-		return openPrimary(t, 0)
-	}()
+// TestPromoteAfterCommitRecord: a stream cut right after a commit record
+// leaves nothing open — the commit record is its transaction's last — so
+// promotion undoes nothing and the committed row is present.
+func TestPromoteAfterCommitRecord(t *testing.T) {
+	s, store, _ := openPrimary(t, 0)
 	defer s.Close()
 	commitRow(t, s, acct(1, "w", 1))
 	if err := s.Log.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
 	origin, body := streamBody(t, store)
-	// Find the last KEnd and deliver the stream cut just before it.
-	var endAt uint64
+	// Find the last commit record and deliver the stream cut right after it.
+	var cut uint64
 	if _, err := wal.DecodeStream(origin, body, func(r *wal.Record) error {
-		if r.Kind == wal.KEnd {
-			endAt = r.LSN
+		if r.Kind == wal.KCommit {
+			cut = r.LSN + uint64(wal.EncodedSize(r))
 		}
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if endAt == 0 {
-		t.Fatal("no end record found")
+	if cut == 0 {
+		t.Fatal("no commit record found")
 	}
 	rep := openReplica(t)
-	if _, err := rep.Deliver(origin, body[:endAt-origin]); err != nil {
+	if _, err := rep.Deliver(origin, body[:cut-origin]); err != nil {
 		t.Fatal(err)
 	}
-	if rep.OpenTxns() != 1 {
-		t.Fatalf("open txns = %d", rep.OpenTxns())
+	if rep.OpenTxns() != 0 {
+		t.Fatalf("open txns = %d, want 0", rep.OpenTxns())
 	}
 	ns, st, err := rep.Promote()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Winners != 1 || st.Losers != 0 {
-		t.Fatalf("promote stats = %+v", st)
+	if st.Open != 0 || st.Losers != 0 || st.Undone != 0 {
+		t.Fatalf("promote stats = %+v, want nothing undone", st)
 	}
 	if rec, err := ns.Session(0).Read(ns.Begin(), ns.Cat.Table("accounts"), 1); err != nil || rec[2].Int != 1 {
-		t.Fatalf("winner's row: %v %v", rec, err)
+		t.Fatalf("committed row: %v %v", rec, err)
 	}
 }
 

@@ -50,8 +50,9 @@
 //
 // Promote turns a replica into a primary at the end of its delivered
 // stream: an appendable log manager is adopted over the same store,
-// committed-but-unended transactions are closed, in-flight losers are
-// rolled back with CLRs, and the engine comes up writable. A crashed
+// in-flight losers are rolled back with CLRs (a commit record resolves
+// its transaction, so nothing else is open), and the engine comes up
+// writable. A crashed
 // ex-primary whose log runs past the promotion point must truncate that
 // tail (wal.TruncateTail) before rejoining as a replica — those records
 // were never acked and the new primary's history has diverged from them.

@@ -444,8 +444,8 @@ func (r *Replica) ExecReadOnly(worker int, flow *xct.Flow) error {
 // Promote brings the replica up as a primary at the end of its delivered
 // stream: an appendable group-commit log manager is adopted over the
 // same store (appends continue at the delivered end), the replayer
-// closes committed-but-unended transactions and rolls back in-flight
-// losers with CLRs, and the storage manager returns writable. Unacked
+// rolls back in-flight losers with CLRs, and the storage manager
+// returns writable. Unacked
 // primary tail beyond what was delivered is implicitly discarded — it
 // never reached this log, and a rejoining ex-primary must truncate it.
 func (r *Replica) Promote() (*sm.SM, sm.PromoteStats, error) {

@@ -151,7 +151,7 @@ func TestParallelReplayFailStop(t *testing.T) {
 	feed := []*wal.Record{
 		{LSN: 0, TxnID: 1, Kind: wal.KInsert, Table: tbl.ID, Page: 0, Slot: 0, Key: 1, Redo: img},
 		{LSN: 100, TxnID: 1, Kind: wal.KCommit},
-		// Slot 99 was never inserted: the applier's RedoUpdate must error.
+		// Slot 99 was never inserted: the applier's RedoPatch must error.
 		{LSN: 200, TxnID: 2, Kind: wal.KUpdate, Table: tbl.ID, Page: 0, Slot: 99, Key: 1, Redo: img},
 		{LSN: 300, TxnID: 2, Kind: wal.KCommit},
 	}

@@ -21,9 +21,12 @@ type RecoveryStats struct {
 // Recover performs ARIES-style restart on a reopened storage manager:
 //
 //  1. Analysis: scan the log, classifying each transaction as a winner
-//     (KCommit seen) or a loser (records but no commit).
+//     (KCommit seen: the commit record is terminal), rolled back (KEnd
+//     seen) or a loser (records but neither).
 //  2. Redo: replay every physical record (KInsert/KUpdate/KDelete/KCLR)
 //     in log order, skipping pages whose LSN already covers the record.
+//     An update patch applies only over its exact pre-image; a page that
+//     does not hold it fails recovery with a storage.PatchMismatchError.
 //  3. Undo: roll back losers by walking each PrevLSN chain backwards,
 //     honouring CLR UndoNext pointers, logging fresh CLRs, and closing
 //     each with KEnd.
@@ -245,7 +248,8 @@ func (s *SM) redoOne(r *wal.Record) error {
 	case wal.KInsert:
 		return tbl.Heap.RedoInsert(rid, r.Redo, r.LSN)
 	case wal.KUpdate:
-		return tbl.Heap.RedoUpdate(rid, r.Redo, r.LSN)
+		_, err := tbl.Heap.RedoPatch(r)
+		return err
 	case wal.KDelete:
 		return tbl.Heap.RedoDelete(rid, r.LSN)
 	}
@@ -312,14 +316,14 @@ func (s *SM) compensateInsert(t *loserTxn, r *wal.Record) error {
 	})
 }
 
+// compensateUpdate reverts an update patch; its CLR is the inverse patch.
 func (s *SM) compensateUpdate(t *loserTxn, r *wal.Record) error {
 	tbl := s.Cat.TableByID(r.Table)
-	rid := storage.RID{Page: r.Page, Slot: r.Slot}
-	return tbl.Heap.UpdateWith(rid, r.Undo, func(before []byte) uint64 {
+	return tbl.Heap.UndoPatchWith(r, func() uint64 {
 		lsn := s.Log.Append(&wal.Record{
 			Kind: wal.KCLR, Sub: wal.KUpdate, TxnID: t.id, PrevLSN: t.last,
 			UndoNext: r.PrevLSN, Table: r.Table, Page: r.Page, Slot: r.Slot, Key: r.Key,
-			Redo: r.Undo,
+			Off: r.Off, Redo: r.Undo, Undo: r.Redo,
 		})
 		t.last = lsn
 		return lsn

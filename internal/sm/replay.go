@@ -33,10 +33,12 @@ import (
 // commit record is applied, never merely delivered.
 //
 // The replayer also keeps recovery's analysis state live: the records of
-// every unended transaction stay resident so that Promote — which turns
-// the replica into a primary at the end of the delivered stream — can
-// close committed-but-unended winners and roll back in-flight losers with
-// CLRs, exactly as restart undo would.
+// every unresolved transaction stay resident so that Promote — which
+// turns the replica into a primary at the end of the delivered stream —
+// can roll back in-flight losers with CLRs, exactly as restart undo
+// would. A commit record is its transaction's last record, so a
+// transaction's analysis state goes when its commit is delivered, and
+// its resolution marker when the commit applies.
 //
 // With SM.Options.RedoWorkers > 1 the replayer splits into dispatcher
 // and appliers (predo.go): Apply becomes the dispatcher — analysis,
@@ -69,7 +71,7 @@ type Replayer struct {
 
 	mu        sync.Mutex
 	txns      map[uint64]*rtxn
-	resolved  map[uint64]bool // txns whose KCommit/KEnd has been delivered
+	resolved  map[uint64]bool // txns whose KCommit/KEnd is delivered, not yet applied
 	pending   []*wal.Record   // delivered but unapplied records, LSN order
 	warm      map[uint64]struct{}
 	maxTxn    uint64
@@ -82,11 +84,10 @@ type Replayer struct {
 	pool *redoPool
 }
 
-// rtxn is the live analysis state of one unended transaction.
+// rtxn is the live analysis state of one unresolved transaction.
 type rtxn struct {
-	lastLSN   uint64
-	committed bool
-	recs      map[uint64]*wal.Record // the txn's records, for undo chains
+	lastLSN uint64
+	recs    map[uint64]*wal.Record // the txn's records, for undo chains
 }
 
 // NewReplayer creates a replayer over s. Tables must already be
@@ -145,13 +146,8 @@ func (rp *Replayer) Apply(r *wal.Record) error {
 			rp.maxTxn = r.TxnID
 		}
 		switch r.Kind {
-		case wal.KEnd:
+		case wal.KCommit, wal.KEnd:
 			delete(rp.txns, r.TxnID)
-			rp.resolved[r.TxnID] = true
-		case wal.KCommit:
-			ts := rp.ensure(r.TxnID)
-			ts.lastLSN = r.LSN
-			ts.committed = true
 			rp.resolved[r.TxnID] = true
 		default:
 			ts := rp.ensure(r.TxnID)
@@ -281,16 +277,9 @@ func (rp *Replayer) applierApply(t *redoTask) {
 	case wal.KUpdate:
 		// Pre-redo before image: per-page FIFO makes this exactly the
 		// state the serial path would have read at this record's turn.
-		// (Get and Decode both copy, so the captured record cannot alias
+		// (Get and Decode both copy, so the captured records cannot alias
 		// page bytes a later record on this page mutates.)
-		if img, err := tbl.Heap.Get(rid); err == nil {
-			t.oldRec, _ = tuple.Decode(img)
-		}
-		if err := tbl.Heap.RedoUpdate(rid, r.Redo, r.LSN); err != nil {
-			t.err = err
-			return
-		}
-		t.newRec, t.err = tuple.Decode(r.Redo)
+		t.oldRec, t.newRec, t.err = redoUpdate(tbl.Heap, r)
 	case wal.KDelete:
 		if img, err := tbl.Heap.Get(rid); err == nil {
 			t.oldRec, _ = tuple.Decode(img)
@@ -337,15 +326,23 @@ func (rp *Replayer) finishOneLocked(t *redoTask) error {
 		}
 		rp.redone++
 	}
+	rp.resolveLocked(r)
+	return nil
+}
+
+// resolveLocked is the in-order tail of applying r: a commit advances the
+// commit horizon, and a commit or end — the last record of its
+// transaction — drops the transaction's resolution marker.
+func (rp *Replayer) resolveLocked(r *wal.Record) {
 	switch r.Kind {
 	case wal.KCommit:
-		s.NoteCommitLSN(r.LSN)
+		rp.sm.NoteCommitLSN(r.LSN)
+		fallthrough
 	case wal.KEnd:
 		delete(rp.resolved, r.TxnID)
 		delete(rp.warm, r.TxnID)
 	}
 	rp.applied = r.LSN + uint64(wal.EncodedSize(r))
-	return nil
 }
 
 // applyOneLocked redoes one record into the live engine, in strict LSN
@@ -370,15 +367,7 @@ func (rp *Replayer) applyOneLocked(r *wal.Record) error {
 	if err := rp.applyPhysical(r); err != nil {
 		return err
 	}
-	switch r.Kind {
-	case wal.KCommit:
-		s.NoteCommitLSN(r.LSN)
-	case wal.KEnd:
-		// Final record of its transaction: the resolution marker is done.
-		delete(rp.resolved, r.TxnID)
-		delete(rp.warm, r.TxnID)
-	}
-	rp.applied = r.LSN + uint64(wal.EncodedSize(r))
+	rp.resolveLocked(r)
 	return nil
 }
 
@@ -413,14 +402,7 @@ func (rp *Replayer) applyPhysical(r *wal.Record) error {
 		rp.redone++
 
 	case wal.KUpdate:
-		var old tuple.Record
-		if img, err := tbl.Heap.Get(rid); err == nil {
-			old, _ = tuple.Decode(img)
-		}
-		if err := tbl.Heap.RedoUpdate(rid, r.Redo, r.LSN); err != nil {
-			return err
-		}
-		rec, err := tuple.Decode(r.Redo)
+		old, rec, err := redoUpdate(tbl.Heap, r)
 		if err != nil {
 			return err
 		}
@@ -451,6 +433,24 @@ func (rp *Replayer) applyPhysical(r *wal.Record) error {
 		rp.redone++
 	}
 	return nil
+}
+
+// redoUpdate redoes the update patch r and returns the record before and
+// after it, for index maintenance: the after image is the pre-redo image
+// spliced with the patch, which the redo has just verified. A redo the
+// page LSN skips returns two nil records, as does one whose slot cannot
+// be read before it (the redo then fails on that slot).
+func redoUpdate(h *storage.Heap, r *wal.Record) (old, rec tuple.Record, err error) {
+	img, gerr := h.Get(storage.RID{Page: r.Page, Slot: r.Slot})
+	applied, err := h.RedoPatch(r)
+	if err != nil || !applied || gerr != nil {
+		return nil, nil, err
+	}
+	if old, err = tuple.Decode(img); err != nil {
+		return nil, nil, err
+	}
+	rec, err = tuple.Decode(wal.Splice(nil, img, int(r.Off), r.Redo, len(r.Undo)))
+	return old, rec, err
 }
 
 // AppliedLSN returns the end LSN of the last record applied — the
@@ -509,22 +509,21 @@ func (rp *Replayer) RedoStats() RedoStats {
 // PromoteStats summarizes a completed Promote.
 type PromoteStats struct {
 	Open    int // transactions open at the end of the stream
-	Winners int // committed-but-unended: closed with an end record
 	Losers  int // in-flight: rolled back with CLRs
 	Undone  int // undo operations applied for losers
 	Rebuilt int // index entries rebuilt post-undo
 }
 
 // Promote finishes the delivered stream as a restart would, turning the
-// replica's state into a primary's: committed-but-unended transactions
-// get their end records, in-flight losers are rolled back with CLRs
-// (their commit never hardened on the old primary's acked prefix, so
-// their effects must not survive the failover), the transaction-id floor
-// rises past every replayed id, and the indexes are rebuilt (loser undo
-// writes heaps directly, like recovery's). The storage manager must
-// already have an appendable log manager adopted (AdoptLog): the
-// promotion's end records and CLRs are the first records the new primary
-// writes.
+// replica's state into a primary's: every transaction still open at the
+// end of the stream is a loser (a commit record resolves its transaction)
+// and is rolled back with CLRs (its commit never hardened on the old
+// primary's acked prefix, so its effects must not survive the failover),
+// the transaction-id floor rises past every replayed id, and the indexes
+// are rebuilt (loser undo writes heaps directly, like recovery's). The
+// storage manager must already have an appendable log manager adopted
+// (AdoptLog): the promotion's CLRs and end records are the first records
+// the new primary writes.
 func (rp *Replayer) Promote() (PromoteStats, error) {
 	rp.mu.Lock()
 	defer rp.mu.Unlock()
@@ -540,8 +539,8 @@ func (rp *Replayer) Promote() (PromoteStats, error) {
 	rp.closePoolLocked()
 	// Delivery ends here: apply everything still queued — including the
 	// records of unresolved transactions held back from readers — so the
-	// heap reflects the full delivered stream before winners are closed
-	// and losers undone (undo walks before-images that must be present).
+	// heap reflects the full delivered stream before losers are undone
+	// (undo walks before-images that must be present).
 	for _, r := range rp.pending {
 		if err := rp.applyOneLocked(r); err != nil {
 			return st, err
@@ -552,7 +551,7 @@ func (rp *Replayer) Promote() (PromoteStats, error) {
 	st.Open = len(rp.txns)
 	// Descending-id order, like recovery's loser undo: deterministic, so a
 	// serial and a parallel replica promoted from the same stream append
-	// identical KEnd/CLR sequences and leave byte-identical pages.
+	// identical CLR/KEnd sequences and leave byte-identical pages.
 	ids := make([]uint64, 0, len(rp.txns))
 	for id := range rp.txns {
 		ids = append(ids, id)
@@ -560,12 +559,6 @@ func (rp *Replayer) Promote() (PromoteStats, error) {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] > ids[j] })
 	for _, id := range ids {
 		ts := rp.txns[id]
-		if ts.committed {
-			s.Log.Append(&wal.Record{Kind: wal.KEnd, TxnID: id, PrevLSN: ts.lastLSN})
-			st.Winners++
-			delete(rp.txns, id)
-			continue
-		}
 		n, err := s.undoLoser(id, ts.lastLSN, ts.recs)
 		if err != nil {
 			return st, fmt.Errorf("sm: promote undo txn %d: %w", id, err)
@@ -590,7 +583,7 @@ func (rp *Replayer) Promote() (PromoteStats, error) {
 // recovery minus undo. A rejoining ex-primary runs it after truncating
 // its log tail at the promotion point: analysis state lands in the
 // replayer (in-flight transactions stay OPEN — the new primary's
-// promotion already wrote their end records or CLRs, and those arrive
+// promotion already wrote their CLRs and end records, and those arrive
 // through the stream and must find the transactions live), redo honours
 // checkpoints with page-LSN idempotence, and the indexes are rebuilt.
 //
@@ -624,13 +617,11 @@ func (rp *Replayer) Bootstrap() (RecoveryStats, error) {
 				rp.maxTxn = r.TxnID
 			}
 			switch r.Kind {
+			case wal.KCommit:
+				s.NoteCommitLSN(r.LSN)
+				delete(rp.txns, r.TxnID)
 			case wal.KEnd:
 				delete(rp.txns, r.TxnID)
-			case wal.KCommit:
-				ts := rp.ensure(r.TxnID)
-				ts.lastLSN = r.LSN
-				ts.committed = true
-				s.NoteCommitLSN(r.LSN)
 			default:
 				ts := rp.ensure(r.TxnID)
 				ts.lastLSN = r.LSN
@@ -663,15 +654,13 @@ func (rp *Replayer) Bootstrap() (RecoveryStats, error) {
 	// Unlike live delivery, bootstrap redo applies every retained record,
 	// so effects of transactions still in flight at the truncation point
 	// are in the heap now. They resolve through the stream (the new
-	// primary's promotion wrote their end records or CLRs); until each
-	// uncommitted one has, the replica is warming and must refuse reads.
-	for id, ts := range rp.txns {
-		if !ts.committed {
-			if rp.warm == nil {
-				rp.warm = make(map[uint64]struct{})
-			}
-			rp.warm[id] = struct{}{}
+	// primary's promotion wrote their CLRs and end records); until each
+	// has, the replica is warming and must refuse reads.
+	for id := range rp.txns {
+		if rp.warm == nil {
+			rp.warm = make(map[uint64]struct{})
 		}
+		rp.warm[id] = struct{}{}
 	}
 	if err := rp.checkDivergence(); err != nil {
 		return st, err

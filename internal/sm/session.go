@@ -319,17 +319,25 @@ func (ss *Session) updateAt(tok *btree.Owner, t *tx.Txn, tbl *catalog.Table, key
 	err = tbl.Heap.UpdateOwnedWith(tok, rid, enc, func(img []byte) uint64 {
 		// img aliases the page; the copy is the undo image.
 		before = append([]byte(nil), img...)
-		opLSN, prevLSN = t.Append(ss.sm.Log, wal.Record{
-			Kind: wal.KUpdate, TxnID: t.ID,
-			Table: tbl.ID, Page: rid.Page, Slot: rid.Slot, Key: key,
-			Redo: enc, Undo: before,
-		})
+		opLSN, prevLSN = ss.logUpdate(t, tbl, key, rid, before, enc)
 		return opLSN
 	})
 	if err != nil {
 		return err
 	}
 	return ss.finishUpdate(tok, t, tbl, key, rid, sc, nil, rec, before, opLSN, prevLSN)
+}
+
+// logUpdate appends the update of rid from before to after as a patch of
+// the bytes that changed, returning the record's LSN and the chain head
+// it replaced.
+func (ss *Session) logUpdate(t *tx.Txn, tbl *catalog.Table, key int64, rid storage.RID, before, after []byte) (lsn, prev uint64) {
+	off, redo, undo := wal.Diff(before, after)
+	return t.Append(ss.sm.Log, wal.Record{
+		Kind: wal.KUpdate, TxnID: t.ID,
+		Table: tbl.ID, Page: rid.Page, Slot: rid.Slot, Key: key,
+		Off: uint16(off), Redo: redo, Undo: undo,
+	})
 }
 
 // finishUpdate is the shared tail of updateAt and mutateAt. It records
@@ -420,11 +428,7 @@ func (ss *Session) mutateAt(tok *btree.Owner, t *tx.Txn, tbl *catalog.Table, key
 		enc = sc.encode(upd)
 		return enc, nil
 	}, func() uint64 {
-		opLSN, prevLSN = t.Append(ss.sm.Log, wal.Record{
-			Kind: wal.KUpdate, TxnID: t.ID,
-			Table: tbl.ID, Page: rid.Page, Slot: rid.Slot, Key: key,
-			Redo: enc, Undo: before,
-		})
+		opLSN, prevLSN = ss.logUpdate(t, tbl, key, rid, before, enc)
 		return opLSN
 	})
 	if err != nil {

@@ -341,7 +341,8 @@ func (s *SM) OwnedSession(worker int, owner *btree.Owner) *Session {
 }
 
 // Commit makes t durable: a commit record is appended and the log forced
-// (group commit batches concurrent forcers), then an end record written.
+// (group commit batches concurrent forcers). The commit record is the
+// transaction's last: no end record follows it.
 func (s *SM) Commit(t *tx.Txn) error {
 	ch := make(chan error, 1)
 	s.CommitAsync(t, func(err error) { ch <- err })
@@ -349,10 +350,12 @@ func (s *SM) Commit(t *tx.Txn) error {
 }
 
 // CommitAsync appends t's commit record and schedules the rest of commit
-// — end record, status flip, durability notification — for when the log
-// hardens it. done is invoked exactly once: inline if the log manager only
-// supports synchronous forces (or t is read-only), otherwise from the
-// flush daemon (flush pipelining: the worker never blocks on the sync).
+// — status flip, durability notification — for when the log hardens it.
+// The completion appends nothing: a hardened commit record resolves the
+// transaction, so the flush daemon's callbacks never wait for log room.
+// done is invoked exactly once: inline if the log manager only supports
+// synchronous forces (or t is read-only), otherwise from the flush
+// daemon (flush pipelining: the worker never blocks on the sync).
 //
 // When CommitAsync returns, t's commit LSN is assigned, and engines may
 // release t's locks immediately (early lock release). That is safe
@@ -385,7 +388,6 @@ func (s *SM) CommitAsync(t *tx.Txn, done func(error)) {
 			done(err)
 			return
 		}
-		t.Append(s.Log, wal.Record{Kind: wal.KEnd, TxnID: t.ID})
 		t.SetStatus(tx.Committed)
 		s.Commits.Inc()
 		done(nil)
@@ -394,8 +396,8 @@ func (s *SM) CommitAsync(t *tx.Txn, done func(error)) {
 	if gp := s.commitGate.Load(); gp != nil {
 		gate := *gp
 		// The gate runs between local durability and completion: the
-		// commit record hardened here, but the acknowledgement (and the
-		// end record) wait for the replication rule.
+		// commit record hardened here, but the acknowledgement waits for
+		// the replication rule.
 		complete = func(err error) {
 			if err != nil {
 				finish(err)
@@ -555,11 +557,12 @@ func (s *SM) applyUndoAt(tok *btree.Owner, t *tx.Txn, tbl *catalog.Table, u tx.U
 			return err
 		}
 		err = tbl.Heap.UpdateOwnedWith(tok, u.RID, u.Before, func(before []byte) uint64 {
+			off, redo, undo := wal.Diff(before, u.Before)
 			lsn, _ := t.Append(s.Log, wal.Record{
 				Kind: wal.KCLR, Sub: wal.KUpdate, TxnID: t.ID,
 				UndoNext: u.PrevLSN, Table: u.Table,
 				Page: u.RID.Page, Slot: u.RID.Slot, Key: u.Key,
-				Redo: u.Before,
+				Off: uint16(off), Redo: redo, Undo: undo,
 			})
 			return lsn
 		})

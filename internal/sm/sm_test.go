@@ -269,8 +269,11 @@ func TestLogChainPerTxn(t *testing.T) {
 		}
 		return nil
 	})
-	if len(recs) != 4 { // insert, update, commit, end
-		t.Fatalf("logged %d records, want 4", len(recs))
+	if len(recs) != 3 { // insert, update, commit (terminal: no end record)
+		t.Fatalf("logged %d records, want 3", len(recs))
+	}
+	if last := recs[len(recs)-1]; last.Kind != wal.KCommit {
+		t.Fatalf("last record is %v, want the commit", last.Kind)
 	}
 	for i := 1; i < len(recs); i++ {
 		if recs[i].PrevLSN != recs[i-1].LSN {

@@ -145,9 +145,10 @@ func TestWriteScratchRollback(t *testing.T) {
 }
 
 // TestWriteScratchCommitRecover: a committed transaction that reuses the
-// owner's buffers logs, for every write, a redo image equal to the page
-// image the write left (and an undo image equal to the one before it),
-// and a crash restart from the synced log reproduces the live state.
+// owner's buffers logs, for every update, the patch that turns the page
+// image before the write into the one it left (and for the insert, the
+// image it left), and a crash restart from the synced log reproduces the
+// live state.
 func TestWriteScratchCommitRecover(t *testing.T) {
 	rig := newRig()
 	s := rig.open(t)
@@ -195,9 +196,20 @@ func TestWriteScratchCommitRecover(t *testing.T) {
 	}
 	for i, w := range writes {
 		r := logged[i]
-		if r.Key != w.key || !bytes.Equal(r.Redo, w.after) || !bytes.Equal(r.Undo, w.before) {
-			t.Fatalf("write %d (key %d): logged redo %x undo %x, page went %x -> %x",
-				i, w.key, r.Redo, r.Undo, w.before, w.after)
+		ok := r.Key == w.key
+		if r.Kind == wal.KInsert {
+			ok = ok && bytes.Equal(r.Redo, w.after)
+		} else {
+			// An update logs the patch of the bytes that changed: it must
+			// turn the before image into the after image and back.
+			off, redo, undo := wal.Diff(w.before, w.after)
+			ok = ok && int(r.Off) == off && bytes.Equal(r.Redo, redo) && bytes.Equal(r.Undo, undo) &&
+				bytes.Equal(wal.Splice(nil, w.before, int(r.Off), r.Redo, len(r.Undo)), w.after) &&
+				bytes.Equal(wal.Splice(nil, w.after, int(r.Off), r.Undo, len(r.Redo)), w.before)
+		}
+		if !ok {
+			t.Fatalf("write %d (key %d): logged off %d redo %x undo %x, page went %x -> %x",
+				i, w.key, r.Off, r.Redo, r.Undo, w.before, w.after)
 		}
 	}
 

@@ -5,6 +5,7 @@
 package storage
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -13,6 +14,7 @@ import (
 	"dora/internal/buffer"
 	"dora/internal/metrics"
 	"dora/internal/page"
+	"dora/internal/wal"
 )
 
 // RID identifies a record: a page and a slot within it.
@@ -370,24 +372,113 @@ func (h *Heap) Update(rid RID, rec []byte, lsn uint64) error {
 	return err
 }
 
-// RedoUpdate replays an update during recovery (idempotent via page LSN).
-func (h *Heap) RedoUpdate(rid RID, rec []byte, lsn uint64) error {
-	f, err := h.pool.Fetch(rid.Page)
+// PatchMismatchError reports an update patch whose pre-image is not what
+// the page holds in its slot: the page is not the state the log record
+// was written against (a lost or stale page write, or a corrupt page). It
+// is never repaired or skipped.
+type PatchMismatchError struct {
+	Table uint32
+	Page  page.ID
+	Slot  uint16
+	LSN   uint64 // the record whose patch does not apply
+}
+
+func (e *PatchMismatchError) Error() string {
+	return fmt.Sprintf("storage: patch of lsn %d does not match table %d page %d slot %d", e.LSN, e.Table, e.Page, e.Slot)
+}
+
+// RedoPatch replays an update patch — a KUpdate, or a KCLR compensating
+// one — idempotently via the page LSN, and reports whether it applied. A
+// record the page LSN already covers is neither spliced nor verified;
+// otherwise the slot's bytes at r.Off must equal r.Undo, or a
+// *PatchMismatchError is returned.
+func (h *Heap) RedoPatch(r *wal.Record) (bool, error) {
+	f, err := h.pool.Fetch(r.Page)
 	if err != nil {
-		return err
+		return false, err
 	}
 	defer h.pool.Unpin(f, true)
 	f.Latch.Lock()
 	defer f.Latch.Unlock()
-	if f.Page.LSN() >= lsn {
-		return nil
+	if f.Page.LSN() >= r.LSN {
+		return false, nil
 	}
-	if err := f.Page.Update(int(rid.Slot), rec); err != nil {
-		return fmt.Errorf("storage: redo update: %w", err)
+	cur, err := slotHolding(&f.Page, r, r.Undo)
+	if err != nil {
+		return false, err
+	}
+	if err := splice(&f.Page, r.Slot, cur, int(r.Off), r.Redo, len(r.Undo)); err != nil {
+		return false, err
+	}
+	f.Page.SetLSN(r.LSN)
+	f.MarkDirty()
+	return true, nil
+}
+
+// UndoPatchWith applies the inverse of r's update patch — the slot's
+// bytes at r.Off must equal r.Redo, and become r.Undo — for restart undo
+// of a loser. mkLSN logs the compensation before the bytes change and
+// returns the LSN to stamp.
+func (h *Heap) UndoPatchWith(r *wal.Record, mkLSN func() uint64) error {
+	f, err := h.pool.Fetch(r.Page)
+	if err != nil {
+		return err
+	}
+	h.noteLatchedWrite()
+	f.Latch.Lock()
+	defer f.Latch.Unlock()
+	cur, err := slotHolding(&f.Page, r, r.Redo)
+	if err == nil && !f.Page.CanUpdate(int(r.Slot), len(cur)+len(r.Undo)-len(r.Redo)) {
+		// The log record must not be written unless the update will apply.
+		err = page.ErrPageFull
+	}
+	if err != nil {
+		h.pool.Unpin(f, false)
+		return err
+	}
+	lsn := mkLSN()
+	f.BumpWriteSeq()
+	if err := splice(&f.Page, r.Slot, cur, int(r.Off), r.Undo, len(r.Redo)); err != nil {
+		h.pool.Unpin(f, false)
+		return err
 	}
 	f.Page.SetLSN(lsn)
 	f.MarkDirty()
+	h.pool.Unpin(f, true)
 	return nil
+}
+
+// slotHolding returns the image in r's slot after checking that it holds
+// pre at r.Off — the pre-image the patch is valid against.
+func slotHolding(p *page.Page, r *wal.Record, pre []byte) ([]byte, error) {
+	cur, err := p.Get(int(r.Slot))
+	if err != nil {
+		return nil, fmt.Errorf("storage: patch: %w", err)
+	}
+	off := int(r.Off)
+	if off+len(pre) > len(cur) || !bytes.Equal(cur[off:off+len(pre)], pre) {
+		return nil, mismatch(r)
+	}
+	return cur, nil
+}
+
+// splice replaces the cut bytes at off of cur, the image in slot, with
+// ins. A same-length patch rewrites the bytes in place; a length-changing
+// one rebuilds the image in a stack buffer and rewrites the slot.
+func splice(p *page.Page, slot uint16, cur []byte, off int, ins []byte, cut int) error {
+	if len(ins) == cut {
+		copy(cur[off:], ins)
+		return nil
+	}
+	var buf [page.Size]byte
+	if err := p.Update(int(slot), wal.Splice(buf[:0], cur, off, ins, cut)); err != nil {
+		return fmt.Errorf("storage: patch: %w", err)
+	}
+	return nil
+}
+
+func mismatch(r *wal.Record) error {
+	return &PatchMismatchError{Table: r.Table, Page: r.Page, Slot: r.Slot, LSN: r.LSN}
 }
 
 // Delete tombstones the record at rid.

@@ -2,9 +2,11 @@ package storage
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"dora/internal/buffer"
+	"dora/internal/wal"
 )
 
 func newHeap(t *testing.T) *Heap {
@@ -137,6 +139,13 @@ func TestDeleteWithBeforeImage(t *testing.T) {
 	}
 }
 
+// patchRec is the update patch that turns old into new in rid's slot.
+func patchRec(rid RID, old, new []byte, lsn uint64) *wal.Record {
+	off, redo, undo := wal.Diff(old, new)
+	return &wal.Record{Kind: wal.KUpdate, LSN: lsn, Table: 7, Page: rid.Page, Slot: rid.Slot,
+		Off: uint16(off), Redo: redo, Undo: undo}
+}
+
 func TestRedoIdempotent(t *testing.T) {
 	pool := buffer.NewPool(16, buffer.NewMemDisk(), nil)
 	h := NewHeap(pool)
@@ -145,20 +154,82 @@ func TestRedoIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Redo with LSN <= page LSN must be a no-op.
-	if err := h.RedoUpdate(rid, []byte("v2"), 100); err != nil {
-		t.Fatal(err)
+	if applied, err := h.RedoPatch(patchRec(rid, []byte("v1"), []byte("v2"), 100)); err != nil || applied {
+		t.Fatalf("covered redo: applied %v, err %v", applied, err)
 	}
 	b, _ := h.Get(rid)
 	if string(b) != "v1" {
 		t.Fatalf("stale redo applied: %q", b)
 	}
 	// Redo with newer LSN applies.
-	if err := h.RedoUpdate(rid, []byte("v2"), 200); err != nil {
-		t.Fatal(err)
+	if applied, err := h.RedoPatch(patchRec(rid, []byte("v1"), []byte("v2"), 200)); err != nil || !applied {
+		t.Fatalf("fresh redo: applied %v, err %v", applied, err)
 	}
 	b, _ = h.Get(rid)
 	if string(b) != "v2" {
 		t.Fatalf("fresh redo not applied: %q", b)
+	}
+}
+
+// TestRedoPatchLengthChanges grows and shrinks a record through redo
+// patches, then undoes them in reverse, checking each image.
+func TestRedoPatchLengthChanges(t *testing.T) {
+	h := newHeap(t)
+	imgs := [][]byte{[]byte("head-tail"), []byte("head-a-much-longer-middle-tail"), []byte("ht"), []byte(""), []byte("x")}
+	rid, err := h.Insert(imgs[0], 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []*wal.Record
+	for i := 1; i < len(imgs); i++ {
+		r := patchRec(rid, imgs[i-1], imgs[i], uint64(i+1))
+		recs = append(recs, r)
+		if applied, err := h.RedoPatch(r); err != nil || !applied {
+			t.Fatalf("redo %d: applied %v, err %v", i, applied, err)
+		}
+		if b, _ := h.Get(rid); !bytes.Equal(b, imgs[i]) {
+			t.Fatalf("redo %d: got %q, want %q", i, b, imgs[i])
+		}
+	}
+	lsn := uint64(100)
+	for i := len(recs) - 1; i >= 0; i-- {
+		if err := h.UndoPatchWith(recs[i], func() uint64 { lsn++; return lsn }); err != nil {
+			t.Fatalf("undo %d: %v", i, err)
+		}
+		if b, _ := h.Get(rid); !bytes.Equal(b, imgs[i]) {
+			t.Fatalf("undo %d: got %q, want %q", i, b, imgs[i])
+		}
+	}
+}
+
+// TestRedoPatchMismatch: a patch whose pre-image the slot does not hold
+// fails with a PatchMismatchError naming the record, for redo and undo,
+// and leaves the page unchanged.
+func TestRedoPatchMismatch(t *testing.T) {
+	h := newHeap(t)
+	rid, err := h.Insert([]byte("balance=17"), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(what string, err error, lsn uint64) {
+		t.Helper()
+		var pm *PatchMismatchError
+		if !errors.As(err, &pm) || pm.LSN != lsn || pm.Table != 7 || pm.Page != rid.Page || pm.Slot != rid.Slot {
+			t.Fatalf("%s: err = %v, want a PatchMismatchError for lsn %d", what, err, lsn)
+		}
+		if b, _ := h.Get(rid); string(b) != "balance=17" {
+			t.Fatalf("%s: page changed to %q", what, b)
+		}
+	}
+	_, err = h.RedoPatch(patchRec(rid, []byte("balance=18"), []byte("balance=19"), 5))
+	check("redo", err, 5)
+	_, err = h.RedoPatch(patchRec(rid, []byte("balance=17-and-more"), []byte("balance=17-and-less"), 6))
+	check("redo past the image end", err, 6)
+	logged := false
+	err = h.UndoPatchWith(patchRec(rid, []byte("balance=16"), []byte("balance=18"), 7), func() uint64 { logged = true; return 8 })
+	check("undo", err, 7)
+	if logged {
+		t.Fatal("undo logged a compensation for a patch it did not apply")
 	}
 }
 

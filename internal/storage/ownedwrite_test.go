@@ -8,6 +8,7 @@ import (
 	"dora/internal/buffer"
 	"dora/internal/metrics"
 	"dora/internal/page"
+	"dora/internal/wal"
 )
 
 // ownedRig builds a pool+heap with one record on a page stamped to tok.
@@ -207,6 +208,35 @@ func BenchmarkHeapMutateOwned(b *testing.B) {
 			return lsn
 		})
 		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkHeapRedoPatch is recovery's redo of a TPC-B balance update: an
+// 8-byte same-length patch spliced into the slot in place, under the
+// frame latch, with the page-LSN test in front.
+func BenchmarkHeapRedoPatch(b *testing.B) {
+	h := NewHeap(buffer.NewPool(16, buffer.NewMemDisk(), nil))
+	img := make([]byte, 29)
+	rid, err := h.Insert(img, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Two patches that flip the balance bytes back and forth.
+	var fwd, back [8]byte
+	for i := range fwd {
+		fwd[i] = 0xA5
+	}
+	recs := [2]wal.Record{
+		{Kind: wal.KUpdate, Table: 3, Page: rid.Page, Slot: rid.Slot, Off: 20, Redo: fwd[:], Undo: back[:]},
+		{Kind: wal.KUpdate, Table: 3, Page: rid.Page, Slot: rid.Slot, Off: 20, Redo: back[:], Undo: fwd[:]},
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r := &recs[i&1]
+		r.LSN = uint64(i + 2)
+		if _, err := h.RedoPatch(r); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -15,13 +15,18 @@ func (nullStore) Sync() error               { return nil }
 func (nullStore) Contents() ([]byte, error) { return nil, nil }
 func (nullStore) Close() error              { return nil }
 
-// tpcbUpdate is a TPC-B account-balance update record: a three-column
-// tuple image before and after, at the LSN and transaction magnitudes of
-// a 20-s tpcb-durable run.
+// tpcbUpdate is a TPC-B account-balance update record: a patch of the
+// 8-byte balance column of a three-column tuple, at the LSN and
+// transaction magnitudes of a 20-s tpcb-durable run.
 func tpcbUpdate() *wal.Record {
-	img := make([]byte, 29)
 	return &wal.Record{Kind: wal.KUpdate, PrevLSN: 12 << 20, TxnID: 21337, Table: 3,
-		Page: 301, Slot: 187, Key: 64512, Redo: img, Undo: append([]byte(nil), img...)}
+		Page: 301, Slot: 187, Key: 64512, Off: 21, Redo: make([]byte, 8), Undo: make([]byte, 8)}
+}
+
+// tpcbInsert is a TPC-B history insert record: a five-column tuple image.
+func tpcbInsert() *wal.Record {
+	return &wal.Record{Kind: wal.KInsert, PrevLSN: 12 << 20, TxnID: 21337, Table: 4,
+		Page: 1200, Slot: 150, Key: 64<<40 | 300_000_000_000, Redo: make([]byte, 47)}
 }
 
 func benchLog(b *testing.B) *Log {
@@ -34,14 +39,21 @@ func benchLog(b *testing.B) *Log {
 }
 
 // BenchmarkClogAppend is one appender alone: the uncontended solo
-// reservation plus the record fill.
+// reservation plus the record fill, for an update patch and for an
+// insert's full image.
 func BenchmarkClogAppend(b *testing.B) {
-	l := benchLog(b)
-	rec := tpcbUpdate()
-	b.ReportAllocs()
-	b.SetBytes(int64(wal.EncodedSize(rec)))
-	for i := 0; i < b.N; i++ {
-		l.Append(rec)
+	for _, c := range []struct {
+		name string
+		rec  *wal.Record
+	}{{"patch", tpcbUpdate()}, {"insert", tpcbInsert()}} {
+		b.Run(c.name, func(b *testing.B) {
+			l := benchLog(b)
+			b.ReportAllocs()
+			b.SetBytes(int64(wal.EncodedSize(c.rec)))
+			for i := 0; i < b.N; i++ {
+				l.Append(c.rec)
+			}
+		})
 	}
 }
 

@@ -29,6 +29,7 @@ package clog
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand/v2"
 	"sync"
 	"sync/atomic"
@@ -108,14 +109,21 @@ func getGroup() *group {
 	return g
 }
 
+// minExtent is the smallest extent buffer a group allocates. Records
+// vary in size (update patches by the bytes they change), so a recycled
+// group sized exactly for its first record would regrow for most later
+// ones; one allocation of minExtent covers every single-record extent of
+// the common shapes.
+const minExtent = 128
+
 // extent sizes g.buf for its reservation, reusing the pooled allocation
-// when it is big enough.
+// when it is big enough and otherwise allocating the next power of two
+// (at least minExtent), so a recycled group rarely regrows.
 func (g *group) extent(total int64) {
-	if int64(cap(g.buf)) >= total {
-		g.buf = g.buf[:total]
-	} else {
-		g.buf = make([]byte, total)
+	if int64(cap(g.buf)) < total {
+		g.buf = make([]byte, max(minExtent, 1<<bits.Len64(uint64(total-1))))
 	}
+	g.buf = g.buf[:total]
 }
 
 // waiter is one outstanding durability request: an asynchronous force's

@@ -461,11 +461,11 @@ func (s *slowSyncStore) Sync() error {
 }
 
 func TestCommitCallbacksSurviveBackpressure(t *testing.T) {
-	// Commit completions append the transaction's end record from their
-	// durability callback. Under backpressure (pending >= maxPending on a
-	// slow device) that append must not wedge the flush pipeline — the
-	// daemon would otherwise be waiting, inside the callback, for a flush
-	// only it can perform.
+	// A durability callback that appends (the storage manager's commit
+	// completions no longer do, but any caller may) must not wedge the
+	// flush pipeline under backpressure (pending >= maxPending on a slow
+	// device) — the daemon would otherwise be waiting, inside the
+	// callback, for a flush only it can perform.
 	store := &slowSyncStore{MemStore: wal.NewMemStore(), delay: 2 * time.Millisecond}
 	l, err := New(store, nil)
 	if err != nil {

@@ -36,7 +36,7 @@ type LSN = uint64
 type Kind uint8
 
 const (
-	// KUpdate logs an in-place record update (before and after images).
+	// KUpdate logs an in-place record update as a byte-range patch.
 	KUpdate Kind = iota + 1
 	// KInsert logs a record insertion (after image only).
 	KInsert
@@ -46,7 +46,8 @@ const (
 	KCommit
 	// KAbort marks the start of rollback.
 	KAbort
-	// KEnd marks transaction completion (after commit or full rollback).
+	// KEnd marks the completion of a rollback. A committed transaction
+	// ends with its KCommit: the commit record is terminal.
 	KEnd
 	// KCLR is a compensation log record written during rollback; its
 	// UndoNext points at the next record of the transaction to undo.
@@ -80,6 +81,13 @@ func (k Kind) String() string {
 
 // Record is one log record. Table/Page/Slot/Key locate the change; Redo
 // and Undo carry after/before images of the record payload.
+//
+// An update — KUpdate, or a KCLR whose Sub is KUpdate — is a byte-range
+// patch of the record image in its slot: Redo holds the new bytes and
+// Undo the old bytes of the range that starts at Off. Applying it is a
+// splice, new = cur[:Off] + Redo + cur[Off+len(Undo):] (see Splice), so
+// one shape covers same-length and length-changing updates, and a full
+// image is the patch with Off = 0. Diff computes the patch of two images.
 type Record struct {
 	LSN     LSN
 	PrevLSN LSN // previous record of the same transaction
@@ -92,12 +100,13 @@ type Record struct {
 	Page     page.ID
 	Slot     uint16
 	Key      int64
-	UndoNext LSN // CLR only: next LSN of this txn to undo
+	UndoNext LSN    // CLR only: next LSN of this txn to undo
+	Off      uint16 // update patches only: offset of the patched range
 	Redo     []byte
 	Undo     []byte
 }
 
-const fileHeader = "DORALOG2"
+const fileHeader = "DORALOG3"
 
 // HeaderSize is the length of the file header that precedes the first
 // record; the first valid LSN equals HeaderSize.
@@ -106,7 +115,7 @@ const HeaderSize = len(fileHeader)
 // truncHeader is the alternate file header of a prefix-truncated stream;
 // it is followed by the 8-byte LSN (= original stream offset) of the first
 // retained record, so LSNs survive truncation unchanged.
-const truncHeader = "DORATRN2"
+const truncHeader = "DORATRN3"
 
 // TruncHeaderSize is the length of the truncated-stream header: magic plus
 // the origin LSN.
@@ -459,8 +468,8 @@ func InitStore(store Store) (LSN, error) {
 }
 
 // StreamOrigin parses a raw log image's header, returning the LSN of the
-// first byte of body. Full streams ("DORALOG2") begin at HeaderSize;
-// prefix-truncated streams ("DORATRN2" + origin) begin wherever
+// first byte of body. Full streams ("DORALOG3") begin at HeaderSize;
+// prefix-truncated streams ("DORATRN3" + origin) begin wherever
 // truncation left them.
 func StreamOrigin(raw []byte) (LSN, []byte, error) {
 	if len(raw) >= HeaderSize && string(raw[:HeaderSize]) == fileHeader {
@@ -737,11 +746,11 @@ func PageKey(r *Record) (page.ID, bool) {
 //
 // where the payload is everything after the CRC. The rest are unsigned
 // varints (encoding/binary's uvarint): PrevLSN, TxnID, Table, Page,
-// Slot, the zigzag-mapped Key, UndoNext, then len(Redo) followed by Redo
-// and len(Undo) followed by Undo. A record's size depends on its fields
-// but never on its own LSN (the LSN is fixed-width and PrevLSN stays
-// absolute), because both log managers size a record before its LSN is
-// known. Kind and Sub each fit in four bits.
+// Slot, the zigzag-mapped Key, UndoNext, Off (update patches only), then
+// len(Redo) followed by Redo and len(Undo) followed by Undo. A record's
+// size depends on its fields but never on its own LSN (the LSN is
+// fixed-width and PrevLSN stays absolute), because both log managers size
+// a record before its LSN is known. Kind and Sub each fit in four bits.
 const (
 	lsnOff     = 8           // the LSN sits right after length and CRC
 	kindOff    = lsnOff + 8  // then the Kind|Sub<<4 byte
@@ -759,12 +768,16 @@ func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 // EncodedSize returns the framed size of r in bytes — the number of LSN
 // units the record occupies in the stream.
 func EncodedSize(r *Record) int {
-	return fixedBytes +
+	n := fixedBytes +
 		uvarintLen(r.PrevLSN) + uvarintLen(r.TxnID) +
 		uvarintLen(uint64(r.Table)) + uvarintLen(uint64(r.Page)) + uvarintLen(uint64(r.Slot)) +
 		uvarintLen(zigzag(r.Key)) + uvarintLen(r.UndoNext) +
 		uvarintLen(uint64(len(r.Redo))) + len(r.Redo) +
 		uvarintLen(uint64(len(r.Undo))) + len(r.Undo)
+	if PhysicalKind(r) == KUpdate {
+		n += uvarintLen(uint64(r.Off))
+	}
+	return n
 }
 
 // encode frames rec. The checksum is left for Append to fill after it
@@ -792,6 +805,9 @@ func encodeInto(b []byte, r *Record, withCRC bool) {
 	w += binary.PutUvarint(b[w:], uint64(r.Slot))
 	w += binary.PutUvarint(b[w:], zigzag(r.Key))
 	w += binary.PutUvarint(b[w:], r.UndoNext)
+	if PhysicalKind(r) == KUpdate {
+		w += binary.PutUvarint(b[w:], uint64(r.Off))
+	}
 	w += binary.PutUvarint(b[w:], uint64(len(r.Redo)))
 	w += copy(b[w:], r.Redo)
 	w += binary.PutUvarint(b[w:], uint64(len(r.Undo)))
@@ -857,6 +873,9 @@ func decodePayload(p []byte) (*Record, error) {
 	r.Slot = uint16(d.uvarint(math.MaxUint16))
 	r.Key = unzigzag(d.uvarint(math.MaxUint64))
 	r.UndoNext = d.uvarint(math.MaxUint64)
+	if PhysicalKind(r) == KUpdate {
+		r.Off = uint16(d.uvarint(math.MaxUint16))
+	}
 	r.Redo = d.image()
 	r.Undo = d.image()
 	if d.err != nil {
@@ -866,4 +885,32 @@ func decodePayload(p []byte) (*Record, error) {
 		return nil, fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, len(p)-d.w)
 	}
 	return r, nil
+}
+
+// Diff returns the patch that turns the record image old into new: the
+// length of their common prefix, and the middles of new (redo) and of old
+// (undo) left once the common prefix and suffix are trimmed. redo and
+// undo are subslices of the arguments; equal images give two empty
+// middles. Splice(dst, old, off, redo, len(undo)) rebuilds new, and
+// Splice(dst, new, off, undo, len(redo)) rebuilds old.
+func Diff(old, new []byte) (off int, redo, undo []byte) {
+	n := min(len(old), len(new))
+	for off < n && old[off] == new[off] {
+		off++
+	}
+	suf := 0
+	for suf < n-off && old[len(old)-1-suf] == new[len(new)-1-suf] {
+		suf++
+	}
+	return off, new[off : len(new)-suf], old[off : len(old)-suf]
+}
+
+// Splice appends to dst the image cur with its cut bytes at off replaced
+// by ins — cur[:off] + ins + cur[off+cut:] — and returns the extended
+// slice. It allocates only when dst lacks the capacity. The caller checks
+// that the range lies inside cur and holds the patch's pre-image.
+func Splice(dst, cur []byte, off int, ins []byte, cut int) []byte {
+	dst = append(dst, cur[:off]...)
+	dst = append(dst, ins...)
+	return append(dst, cur[off+cut:]...)
 }

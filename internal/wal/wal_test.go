@@ -32,10 +32,11 @@ func TestScanRoundTrip(t *testing.T) {
 	l := mk(t)
 	want := []*Record{
 		{Kind: KInsert, TxnID: 1, Table: 3, Page: 7, Slot: 2, Key: 99, Redo: []byte("new")},
-		{Kind: KUpdate, TxnID: 1, Table: 3, Page: 7, Slot: 2, Key: 99, Redo: []byte("after"), Undo: []byte("before")},
-		{Kind: KCLR, Sub: KUpdate, TxnID: 2, UndoNext: 5, Redo: []byte("comp")},
+		{Kind: KUpdate, TxnID: 1, Table: 3, Page: 7, Slot: 2, Key: 99, Off: 12, Redo: []byte("after"), Undo: []byte("before")},
+		{Kind: KCLR, Sub: KUpdate, TxnID: 2, UndoNext: 5, Off: 300, Redo: []byte("comp")},
 		{Kind: KCommit, TxnID: 1},
-		{Kind: KEnd, TxnID: 1},
+		{Kind: KAbort, TxnID: 2},
+		{Kind: KEnd, TxnID: 2},
 	}
 	for _, r := range want {
 		r.PrevLSN = 11
@@ -52,7 +53,7 @@ func TestScanRoundTrip(t *testing.T) {
 		g := got[i]
 		if g.Kind != w.Kind || g.Sub != w.Sub || g.TxnID != w.TxnID ||
 			g.Table != w.Table || g.Page != w.Page || g.Slot != w.Slot ||
-			g.Key != w.Key || g.UndoNext != w.UndoNext || g.PrevLSN != 11 {
+			g.Key != w.Key || g.UndoNext != w.UndoNext || g.Off != w.Off || g.PrevLSN != 11 {
 			t.Fatalf("record %d mismatch: %+v vs %+v", i, g, w)
 		}
 		if string(g.Redo) != string(w.Redo) || string(g.Undo) != string(w.Undo) {
