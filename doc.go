@@ -114,8 +114,8 @@
 // Observability (experiment E18) closes the loop on all of it: an
 // always-on sampled latency tracer (internal/trace) follows one
 // transaction in N end to end — admission, queue wait, execution,
-// suspends, ships, the commit queue, log reserve/fill, the
-// flush-hardening wait, early lock release, semi-sync ack waits, and
+// suspends, ships, log reserve/fill, the flush-hardening wait, early
+// lock release, semi-sync ack waits, and
 // replica delivery/apply — recording spans on per-worker lock-free
 // rings (drop-on-full, never a stall) that an aggregator drains into
 // per-stage power-of-two histograms. The monitor snapshot carries the

@@ -112,6 +112,37 @@ func BenchmarkInboxPushPopAll(b *testing.B) {
 	}
 }
 
+// BenchmarkInboxParkWake: a ping-pong between two inboxes, each drained
+// by its own goroutine the way a partition worker drains its queue. Every
+// op is one round trip, so each side parks in popAll and is woken by the
+// other's push once per op: the cost of handing work to an idle worker.
+func BenchmarkInboxParkWake(b *testing.B) {
+	ping, pong := newInbox(), newInbox()
+	m := &releaseMsg{txn: 1}
+	go func() {
+		var buf []msg
+		for {
+			batch, ok := pong.popAll(buf)
+			if !ok {
+				return
+			}
+			for range batch {
+				ping.push(m)
+			}
+			buf = batch
+		}
+	}()
+	defer pong.close()
+	var buf []msg
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pong.push(m)
+		batch, _ := ping.popAll(buf)
+		buf = batch
+	}
+}
+
 // BenchmarkExecAsyncRead: one single-action aligned read transaction
 // per op through a one-partition engine, dispatch to verdict.
 func BenchmarkExecAsyncRead(b *testing.B) {

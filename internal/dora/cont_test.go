@@ -130,8 +130,7 @@ func TestContinuationShipCommits(t *testing.T) {
 
 // TestContinuationAbortCompensatesBothSides: a phase whose suspending
 // action succeeds while a sibling fails must roll BOTH tables back —
-// the committer's compensation rides RollbackAsync in continuation
-// mode.
+// the compensation rides RollbackAsync in continuation mode.
 func TestContinuationAbortCompensatesBothSides(t *testing.T) {
 	s, acct, ledger, e := rig2(t, 50, 2, Config{})
 	boom := &xct.Action{

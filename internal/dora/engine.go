@@ -58,9 +58,6 @@ type Config struct {
 	// Domains gives the routing-value domain [lo, hi] per table name.
 	// Tables without an entry default to [0, 1<<31].
 	Domains map[string][2]int64
-	// Committers is the size of the commit-service pool that runs log
-	// forces and rollbacks off the partition workers (default 4).
-	Committers int
 	// LocalTimeout bounds waits in partition lock tables (default 2s).
 	LocalTimeout time.Duration
 	// TickEvery is the timeout-sweep period (default 250ms).
@@ -89,9 +86,6 @@ func (c *Config) fill() {
 	if c.PartitionsPerTable <= 0 {
 		c.PartitionsPerTable = 4
 	}
-	if c.Committers <= 0 {
-		c.Committers = 4
-	}
 	if c.LocalTimeout <= 0 {
 		c.LocalTimeout = 2 * time.Second
 	}
@@ -118,9 +112,7 @@ type Dora struct {
 	nextWorker int
 
 	coordSes *sm.Session
-	commitq  chan *flowRun
 	wg       sync.WaitGroup
-	commitWG sync.WaitGroup
 	stopTick chan struct{}
 	closed   bool
 
@@ -132,12 +124,13 @@ type Dora struct {
 	hookMu        sync.Mutex
 	rebalanceHook func(RebalanceEvent)
 
-	// Committed/Aborted count outcomes; Unaligned counts accesses whose
-	// key field was not the partitioning field (experiment E7 signal);
-	// Timeouts counts local lock-wait aborts.
-	Committed metrics.Counter
-	Aborted   metrics.Counter
-	Timeouts  metrics.Counter
+	// Committed/Aborted count outcomes; Timeouts counts local lock-wait
+	// aborts; RollbackFailures counts aborts whose undo failed (the
+	// client got a *RollbackError and the run's local locks stay held).
+	Committed        metrics.Counter
+	Aborted          metrics.Counter
+	Timeouts         metrics.Counter
+	RollbackFailures metrics.Counter
 	// AsyncResolves counts unaligned-action resolver probes dispatched in
 	// continuation-passing form (the dispatcher suspended instead of
 	// blocking on the probe's cross-partition ship).
@@ -174,7 +167,6 @@ func New(s *sm.SM, cfg Config) *Dora {
 		tableParts: make(map[uint32][]*partition),
 		byWorker:   make(map[int]*partition),
 		coordSes:   s.Session(-1),
-		commitq:    make(chan *flowRun, 1024),
 		stopTick:   make(chan struct{}),
 		unaligned:  make(map[uint32]map[string]int64),
 		aligned:    make(map[uint32]int64),
@@ -211,10 +203,6 @@ func New(s *sm.SM, cfg Config) *Dora {
 		}
 		e.routers[tbl.ID] = router.NewUniform(tbl.PartitionField(), lo, hi, handles)
 		e.claimAccessPaths(tbl)
-	}
-	for i := 0; i < cfg.Committers; i++ {
-		e.commitWG.Add(1)
-		go e.committer()
 	}
 	go e.ticker()
 	return e
@@ -292,10 +280,17 @@ func (e *Dora) Exec(worker int, flow *xct.Flow) error {
 // ExecAsync runs the flow without blocking the caller: phase 0's actions
 // are dispatched fire-and-forget, every later phase (and the commit
 // decision) is triggered by an RVP countdown reaching zero, and done
-// fires exactly once — from the commit pipeline — with the transaction's
-// verdict. Nothing in the flow's lifetime parks a goroutine on another
-// partition's work: this is the paper's asynchronous action model end to
-// end, with Exec as the thin synchronous wrapper clients use.
+// fires exactly once with the transaction's verdict. Nothing in the
+// flow's lifetime parks a goroutine on another partition's work: this is
+// the paper's asynchronous action model end to end, with Exec as the
+// thin synchronous wrapper clients use.
+//
+// done runs on whichever goroutine resolves the transaction: a partition
+// worker (the last action's, or the one whose compensation finished the
+// rollback), the dispatching goroutine (a flow that failed to route), or
+// the log's flush goroutine (a commit completing once its record is
+// durable). It must not block: while it runs, that worker's queue or
+// every later commit of the same flush waits behind it.
 func (e *Dora) ExecAsync(worker int, flow *xct.Flow, done func(error)) {
 	if len(flow.Phases) == 0 {
 		done(nil)
@@ -490,7 +485,9 @@ func (e *Dora) enqueuePhase(targets []dispatchTarget) {
 	}
 }
 
-// report is called once per action; the last reporter advances the flow.
+// report is called once per action; the last reporter advances the flow:
+// it dispatches the next phase or, after the last phase or a failure,
+// decides the transaction's outcome itself (resolve).
 func (e *Dora) report(r *rvp, err error) {
 	if err != nil {
 		r.run.fail(err)
@@ -500,72 +497,65 @@ func (e *Dora) report(r *rvp, err error) {
 	}
 	run := r.run
 	if run.failed() || r.phase+1 >= len(run.flow.Phases) {
-		if run.txn.Trace != nil {
-			run.commitqAt = time.Now()
-		}
-		e.commitq <- run
+		e.resolve(run)
 		return
 	}
 	e.dispatchPhase(run, r.phase+1)
 }
 
-// committer is the commit service: it takes finished runs off the
-// partition workers, appends their commit records (or rolls them back),
-// and broadcasts the local-lock release to every partition of every
-// touched table. Commits are pipelined: the committer does not wait for
-// the log sync — the log's flush daemon completes the transaction (and
-// unblocks its client) once the commit record hardens, while the locks
-// are already released at commit-LSN assignment (early lock release; safe
-// because the log flushes in LSN order, so no dependent transaction can
-// become durable first).
-func (e *Dora) committer() {
-	defer e.commitWG.Done()
-	for run := range e.commitq {
-		tt := run.txn.Trace
-		if tt != nil && !run.commitqAt.IsZero() {
-			tt.Span(trace.StageCommitQueue, -1, run.commitqAt, time.Since(run.commitqAt))
-		}
-		if ferr := run.firstErr(); ferr != nil {
-			// Rollback is safe off-partition: the run still holds its
-			// local locks, so no other transaction can touch its data
-			// logically — and physically, the committer's compensations
-			// ship to the owning partition workers through the
-			// partitioned trees' owner executors (thread-to-data is
-			// preserved under rollback). The whole undo chain rides the
-			// async path: the committer fires it and moves to the next
-			// run; the final continuation releases the locks and reports
-			// the abort.
-			run := run
-			ferr := ferr
-			e.sm.RollbackAsync(nil, run.txn, nil, func(rbErr error) {
-				if rbErr != nil {
-					panic(fmt.Sprintf("dora: rollback of txn %d failed: %v", run.txn.ID, rbErr))
-				}
-				e.Aborted.Inc()
-				e.broadcastRelease(run)
-				run.finish(ferr)
-			})
-			continue
-		}
-		e.sm.CommitAsync(run.txn, func(err error) {
-			if err != nil {
-				// Log-device failure after the locks were released: the
-				// log is dead, so physical rollback is pointless — report
-				// the abort to the client.
-				e.Aborted.Inc()
-			} else {
-				e.Committed.Inc()
+// resolve commits or rolls back a run on the goroutine whose report
+// brought its last rendezvous point to zero — usually the partition
+// worker that ran the last action (paper §1.1: the last thread to report
+// decides). A commit appends the commit record, then broadcasts the
+// local-lock release to every partition of every touched table. Commits
+// are pipelined: nothing waits for the log sync — the log's flush
+// goroutine completes the transaction (and unblocks its client) once the
+// commit record hardens, while the locks are already released at
+// commit-LSN assignment (early lock release; safe because the log
+// flushes in LSN order, so no dependent transaction can become durable
+// first).
+func (e *Dora) resolve(run *flowRun) {
+	if ferr := run.firstErr(); ferr != nil {
+		// The run still holds its local locks, so no other transaction
+		// can touch its data logically — and physically, each
+		// compensation ships to the owning partition worker through the
+		// partitioned trees' owner executors (thread-to-data is preserved
+		// under rollback). The undo chain rides the async path: the final
+		// continuation releases the locks and reports the abort.
+		e.sm.RollbackAsync(nil, run.txn, nil, func(rbErr error) {
+			if rbErr != nil {
+				// The run's keys hold a half-undone state: keep its local
+				// locks (waiters time out through sweepTimeouts) and hand
+				// the client the typed failure.
+				e.RollbackFailures.Inc()
+				run.finish(&RollbackError{Txn: run.txn.ID, Err: rbErr})
+				return
 			}
-			run.finish(err)
+			e.Aborted.Inc()
+			e.broadcastRelease(run)
+			run.finish(ferr)
 		})
-		var relAt time.Time
-		if tt != nil {
-			relAt = time.Now()
+		return
+	}
+	tt := run.txn.Trace
+	e.sm.CommitAsync(run.txn, func(err error) {
+		if err != nil {
+			// Log-device failure after the locks were released: the log
+			// is dead, so physical rollback is pointless — report the
+			// abort to the client.
+			e.Aborted.Inc()
+		} else {
+			e.Committed.Inc()
 		}
-		e.broadcastRelease(run)
-		if tt != nil {
-			tt.Span(trace.StageLockRelease, -1, relAt, time.Since(relAt))
-		}
+		run.finish(err)
+	})
+	var relAt time.Time
+	if tt != nil {
+		relAt = time.Now()
+	}
+	e.broadcastRelease(run)
+	if tt != nil {
+		tt.Span(trace.StageLockRelease, -1, relAt, time.Since(relAt))
 	}
 }
 
@@ -626,7 +616,7 @@ func (e *Dora) ticker() {
 			}
 			e.topoMu.RUnlock()
 			for _, p := range parts {
-				p.in.push(ctlMsg((*partition).tick))
+				p.in.push(ctlMsg((*partition).sweepTimeouts))
 			}
 		}
 	}
@@ -690,8 +680,6 @@ func (e *Dora) Close() error {
 	}
 	e.closed = true
 	close(e.stopTick)
-	close(e.commitq)
-	e.commitWG.Wait()
 	e.topoMu.Lock()
 	for _, p := range e.byWorker {
 		p.in.close()

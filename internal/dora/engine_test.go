@@ -432,35 +432,3 @@ func TestPartitionStatsShape(t *testing.T) {
 		t.Fatalf("total width %d, want 100", width)
 	}
 }
-
-// TestWorkersStayPinned: every partition worker runs locked to its OS
-// thread, so the tid sampled at each timeout tick never changes while
-// clients keep the workers busy across many tick periods. (Off Linux
-// osThreadID reads 0 and the counter stays 0 trivially.)
-func TestWorkersStayPinned(t *testing.T) {
-	const n = 64
-	_, acct, ledger, e := rig2(t, n, 4, Config{TickEvery: 2 * time.Millisecond})
-	deadline := time.Now().Add(30 * e.cfg.TickEvery)
-	var wg sync.WaitGroup
-	errs := make(chan error, 8)
-	for c := 0; c < 8; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for i := 0; time.Now().Before(deadline); i++ {
-				if err := e.Exec(c, xferFlow2(acct, ledger, int64(c*7+i)%n+1)); err != nil {
-					errs <- err
-					return
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	if got := e.LockSnapshot().ThreadSwitches; got != 0 {
-		t.Fatalf("ThreadSwitches = %d, want 0: a worker left its OS thread", got)
-	}
-}

@@ -1,7 +1,6 @@
 package dora
 
 import (
-	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -60,7 +59,7 @@ type adoptMsg struct{ locks *hierMoved }
 
 // ctlMsg runs a control step on the worker's thread: a split hand-over
 // (splitOut), a merge evacuation (evacuate), a lock-table reset
-// (clearLocks) or the timeout sweep (tick).
+// (clearLocks) or the timeout sweep (sweepTimeouts).
 type ctlMsg func(*partition)
 
 // partition is a DORA micro-engine: one goroutine owning one logical
@@ -130,11 +129,6 @@ type partition struct {
 	Deescalations    metrics.Gauge
 	MaintKeyProbes   metrics.Gauge
 	MaintRangeProbes metrics.Gauge
-	// ThreadSwitches counts OS-thread migrations observed at timeout
-	// ticks (tid changed since the previous tick). Workers are pinned, so
-	// it stays zero; a non-zero value means the pin was lost.
-	ThreadSwitches metrics.Counter
-	lastTID        int64
 }
 
 func newPartition(e *Dora, tbl *catalog.Table, worker int, adoptWait bool) *partition {
@@ -155,16 +149,16 @@ func newPartition(e *Dora, tbl *catalog.Table, worker int, adoptWait bool) *part
 }
 
 // loop is the worker body: batch-drain the inbox (one mutex round per
-// batch), process serially. The goroutine is pinned to its OS thread
-// for its whole life: a micro-engine's cache/NUMA locality is the point
-// of thread-to-data, and the scheduler migrating it between threads (and
-// with them, cores) forfeits it.
+// batch), process serially. It is a plain goroutine, not locked to an OS
+// thread: when its inbox is empty it parks in the Go scheduler, which
+// hands the thread to other runnable goroutines instead of putting it to
+// sleep in the kernel. Thread-to-data holds at the level the engine
+// relies on — one goroutine owns the partition's lock table, subtrees
+// and stamped pages. When an action's report completes its transaction,
+// the commit (or the rollback's start) runs here too (Dora.resolve).
 func (p *partition) loop() {
 	defer p.eng.wg.Done()
 	defer close(p.exited)
-	runtime.LockOSThread()
-	defer runtime.UnlockOSThread()
-	p.lastTID = osThreadID()
 	if det := p.eng.shipDet; det != nil {
 		p.frame = det.register(p.worker)
 		defer det.unregister()
@@ -371,17 +365,6 @@ func (p *partition) clearLocks() {
 	p.eng.retiredLocks.fold(p.locks.snapshotStats())
 	p.locks = newHierLockTable(p.eng.cfg.EscalateAt)
 	p.mirrorLockStats()
-}
-
-// tick runs the waiter-timeout sweep and notes OS-thread migrations.
-func (p *partition) tick() {
-	if tid := osThreadID(); tid != p.lastTID {
-		if p.lastTID != 0 && tid != 0 {
-			p.ThreadSwitches.Inc()
-		}
-		p.lastTID = tid
-	}
-	p.sweepTimeouts()
 }
 
 // unstampMoved strips this worker's heap-page stamps from every page

@@ -35,13 +35,11 @@ type PartitionStat struct {
 	Suspended   int64 `json:"suspended"`
 	OverlapExec int64 `json:"overlap_exec"`
 	HeldKeys    int64 `json:"held_keys"`
-	// Lock-hierarchy accounting (see LockStats for field meanings) and
-	// the OS-thread migrations observed at ticks (zero while pinned).
+	// Lock-hierarchy accounting (see LockStats for field meanings).
 	LockAcquisitions int64 `json:"lock_acquisitions"`
 	RangeLocks       int64 `json:"range_locks"`
 	Escalations      int64 `json:"escalations"`
 	Deescalations    int64 `json:"deescalations"`
-	ThreadSwitches   int64 `json:"thread_switches"`
 	// Ranges is the number of routing ranges assigned to this worker and
 	// Width their total value-space width.
 	Ranges int   `json:"ranges"`
@@ -75,7 +73,6 @@ func (e *Dora) PartitionStats() []PartitionStat {
 				RangeLocks:       p.RangeLocks.Load(),
 				Escalations:      p.Escalations.Load(),
 				Deescalations:    p.Deescalations.Load(),
-				ThreadSwitches:   p.ThreadSwitches.Load(),
 			}
 			if rt != nil {
 				for _, r := range rt.Ranges() {
@@ -186,8 +183,9 @@ type LockStats struct {
 	// per-record KeyBusy checks vs one-intent RangeBusy checks.
 	KeyProbes   int64 `json:"key_probes"`
 	RangeProbes int64 `json:"range_probes"`
-	// ThreadSwitches counts worker OS-thread migrations observed at
-	// ticks (zero while the workers stay pinned).
+	// ThreadSwitches is always 0: workers are plain goroutines, not
+	// locked to OS threads, so there is no migration to count. The field
+	// stays for readers of the snapshot's thread_switches series.
 	ThreadSwitches int64 `json:"thread_switches"`
 }
 
@@ -227,7 +225,6 @@ func (e *Dora) LockSnapshot() LockStats {
 			s.Deescalations += p.Deescalations.Load()
 			s.KeyProbes += p.MaintKeyProbes.Load()
 			s.RangeProbes += p.MaintRangeProbes.Load()
-			s.ThreadSwitches += p.ThreadSwitches.Load()
 		}
 	}
 	e.topoMu.RUnlock()

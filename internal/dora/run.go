@@ -2,6 +2,7 @@ package dora
 
 import (
 	"errors"
+	"fmt"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -15,6 +16,22 @@ import (
 // local lock table (cross-partition conflict the canonical enqueue order
 // could not serialize); the transaction aborts and may be retried.
 var ErrLocalTimeout = errors.New("dora: local lock wait timeout")
+
+// RollbackError reports an aborted transaction whose undo failed: the
+// storage manager could not apply one of its compensations (Err says
+// why). The transaction is neither committed nor rolled back; its
+// partitions keep its local locks, so conflicting transactions time out
+// with ErrLocalTimeout instead of seeing the half-undone state.
+type RollbackError struct {
+	Txn uint64
+	Err error
+}
+
+func (e *RollbackError) Error() string {
+	return fmt.Sprintf("dora: rollback of txn %d failed: %v", e.Txn, e.Err)
+}
+
+func (e *RollbackError) Unwrap() error { return e.Err }
 
 // phaseInline is the number of actions (plus claims) a phase dispatches
 // without its dispatch arrays spilling to the heap.
@@ -34,7 +51,8 @@ type flowRun struct {
 	flow *xct.Flow
 	txn  *tx.Txn
 	// done delivers the final verdict to the client exactly once, through
-	// finish (the commit pipeline or the rollback continuation calls it).
+	// finish (the commit completion or the rollback continuation calls
+	// it).
 	done func(error)
 	// gated is set while the run holds the engine's execution gate
 	// shared (ExecAsync); finish releases it exactly once, even if a
@@ -46,12 +64,6 @@ type flowRun struct {
 	// tables lists the touched tables (tableBuf until it spills).
 	tables   []uint32
 	tableBuf [phaseInline]uint32
-
-	// commitqAt is when the last action's report pushed the run onto the
-	// commit queue (set only for traced transactions; the committer turns
-	// it into the commit-queue-wait span). Written by the last reporter,
-	// read by the committer — the channel hand-off orders the accesses.
-	commitqAt time.Time
 
 	failedFlag atomic.Bool
 

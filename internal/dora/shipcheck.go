@@ -132,7 +132,8 @@ func (d *shipDetector) unregister() {
 }
 
 // current returns the calling goroutine's frame, or nil when the caller
-// is not a partition worker (clients, the commit service, maintenance).
+// is not a partition worker (clients, the log's flush goroutine,
+// maintenance).
 func (d *shipDetector) current() *shipFrame {
 	id := goid()
 	d.mu.RLock()

@@ -87,7 +87,7 @@ func (e *Engine) Exec(worker int, flow *xct.Flow) error {
 		// Only a log-device failure lands here. The locks are already
 		// gone, so a physical rollback could stomp rows a successor
 		// transaction now owns — the log is dead anyway, so just report
-		// the abort (mirrors the DORA committer).
+		// the abort (mirrors DORA's commit path).
 		e.Aborted.Inc()
 		return err
 	}

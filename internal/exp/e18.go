@@ -23,8 +23,8 @@ import (
 // coverage, and a per-stage breakdown (per-transaction attribution:
 // stage time summed over traced transactions divided by the sample
 // count). Below the knee the breakdown is dominated by exec and the
-// commit pipeline; past it, queue_wait and commit_queue grow while exec
-// stays flat — queueing, not work, is where overload latency lives.
+// commit pipeline; past it, queue_wait grows while exec stays flat —
+// queueing, not work, is where overload latency lives.
 //
 // The built-in consistency check: over the txn-scoped stages (the
 // engine-scoped SampleHop stages — ship, kont, log reserve/fill,
@@ -138,7 +138,6 @@ var e18TxnScoped = map[string]bool{
 	trace.StageQueueWait.String():   true,
 	trace.StageExec.String():        true,
 	trace.StageSuspend.String():     true,
-	trace.StageCommitQueue.String(): true,
 	trace.StageLogAppend.String():   true,
 	trace.StageFlushWait.String():   true,
 	trace.StageLockRelease.String(): true,

@@ -33,8 +33,9 @@ import (
 // ContExec re-exports the btree continuation executor: callbacks are
 // delivered through it to the thread an async operation originated from.
 // nil means "no home thread" — continuations then run inline on whichever
-// thread completed the operation (acceptable for callers that are not
-// partition workers, e.g. the commit service's rollback chain).
+// thread completed the operation (acceptable when the continuation needs
+// no particular thread, e.g. DORA's rollback chain, whose next step
+// ships to its own owner anyway).
 type ContExec = btree.ContExec
 
 // ReadAsync is Read in continuation-passing style.
@@ -154,8 +155,9 @@ func (ss *Session) ReadByIndexAsync(t *tx.Txn, tbl *catalog.Table, idx string, k
 // async ship path to its owning partition, and done(err) fires exactly
 // once after the end record was logged (or the first compensation
 // failure). The caller's thread is never parked on a partition worker —
-// DORA's commit service uses this so an abort's compensation chain does
-// not idle a committer on every cross-partition round trip.
+// DORA starts an abort's rollback on the worker whose report aborted the
+// flow, which must keep draining its inbox (its own compensations may
+// ship back to it).
 func (s *SM) RollbackAsync(caller *btree.Owner, t *tx.Txn, home ContExec, done func(error)) {
 	if t.LastLSN() != 0 {
 		t.Append(s.Log, wal.Record{Kind: wal.KAbort, TxnID: t.ID})

@@ -26,9 +26,6 @@ const (
 	StageShip
 	// StageKont is a kontMsg's flight time back to the home worker.
 	StageKont
-	// StageCommitQueue is the wait in the engine's commit queue between
-	// the last action reporting and a committer picking the flow up.
-	StageCommitQueue
 	// StageLogAppend is sm.CommitAsync's synchronous log append of the
 	// commit record (reserve + fill, from the transaction's view).
 	StageLogAppend
@@ -62,7 +59,6 @@ var stageNames = [stageCount]string{
 	StageSuspend:     "suspend",
 	StageShip:        "ship",
 	StageKont:        "kont",
-	StageCommitQueue: "commit_queue",
 	StageLogAppend:   "log_append",
 	StageLogReserve:  "log_reserve",
 	StageLogFill:     "log_fill",

@@ -182,27 +182,31 @@ func TestDeliveryConsumesNewOrders(t *testing.T) {
 	})
 }
 
+// TestMixOnBothEngines: the TPC-C mix commits on both engines. It is a
+// liveness check, not a throughput gate: each engine is driven in short
+// windows until it has committed 20 transactions, and fails only if 10 s
+// pass first.
 func TestMixOnBothEngines(t *testing.T) {
 	db := loadDB(t)
 	mix := db.NewMix(MixOptions{})
-
-	conv := conventional.New(db.SM)
-	res := (&workload.Driver{
-		Engine: conv, Mix: mix, Clients: 4,
-		Duration: 400 * time.Millisecond, Seed: 3,
-	}).Run()
-	if res.Committed < 20 {
-		t.Fatalf("conventional committed %d", res.Committed)
+	commit20 := func(name string, eng engine.Engine, seed int64) {
+		t.Helper()
+		var committed int64
+		deadline := time.Now().Add(10 * time.Second)
+		for committed < 20 && time.Now().Before(deadline) {
+			res := (&workload.Driver{
+				Engine: eng, Mix: mix, Clients: 4,
+				Duration: 400 * time.Millisecond, Seed: seed,
+			}).Run()
+			committed += res.Committed
+			seed += 2
+		}
+		if committed < 20 {
+			t.Fatalf("%s committed %d in 10s", name, committed)
+		}
 	}
-
-	de := newDora(t, db)
-	res2 := (&workload.Driver{
-		Engine: de, Mix: mix, Clients: 4,
-		Duration: 400 * time.Millisecond, Seed: 4,
-	}).Run()
-	if res2.Committed < 20 {
-		t.Fatalf("dora committed %d", res2.Committed)
-	}
+	commit20("conventional", conventional.New(db.SM), 3)
+	commit20("dora", newDora(t, db), 4)
 }
 
 func TestDistrictOIDsNeverCollide(t *testing.T) {
