@@ -29,18 +29,29 @@
 // mutations of stamped pages are latch-free by construction
 // (storage.Heap's UpdateOwnedWith/DeleteOwnedWith/MutateOwnedWith and
 // latch-free owner inserts), because page cleaning is owner-coordinated
-// copy-on-write — the buffer pool's flush daemon (buffer.Cleaner),
-// checkpoint FlushAll, and eviction never latch a stamped dirty frame;
-// they ship a snapshot request through the owning worker's inbox, the
-// owner copies the page at a quiescent point of its own thread (a
-// consistent image at a known LSN), and the requester hardens the copy
-// — WAL forced to the copy's LSN first — while the owner keeps mutating
-// the live frame. A per-frame write-sequence counter, bumped with
+// copy-on-write — the buffer pool never latches a stamped dirty frame:
+// its one write-back routine, behind the flush daemon (buffer.Cleaner)
+// and checkpoint FlushAll, ships a snapshot request through the owning
+// worker's inbox, the owner copies the page at a quiescent point of its
+// own thread (a consistent image at a known LSN), and the requester
+// hardens the copy — WAL forced to the copy's LSN first — while the
+// owner keeps mutating the live frame; eviction leaves such a frame to
+// the daemon. A per-frame write-sequence counter, bumped with
 // release semantics before every byte mutation, replaces the latch for
 // conflict detection: the hardened copy clears the dirty bit only when
 // no mutation raced it (a double-checked clear). Eviction skips stamped
 // frames (a worker's hot set) while unstamped candidates exist and can
-// drop only CLEAN stamped frames when forced. Crash recovery is
+// drop only CLEAN stamped frames when forced. A page has at most one
+// frame (Effelsberg & Härder's buffer invariant): each frame carries a
+// state word — free, loading, resident, evicting — changed under its
+// shard mutex, so a dirty victim keeps its mapping while its evictor
+// writes it back (a Fetch of the page pins it and cancels the eviction)
+// and a Fetch miss re-checks the table after that write-back. Unstamped
+// pages are written under the shared frame latch, but the WAL force
+// before the write runs with the latch released and the page LSN is
+// re-checked after it, so no writer of a page waits out a log sync; one
+// harden step (stale-copy check, force, write, dirty clear) ends every
+// write-back. Crash recovery is
 // exactly-once whether the crash lands mid-snapshot or mid-write-back:
 // the on-disk image is always a consistent page at a known LSN and
 // ARIES redo-skip does the rest. The open-loop arrival-rate driver
@@ -106,10 +117,11 @@
 // deterministically, so parallel recovery is byte-for-byte identical to
 // serial — E17 asserts that digest equality at 1/2/4/8 appliers and
 // races a serial against a parallel replica on one shipped stream.
-// Checkpoint FlushAll pipelines its owner-coordinated snapshot ships
-// the same way: all stamped frames' ships go out at once and the copies
-// harden from a completion queue, so checkpoint latency stops scaling
-// with owner count.
+// Buffer-pool write-back pipelines its owner-coordinated snapshot ships
+// the same way — checkpoint FlushAll, the cleaner's paced sweep and its
+// eviction hints alike: all stamped frames' ships go out at once and the
+// copies harden from a completion queue, so checkpoint latency stops
+// scaling with owner count.
 //
 // Observability (experiment E18) closes the loop on all of it: an
 // always-on sampled latency tracer (internal/trace) follows one

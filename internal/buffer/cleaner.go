@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"dora/internal/metrics"
-	"dora/internal/page"
 )
 
 // Cleaner is the buffer pool's flush daemon: a paced background sweep
@@ -107,55 +106,17 @@ func (c *Cleaner) loop(stop chan struct{}) {
 
 // tick runs one unit: eviction's hints first, then a bounded sweep.
 func (c *Cleaner) tick() {
-	budget := c.cfg.Batch
-	for budget > 0 {
-		var pid page.ID
-		select {
-		case pid = <-c.pool.CleanRequests():
-		default:
-			pid = page.InvalidID
-		}
-		if pid == page.InvalidID {
-			break
-		}
-		if c.cleanOne(pid) {
-			budget--
-		}
+	p := c.pool
+	hinted := p.pinHinted(p.cleanq, c.cfg.Batch)
+	n, _ := p.writeBackFrames(hinted)
+	if budget := c.cfg.Batch - len(hinted); budget > 0 {
+		m, _ := p.CleanSome(budget)
+		n += m
 	}
-	if budget <= 0 {
-		c.Sweeps.Inc()
-		return
-	}
-	n, _ := c.pool.CleanSome(budget)
 	if n > 0 {
 		c.Sweeps.Inc()
 		c.CleanedPages.Add(int64(n))
 	}
-}
-
-// cleanOne hardens the named page if it is still resident and dirty.
-func (c *Cleaner) cleanOne(pid page.ID) bool {
-	p := c.pool
-	sh := p.shardOf(pid)
-	sh.mu.Lock()
-	idx, ok := sh.table[pid]
-	if !ok {
-		sh.mu.Unlock()
-		return false
-	}
-	f := sh.frames[idx]
-	if !f.valid || !f.dirty.Load() {
-		sh.mu.Unlock()
-		return false
-	}
-	f.pins.Add(1)
-	sh.mu.Unlock()
-	err := p.writeBack(f)
-	p.Unpin(f, false)
-	if err == nil {
-		c.CleanedPages.Inc()
-	}
-	return err == nil
 }
 
 // Sweep synchronously cleans every dirty frame once (tests, experiments:

@@ -169,7 +169,7 @@ func TestFinishCleanConflict(t *testing.T) {
 	f.MarkDirty()
 
 	// Harden the stale copy: dirty must survive.
-	if err := p.hardenSnapshot(PageSnapshot{Frame: f, Img: img, Seq: seqAt}); err != nil {
+	if err := p.harden(PageSnapshot{Frame: f, Img: img, Seq: seqAt}, false); err != nil {
 		t.Fatal(err)
 	}
 	if !f.dirty.Load() {
@@ -185,7 +185,7 @@ func TestFinishCleanConflict(t *testing.T) {
 	}
 	img2 := new(page.Page)
 	*img2 = g.Page
-	if err := p.hardenSnapshot(PageSnapshot{Frame: g, Img: img2, Seq: g.WriteSeq()}); err != nil {
+	if err := p.harden(PageSnapshot{Frame: g, Img: img2, Seq: g.WriteSeq()}, false); err != nil {
 		t.Fatal(err)
 	}
 	if g.dirty.Load() {

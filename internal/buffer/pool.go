@@ -24,6 +24,24 @@ type LogForcer interface {
 // be evicted.
 var ErrNoFrames = errors.New("buffer: all frames pinned")
 
+// Frame states. A page has at most one frame: the shard table maps it
+// to a frame that is loading, resident or evicting, and every state
+// change happens under the shard mutex except loading->resident, an
+// atomic store ordered after the disk read.
+const (
+	// frameFree holds no page and is not mapped.
+	frameFree uint32 = iota
+	// frameLoading is mapped while a Fetch miss reads the page image
+	// under the exclusive frame latch.
+	frameLoading
+	// frameResident holds a mapped page.
+	frameResident
+	// frameEvicting is a dirty victim whose evictor writes it back with
+	// the shard mutex dropped. It keeps its mapping: a Fetch hit pins it
+	// and makes it resident again, which cancels the eviction.
+	frameEvicting
+)
+
 // Frame is a buffer-pool slot holding one page. Callers access Page only
 // between Fetch/NewPage and Unpin, under the frame Latch (shared for
 // reads, exclusive for updates).
@@ -35,23 +53,17 @@ type Frame struct {
 
 	id    page.ID
 	idx   int // index within the owning shard
+	state atomic.Uint32
 	pins  atomic.Int32
 	dirty atomic.Bool
 	// pool points back at the owning pool for dirty-transition
 	// accounting (the Swap in setDirty/clearDirty makes each
 	// clean<->dirty transition count exactly once).
-	pool  *Pool
-	ref   atomic.Bool
-	valid bool
-	// loading is set while a Fetch miss reads the page image from disk.
-	// Latched readers wait on the frame latch the miss holds; LATCH-FREE
-	// accessors (owner-thread reads AND writes of stamped heap pages)
-	// must check this flag and fall back to the latched path while it is
-	// set, or they could observe (or scribble over) a half-read image.
-	loading atomic.Bool
-	// seq is the frame's write sequence: every heap record mutation bumps
-	// it immediately BEFORE touching page bytes (storage bumps it on the
-	// latched paths too, so the counter is protocol-independent). The
+	pool *Pool
+	ref  atomic.Bool
+	// seq is the frame's write sequence: heap record mutations bump it
+	// immediately BEFORE touching page bytes (every latch-free one does;
+	// recovery's latched redo does not). The
 	// copy-on-write cleaning protocol uses it for conflict detection in
 	// place of the frame latch: a snapshot copy taken on the owner's
 	// thread records the sequence, and after the copy hardens the dirty
@@ -83,13 +95,8 @@ func (f *Frame) setDirty() {
 	p.dirtyEst.Add(1)
 	// Tell the cleaner where the dirty page is. Callers hold the frame
 	// in use (latch or owner thread), so f.id is stable here; the
-	// consumer re-validates through the shard table anyway. A full
-	// queue drops the hint and flags one fallback scan instead.
-	select {
-	case p.dirtyq <- f.id:
-	default:
-		p.dirtyScan.Store(true)
-	}
+	// consumer re-validates through the shard table anyway.
+	p.hintDirty(f.id)
 }
 
 func (f *Frame) clearDirty() {
@@ -99,14 +106,18 @@ func (f *Frame) clearDirty() {
 }
 
 // Loading reports whether the frame's page image is still being read
-// from disk. The atomic store that clears it is ordered after the disk
-// read completes, so a reader observing false sees the full image.
-func (f *Frame) Loading() bool { return f.loading.Load() }
+// from disk. LATCH-FREE accessors (owner-thread reads and writes of
+// stamped heap pages) must fall back to the latched path while it is
+// true, or they could observe (or scribble over) a half-read image. The
+// store that ends loading is ordered after the disk read, so a reader
+// observing false sees the full image.
+func (f *Frame) Loading() bool { return f.state.Load() == frameLoading }
 
-// BumpWriteSeq advances the frame's write sequence. Heap mutators call it
-// immediately before modifying page bytes (on every path, latched or
-// latch-free); the bump-BEFORE-mutate order is what makes finishClean's
-// conditional dirty-clear sound — see that function.
+// BumpWriteSeq advances the frame's write sequence. Mutators that may run
+// latch-free call it immediately before modifying page bytes; the
+// bump-BEFORE-mutate order is what makes finishClean's conditional
+// dirty-clear sound — see that function. The latched write-back does not
+// rely on it (recovery's latched redo does not bump).
 func (f *Frame) BumpWriteSeq() { f.seq.Add(1) }
 
 // WriteSeq returns the current write sequence (read at snapshot-copy
@@ -125,7 +136,7 @@ type shard struct {
 
 // PageSnapshot is a consistent copy of a stamped page, produced ON the
 // owning worker's thread (the only mutator of the live frame). Frame is
-// pinned by the producer; hardenSnapshot unpins it after the copy is on
+// pinned by the producer; the write-back unpins it after the copy is on
 // disk. Seq is the frame write sequence at copy time.
 type PageSnapshot struct {
 	Frame *Frame
@@ -288,7 +299,7 @@ func (p *Pool) Stats() *metrics.CriticalSectionStats { return p.cs }
 // MarkStamped records that a page carries an owner stamp. The storage
 // layer calls it in lock-step with its own stamp registry (publish the
 // stamp, then mark, both before the stamp's content verify takes the
-// frame latch — writeBackLatched's decisive re-check depends on that
+// frame latch — writeLatched's decisive re-check depends on that
 // order). Stamped pages are the ones whose live frame only the owning
 // worker's thread may touch: the eviction policy avoids them and
 // write-back routes through the copy-on-write snapshot protocol instead
@@ -300,8 +311,9 @@ func (p *Pool) UnmarkStamped(id page.ID) { p.stamped.Delete(id) }
 
 // SetSnapshotterAsync wires the owner-coordinated snapshot ship (the
 // DORA engine: it resolves the stamp to a partition worker and delivers
-// the copy request through that worker's inbox). FlushAll uses it to
-// overlap every stamped page's owner round-trip.
+// the copy request through that worker's inbox). Every write-back set
+// ships all its stamped pages at once and overlaps their owner
+// round-trips.
 func (p *Pool) SetSnapshotterAsync(fn SnapshotterAsync) { p.snapshotterAsync.Store(&fn) }
 
 func (p *Pool) isStamped(id page.ID) bool {
@@ -328,42 +340,43 @@ func (p *Pool) shardOf(id page.ID) *shard {
 func (p *Pool) Fetch(id page.ID) (*Frame, error) {
 	sh := p.shardOf(id)
 	sh.mu.Lock()
-	if idx, ok := sh.table[id]; ok {
-		f := sh.frames[idx]
-		f.pins.Add(1)
-		f.ref.Store(true)
+	f := sh.pinLocked(id)
+	if f == nil {
+		var err error
+		if f, err = p.victimLocked(sh); err != nil {
+			sh.mu.Unlock()
+			return nil, err
+		}
+		// victimLocked may have dropped the mutex to write a victim back,
+		// and a concurrent Fetch of id may have installed the page
+		// meanwhile. Take its frame and leave the victim free.
+		if g := sh.pinLocked(id); g != nil {
+			f = g
+		}
+	}
+	if f.state.Load() != frameFree { // mapped: a hit
 		sh.mu.Unlock()
 		p.Hits.Inc()
 		return f, nil
 	}
-	f, err := p.victimLocked(sh)
-	if err != nil {
-		sh.mu.Unlock()
-		return nil, err
-	}
-	// Install mapping before releasing the shard mutex so a concurrent
-	// Fetch of the same id waits on the frame latch rather than
-	// double-reading.
-	f.id = id
-	f.valid = true
-	f.pins.Store(1)
-	f.ref.Store(true)
-	sh.table[id] = f.idx
+	// Install the mapping before releasing the shard mutex so a
+	// concurrent Fetch of the same id waits on the frame latch rather
+	// than double-reading.
+	sh.installLocked(f, id, frameLoading)
 	f.Latch.Lock()
-	f.loading.Store(true)
 	sh.mu.Unlock()
 	p.Misses.Inc()
-	err = p.disk.ReadPage(id, &f.Page)
-	f.loading.Store(false)
-	f.Latch.Unlock()
-	if err != nil {
+	if err := p.disk.ReadPage(id, &f.Page); err != nil {
+		f.Latch.Unlock()
 		sh.mu.Lock()
 		delete(sh.table, id)
-		f.valid = false
+		f.state.Store(frameFree)
 		f.pins.Add(-1)
 		sh.mu.Unlock()
 		return nil, err
 	}
+	f.state.Store(frameResident)
+	f.Latch.Unlock()
 	return f, nil
 }
 
@@ -381,17 +394,39 @@ func (p *Pool) NewPage() (*Frame, error) {
 		sh.mu.Unlock()
 		return nil, err
 	}
-	f.id = id
-	f.valid = true
-	f.pins.Store(1)
-	f.ref.Store(true)
-	sh.table[id] = f.idx
+	// The id is fresh, so no concurrent Fetch can have installed it.
+	sh.installLocked(f, id, frameResident)
 	f.Latch.Lock()
 	sh.mu.Unlock()
 	f.Page.Init(id)
 	f.setDirty()
 	f.Latch.Unlock()
 	return f, nil
+}
+
+// pinLocked pins the frame mapped to id (a hit), or returns nil. A hit on
+// an evicting frame makes it resident again, cancelling the eviction.
+func (sh *shard) pinLocked(id page.ID) *Frame {
+	idx, ok := sh.table[id]
+	if !ok {
+		return nil
+	}
+	f := sh.frames[idx]
+	f.pins.Add(1)
+	f.ref.Store(true)
+	if f.state.Load() == frameEvicting {
+		f.state.Store(frameResident)
+	}
+	return f
+}
+
+// installLocked maps id to the free frame f, pinned once.
+func (sh *shard) installLocked(f *Frame, id page.ID, state uint32) {
+	f.id = id
+	f.state.Store(state)
+	f.pins.Store(1)
+	f.ref.Store(true)
+	sh.table[id] = f.idx
 }
 
 // Unpin releases one pin. If dirty, the page is marked for write-back.
@@ -404,9 +439,9 @@ func (p *Pool) Unpin(f *Frame, dirty bool) {
 	}
 }
 
-// victimLocked finds an unpinned frame in the shard (clock policy),
-// flushing it if dirty. Called with sh.mu held; may briefly release it
-// for I/O.
+// victimLocked finds a free frame in the shard (clock policy), evicting
+// an unpinned resident one and writing it back first if dirty. Called
+// with sh.mu held; may release it for the write-back.
 //
 // Owner-stamped pages are a partition worker's hot set and only that
 // worker's thread may touch their bytes, so the policy treats them
@@ -421,177 +456,213 @@ func (p *Pool) victimLocked(sh *shard) (*Frame, error) {
 		for sweep := 0; sweep < 2*len(sh.frames); sweep++ {
 			f := sh.frames[sh.hand]
 			sh.hand = (sh.hand + 1) % len(sh.frames)
+			// Loading and evicting frames are pinned by their loader or
+			// evictor, so an unpinned frame is free or resident.
 			if f.pins.Load() != 0 {
 				continue
 			}
-			stamped := f.valid && p.isStamped(f.id)
-			if stamped && pass == 0 {
-				continue
-			}
-			if f.ref.Swap(false) && f.valid {
-				continue
-			}
-			if !f.valid {
+			if f.state.Load() == frameFree {
 				return f, nil
+			}
+			stamped := p.isStamped(f.id)
+			if stamped && pass == 0 || f.ref.Swap(false) {
+				continue
+			}
+			if stamped && f.dirty.Load() {
+				p.hintClean(f.id)
+				continue
 			}
 			if stamped {
-				if f.dirty.Load() {
-					select {
-					case p.cleanq <- f.id:
-					default:
-					}
-					continue
-				}
 				p.StampedEvictions.Inc()
-				p.Evictions.Inc()
-				delete(sh.table, f.id)
-				f.valid = false
-				return f, nil
-			}
-			// Evict. Pin it — but KEEP the mapping installed while the
-			// dirty image flushes, so a concurrent Fetch HITS this frame
-			// (pinning it, which cancels the eviction below) instead of
-			// re-reading a possibly-stale image from disk under our
-			// write-back.
-			f.pins.Store(1)
-			if f.dirty.Load() {
-				sh.mu.Unlock()
+			} else if f.dirty.Load() {
 				// Latched write-back only: eviction may run on a partition
 				// worker's own thread (a Fetch miss mid-action), so it must
-				// never park on a snapshot ship to another worker. If the
-				// page was owner-stamped while we raced here, leave it for
-				// the cleaner daemon and keep sweeping.
-				err := p.writeBackLatched(f)
+				// never park on a snapshot ship to another worker. The
+				// evictor's pin keeps other evictors off the frame.
+				f.pins.Add(1)
+				f.state.Store(frameEvicting)
+				sh.mu.Unlock()
+				err := p.writeLatched(f)
 				sh.mu.Lock()
-				if err != nil {
-					if f.pins.Add(-1) != 0 {
-						// A concurrent Fetch adopted the frame: it is live
-						// again regardless of our flush outcome.
-						continue
-					}
+				if err == nil {
+					p.DirtyWrites.Inc()
+				}
+				adopted := f.pins.Add(-1) != 0 || f.state.Load() != frameEvicting
+				if adopted || err != nil {
+					f.state.Store(frameResident)
 					if err == errBecameStamped {
-						select {
-						case p.cleanq <- f.id:
-						default:
-						}
-						continue
+						// Stamped while we raced here: the cleaner's job.
+						p.hintClean(f.id)
+					} else if err != nil && !adopted {
+						return nil, err
 					}
-					return nil, err
-				}
-				p.DirtyWrites.Inc()
-				if f.pins.Add(-1) != 0 {
-					continue // adopted by a concurrent Fetch: not a victim
-				}
-				// An adopter may have come AND gone during the flush
-				// (fetch, mutate under the latch, unpin) — pins are back
-				// to zero but its update lives only in this frame. Fetch
-				// sets the ref bit and mutation re-dirties; either means
-				// the frame is live again, not a victim.
-				if f.dirty.Load() || f.ref.Load() {
 					continue
 				}
-			} else {
-				f.pins.Store(0)
 			}
 			p.Evictions.Inc()
 			delete(sh.table, f.id)
-			f.valid = false
+			f.state.Store(frameFree)
 			return f, nil
 		}
 	}
 	return nil, ErrNoFrames
 }
 
+// hintClean asks the cleaner daemon to harden a dirty stamped page the
+// eviction path may not clean itself. A full queue drops the hint (the
+// cleaner's sweep finds the page anyway).
+func (p *Pool) hintClean(id page.ID) {
+	select {
+	case p.cleanq <- id:
+	default:
+	}
+}
+
+// hintDirty records where a dirty page is for CleanSome. A full queue
+// drops the hint and flags one fallback scan instead.
+func (p *Pool) hintDirty(id page.ID) {
+	select {
+	case p.dirtyq <- id:
+	default:
+		p.dirtyScan.Store(true)
+	}
+}
+
 // errBecameStamped is an internal sentinel: the latched write-back found
 // the page stamped under its latch and backed off to the snapshot path.
 var errBecameStamped = errors.New("buffer: page became stamped during write-back")
 
-// writeBack makes the frame's current mutations durable. Unstamped pages
-// use the classic latched copy. Stamped pages must NOT be latched — their
-// owner's mutations bypass the frame latch — so their image is obtained
-// through the owner-coordinated copy-on-write protocol: a snapshot
-// request ships to the owning worker, the owner copies the page at a
-// quiescent point of its own thread, and the copy hardens here while the
-// owner keeps mutating the live frame. The loop re-resolves when a stamp
-// appears, moves, or disappears mid-flight (TryStamp racing an eviction,
-// split/evacuate reassigning ownership, engine shutdown releasing
-// stamps).
-func (p *Pool) writeBack(f *Frame) error {
-	for {
-		if p.isStamped(f.id) {
-			if snap := p.snapshotterAsync.Load(); snap != nil {
-				type reply struct {
-					ps PageSnapshot
-					ok bool
+// writeBackFrames makes the mutations of a set of frames durable and
+// releases the caller's pin on each; it is the one write-back routine
+// behind FlushAll, CleanSome and the cleaner's hints. It returns how
+// many frames it hardened and the first error, and moves on past a
+// failed frame so one wedged page cannot starve the rest.
+//
+// Unstamped pages take the latched write. Stamped pages must NOT be
+// latched — their owner's mutations bypass the frame latch — so their
+// image comes through the owner-coordinated copy-on-write protocol: a
+// snapshot request ships to the owning worker, the owner copies the page
+// at a quiescent point of its own thread, and the copy hardens here
+// while the owner keeps mutating the live frame. The ships PIPELINE:
+// every stamped frame's request fans out before the first reply is
+// awaited, and the latched writes overlap the owner round-trips, so a
+// set pays one ship latency, not one per stamped page. A frame whose
+// stamp appeared, moved or vanished mid-flight (TryStamp racing the
+// write-back, a split or evacuate reassigning ownership, engine shutdown
+// releasing stamps) is re-resolved in a next round.
+func (p *Pool) writeBackFrames(frames []*Frame) (int, error) {
+	type shipReply struct {
+		f  *Frame
+		ps PageSnapshot
+		ok bool
+	}
+	var replies chan shipReply
+	cleaned := 0
+	var first error
+	done := func(f *Frame, err error) {
+		if err == nil {
+			cleaned++
+		} else if first == nil {
+			first = err
+		}
+		if f.dirty.Load() {
+			// A mutation raced the harden, or the write failed: keep the
+			// page visible to the next CleanSome.
+			p.hintDirty(f.id)
+		}
+		f.pins.Add(-1)
+	}
+	for len(frames) > 0 {
+		asnap := p.snapshotterAsync.Load()
+		retry := frames[:0]
+		pending := 0
+		for _, f := range frames {
+			if asnap != nil && p.isStamped(f.id) {
+				if replies == nil {
+					// Buffered to the set size: an owner's done callback
+					// must never block on this caller.
+					replies = make(chan shipReply, len(frames))
 				}
-				ch := make(chan reply, 1)
-				(*snap)(f.id, func(ps PageSnapshot, ok bool) { ch <- reply{ps, ok} })
-				if r := <-ch; r.ok {
-					p.SnapshotShips.Inc()
-					return p.hardenSnapshot(r.ps)
-				}
-				// Stamp moved or the owner is mid-retirement: re-resolve.
-				// During engine shutdown the stamp disappears right after
-				// the workers drain, bounding this loop.
-				runtime.Gosched()
+				q := replies
+				(*asnap)(f.id, func(ps PageSnapshot, ok bool) { q <- shipReply{f, ps, ok} })
+				pending++
+			} else if err := p.writeLatched(f); err == errBecameStamped {
+				retry = append(retry, f)
+			} else {
+				// Stamps without a ship hook come from direct owned
+				// sessions (tests, recovery rigs), whose owner mutators
+				// are quiesced before anything flushes: latching is safe.
+				done(f, err)
+			}
+		}
+		for ; pending > 0; pending-- {
+			r := <-replies
+			if !r.ok {
+				retry = append(retry, r.f)
 				continue
 			}
-			// Stamps without a ship hook: direct owned sessions (tests,
-			// recovery rigs). Their owner mutators are quiesced before
-			// anything flushes, so the latched path below is safe.
+			p.SnapshotShips.Inc()
+			err := p.harden(r.ps, false)
+			// The producer's pin goes only after the conditional clear.
+			p.Unpin(r.ps.Frame, false)
+			done(r.f, err)
 		}
-		err := p.writeBackLatched(f)
-		if err == errBecameStamped {
+		if len(retry) > 0 {
+			// During engine shutdown the stamps disappear right after the
+			// workers drain, bounding the rounds.
 			runtime.Gosched()
-			continue
 		}
-		return err
+		frames = retry
 	}
+	return cleaned, first
 }
 
-// writeBackLatched forces the WAL to the page LSN and writes the page
-// image under the shared frame latch — sound for pages whose mutators
-// all hold the exclusive latch (every unstamped page).
-func (p *Pool) writeBackLatched(f *Frame) error {
+// writeLatched hardens the live image of an unstamped frame. Its
+// mutators all hold the exclusive frame latch, so the image is
+// consistent under the shared latch — but the latch is not held across
+// the log force, or every writer of the page would wait out a log sync:
+// the force runs unlatched to the LSN read under the latch, and the loop
+// re-checks the LSN after re-taking it.
+func (p *Pool) writeLatched(f *Frame) error {
+	log := p.logForcer()
+	var forced uint64
 	f.Latch.RLock()
-	defer f.Latch.RUnlock()
-	if p.isStamped(f.id) && p.snapshotterAsync.Load() != nil {
-		// The page was owner-stamped between the caller's check and our
-		// latch acquisition: its mutations no longer serialize on this
-		// latch, so a latched copy could tear. Back off to the snapshot
-		// path. Seeing "unstamped" here is decisive the other way:
-		// TryStamp's content verify takes the latch exclusively, so a
-		// stamp published before our RLock cannot have latch-free
-		// mutations in flight while we hold it.
-		return errBecameStamped
-	}
-	f.hardenMu.Lock()
-	defer f.hardenMu.Unlock()
-	// Under the shared latch no mutator is active, so the live image is
-	// at least as new as any snapshot copy — never stale, no skip check.
-	seqAt := f.seq.Load()
-	if log := p.logForcer(); log != nil {
-		if err := log.Force(f.Page.LSN()); err != nil {
+	for {
+		if p.isStamped(f.id) && p.snapshotterAsync.Load() != nil {
+			// The page was owner-stamped: its mutations no longer
+			// serialize on this latch, so a latched write could tear.
+			// Seeing "unstamped" here is decisive the other way:
+			// TryStamp's content verify takes the latch exclusively, so a
+			// stamp published before our RLock cannot have latch-free
+			// mutations in flight while we hold it.
+			f.Latch.RUnlock()
+			return errBecameStamped
+		}
+		lsn := f.Page.LSN()
+		if log == nil || lsn <= forced {
+			break
+		}
+		f.Latch.RUnlock()
+		if err := log.Force(lsn); err != nil {
 			return err
 		}
+		forced = lsn
+		f.Latch.RLock()
 	}
-	if err := p.disk.WritePage(f.id, &f.Page); err != nil {
-		return err
-	}
-	if seqAt > f.hardened {
-		f.hardened = seqAt
-	}
-	f.clearDirty()
-	return nil
+	defer f.Latch.RUnlock()
+	return p.harden(PageSnapshot{Frame: f, Img: &f.Page, Seq: f.seq.Load()}, true)
 }
 
-// hardenSnapshot makes an owner's copy durable — WAL first: the copy's
-// image must not reach disk before the log records it reflects (up to
-// its page LSN, which covers every commit LSN chained below it) are
-// durable — then retires the frame's dirty bit if no mutation raced the
-// write-back. The snapshot producer pinned the frame; the pin is
-// released here, after the conditional clear, so the frame cannot be
-// recycled (and its write seq reused for an unrelated page) in between.
+// harden is the step every write-back ends in: it writes s.Img, the
+// image of s.Frame at write sequence s.Seq, and retires the dirty bit.
+// live says s.Img is the frame's own page under the caller's shared
+// latch, with the log already forced to its LSN: no mutator is active,
+// so the image is at least as new as any snapshot copy and the write
+// clears dirty outright. Otherwise s.Img is an owner's snapshot copy.
+// Its write is WAL first — the copy must not reach disk before the log
+// records it reflects (up to its page LSN, which covers every commit LSN
+// chained below it) are durable — and finishClean retires dirty only if
+// no mutation raced the write-back.
 //
 // Hardens of one frame serialize on hardenMu, and a snapshot older than
 // the newest hardened image is DROPPED: with concurrent cleaners (the
@@ -599,23 +670,31 @@ func (p *Pool) writeBackLatched(f *Frame) error {
 // that lost the race must not overwrite a newer on-disk image — its
 // finishClean would see a moved seq and leave dirty untouched, so the
 // stale bytes could otherwise sit under a clean bit.
-func (p *Pool) hardenSnapshot(s PageSnapshot) error {
-	defer p.Unpin(s.Frame, false)
-	s.Frame.hardenMu.Lock()
-	defer s.Frame.hardenMu.Unlock()
-	if s.Seq < s.Frame.hardened {
-		return nil // a newer image already hardened; this copy is moot
-	}
-	if log := p.logForcer(); log != nil {
-		if err := log.Force(s.Img.LSN()); err != nil {
-			return err
+func (p *Pool) harden(s PageSnapshot, live bool) error {
+	f := s.Frame
+	f.hardenMu.Lock()
+	defer f.hardenMu.Unlock()
+	if !live {
+		if s.Seq < f.hardened {
+			return nil // a newer image already hardened; this copy is moot
+		}
+		if log := p.logForcer(); log != nil {
+			if err := log.Force(s.Img.LSN()); err != nil {
+				return err
+			}
 		}
 	}
-	if err := p.disk.WritePage(s.Frame.id, s.Img); err != nil {
+	if err := p.disk.WritePage(f.id, s.Img); err != nil {
 		return err
 	}
-	s.Frame.hardened = s.Seq
-	p.finishClean(s.Frame, s.Seq)
+	if s.Seq > f.hardened {
+		f.hardened = s.Seq
+	}
+	if live {
+		f.clearDirty()
+	} else {
+		p.finishClean(f, s.Seq)
+	}
 	return nil
 }
 
@@ -638,74 +717,64 @@ func (p *Pool) finishClean(f *Frame, seqAt uint64) {
 	p.SnapshotCleans.Inc()
 }
 
-// FlushAll writes back every dirty frame (checkpoint support). Stamped
-// dirty frames are hardened through the copy-on-write snapshot protocol,
-// so a fuzzy checkpoint never latches a frame whose owner mutates
-// latch-free. With a snapshotter wired, the ships PIPELINE: every
-// stamped frame's copy request fans out up front, the latched write-backs
-// of unstamped frames overlap the owner round-trips, and the copies
-// harden from a completion queue as owners reply — a checkpoint pays one
-// ship latency overall, not one per stamped page.
-func (p *Pool) FlushAll() error {
+// pinDirtyLocked pins f for a write-back if it holds a dirty page. Called
+// with f's shard mutex held.
+func pinDirtyLocked(f *Frame) bool {
+	if s := f.state.Load(); (s == frameResident || s == frameEvicting) && f.dirty.Load() {
+		f.pins.Add(1)
+		return true
+	}
+	return false
+}
+
+// pinHinted drains page-id hints from q until it holds max frames or q is
+// empty, pinning each hinted page that is still resident and dirty (the
+// frame may have been recycled or cleaned since the hint).
+func (p *Pool) pinHinted(q chan page.ID, max int) []*Frame {
 	var frames []*Frame
-	for _, sh := range p.shards {
+	for len(frames) < max {
+		select {
+		case id := <-q:
+			sh := p.shardOf(id)
+			sh.mu.Lock()
+			if idx, ok := sh.table[id]; ok && pinDirtyLocked(sh.frames[idx]) {
+				frames = append(frames, sh.frames[idx])
+			}
+			sh.mu.Unlock()
+		default:
+			return frames
+		}
+	}
+	return frames
+}
+
+// pinDirty sweeps the shards from start, pinning up to max dirty frames
+// (all of them when max <= 0).
+func (p *Pool) pinDirty(start, max int) []*Frame {
+	if max <= 0 {
+		max = len(p.frames)
+	}
+	var frames []*Frame
+	for i := 0; i < len(p.shards) && len(frames) < max; i++ {
+		sh := p.shards[(start+i)%len(p.shards)]
 		sh.mu.Lock()
 		for _, f := range sh.frames {
-			if f.valid && f.dirty.Load() {
-				f.pins.Add(1)
+			if len(frames) < max && pinDirtyLocked(f) {
 				frames = append(frames, f)
 			}
 		}
 		sh.mu.Unlock()
 	}
-	var first error
-	record := func(err error) {
-		if err != nil && first == nil {
-			first = err
-		}
-	}
-	type shipReply struct {
-		f  *Frame
-		ps PageSnapshot
-		ok bool
-	}
-	var pending int
-	var replies chan shipReply
-	rest := frames
-	if asnap := p.snapshotterAsync.Load(); asnap != nil {
-		// Buffered to the fan-out size: an owner's done callback can never
-		// block on this checkpoint, however slowly it drains.
-		replies = make(chan shipReply, len(frames))
-		rest = frames[:0]
-		for _, f := range frames {
-			if p.isStamped(f.id) {
-				f := f
-				(*asnap)(f.id, func(ps PageSnapshot, ok bool) {
-					replies <- shipReply{f, ps, ok}
-				})
-				pending++
-			} else {
-				rest = append(rest, f)
-			}
-		}
-	}
-	for _, f := range rest {
-		record(p.writeBack(f))
-		f.pins.Add(-1)
-	}
-	for i := 0; i < pending; i++ {
-		r := <-replies
-		if r.ok {
-			p.SnapshotShips.Inc()
-			record(p.hardenSnapshot(r.ps))
-		} else {
-			// Stamp moved or vanished mid-ship: the synchronous path
-			// re-resolves (new owner, latched fallback, or no-op).
-			record(p.writeBack(r.f))
-		}
-		r.f.pins.Add(-1)
-	}
-	return first
+	return frames
+}
+
+// FlushAll writes back every dirty frame (checkpoint support). Stamped
+// dirty frames are hardened through the copy-on-write snapshot protocol,
+// so a fuzzy checkpoint never latches a frame whose owner mutates
+// latch-free.
+func (p *Pool) FlushAll() error {
+	_, err := p.writeBackFrames(p.pinDirty(0, 0))
+	return err
 }
 
 // CleanSome writes back up to max dirty frames (all of them when max <=
@@ -718,75 +787,21 @@ func (p *Pool) CleanSome(max int) (int, error) {
 	if want <= 0 && !p.dirtyScan.Load() {
 		return 0, nil
 	}
-	var frames []*Frame
 	if max > 0 && !p.dirtyScan.Swap(false) {
 		// Fast path: the dirty-transition queue says WHERE the dirty
 		// frames are — drain it instead of scanning the shards for a
-		// few scattered frames. Each id is a hint: re-resolve and pin
-		// through the shard table (the frame may have been recycled or
-		// cleaned since).
-	drain:
-		for len(frames) < max {
-			select {
-			case pid := <-p.dirtyq:
-				sh := p.shardOf(pid)
-				sh.mu.Lock()
-				if idx, ok := sh.table[pid]; ok {
-					if f := sh.frames[idx]; f.valid && f.dirty.Load() {
-						f.pins.Add(1)
-						frames = append(frames, f)
-					}
-				}
-				sh.mu.Unlock()
-			default:
-				break drain
-			}
-		}
-	} else {
-		// Scan path: a queue overflow dropped hints (or the caller
-		// asked for everything) — sweep and collect EVERY known-dirty
-		// frame, ignoring the batch cap: a frame whose hint was
-		// dropped is otherwise invisible until eviction, so the rare
-		// recovery pass must cover them all (the post-write re-enqueue
-		// below restores the queue invariant for frames that stay
-		// dirty). The dirty estimate still stops a mostly-clean sweep
-		// early.
-		max = want
-		start := int(p.cleanCursor.Add(1)) % len(p.shards)
-		for i := 0; i < len(p.shards) && len(frames) < max; i++ {
-			sh := p.shards[(start+i)%len(p.shards)]
-			sh.mu.Lock()
-			for _, f := range sh.frames {
-				if f.valid && f.dirty.Load() && len(frames) < max {
-					f.pins.Add(1)
-					frames = append(frames, f)
-				}
-			}
-			sh.mu.Unlock()
-		}
+		// few scattered frames.
+		return p.writeBackFrames(p.pinHinted(p.dirtyq, max))
 	}
-	cleaned := 0
-	var first error
-	for _, f := range frames {
-		if err := p.writeBack(f); err != nil {
-			if first == nil {
-				first = err
-			}
-		} else {
-			cleaned++
-		}
-		if f.dirty.Load() {
-			// Still dirty — a mutation raced the harden, or the write
-			// failed. Keep the page visible to the next tick.
-			select {
-			case p.dirtyq <- f.id:
-			default:
-				p.dirtyScan.Store(true)
-			}
-		}
-		f.pins.Add(-1)
-	}
-	return cleaned, first
+	// Scan path: a queue overflow dropped hints (or the caller asked for
+	// everything) — sweep and collect EVERY known-dirty frame, ignoring
+	// the batch cap: a frame whose hint was dropped is otherwise
+	// invisible until eviction, so the rare recovery pass must cover them
+	// all (the write-back re-hints frames that stay dirty, restoring the
+	// queue invariant). The dirty estimate still stops a mostly-clean
+	// sweep early.
+	start := int(p.cleanCursor.Add(1)) % len(p.shards)
+	return p.writeBackFrames(p.pinDirty(start, want))
 }
 
 // DirtyEstimate returns the pool's running dirty-frame estimate (the

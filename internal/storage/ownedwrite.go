@@ -190,7 +190,7 @@ func (h *Heap) MutateOwnedWith(tok *btree.Owner, rid RID, mutate func(before []b
 // pinned; the requester re-resolves.
 //
 // The returned snapshot carries the frame PINNED; buffer.Pool's
-// hardenSnapshot releases the pin after the conditional dirty-clear.
+// write-back releases the pin after the conditional dirty-clear.
 func (h *Heap) SnapshotOwnedPage(tok *btree.Owner, pid page.ID) (buffer.PageSnapshot, bool) {
 	if tok == nil || h.StampOwner(pid) != tok {
 		return buffer.PageSnapshot{}, false

@@ -47,7 +47,7 @@ type ownedPages struct {
 // setStamp publishes a stamp in the heap's registry AND the buffer
 // pool's mirror (the pool's eviction policy and write-back consult the
 // mirror with one lock-free load per frame). Both stores happen before
-// any content verify takes the frame latch — writeBackLatched's
+// any content verify takes the frame latch — the latched write-back's
 // decisive stamp re-check depends on that order.
 func (h *Heap) setStamp(pid page.ID, tok *btree.Owner) {
 	h.stamps.Store(pid, tok)
