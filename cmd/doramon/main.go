@@ -11,6 +11,11 @@
 // Attach any client (e.g. `nc 127.0.0.1 7070`) for the JSON stream.
 // The built-in balancer keeps re-partitioning DORA as the skewed load
 // (a slowly circling hot spot) moves.
+//
+// doramon is a monitor, not a benchmark. With -replica (the default) its
+// engine rows are not a comparison: the replica's 4 offload readers load
+// only DORA's side, while the conventional engine has no replica. Run
+// with -replica=false to watch both engines under the same load.
 package main
 
 import (
@@ -131,6 +136,7 @@ func main() {
 		trim.Start()
 		defer trim.Stop()
 		rsrc = &monitor.ReplSource{Shipper: sh, Trimmer: trim, Replica: rep, Primary: doraDB.SM}
+		fmt.Println("note: with -replica the engine rows are not a comparison: the replica's offload readers load only DORA's side")
 	}
 
 	src := &monitor.Source{

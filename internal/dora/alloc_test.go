@@ -3,6 +3,7 @@ package dora
 import (
 	"testing"
 
+	"dora/internal/catalog"
 	"dora/internal/xct"
 )
 
@@ -16,11 +17,11 @@ import (
 // measured from dispatch to the client's verdict (every goroutine
 // counts). It measured 40 (41 in some runs) before worker-private
 // lock-table reuse, closure-free dispatch and the owner read fast path,
-// and 7 after: the run, its transaction, the action message, the commit
-// continuation, the read-only commit's completion, the record decode
-// and its latched copy (the test loads its rows on the shared path, so
-// their pages are unstamped).
-const execAsyncReadAllocs = 7
+// and 7 before the storage transaction, the action message and the
+// commit completion moved into the run. What is left: the run, the
+// record decode and its latched copy (the test loads its rows on the
+// shared path, so their pages are unstamped).
+const execAsyncReadAllocs = 3
 
 func TestExecAsyncReadAllocs(t *testing.T) {
 	if raceEnabled {
@@ -40,6 +41,41 @@ func TestExecAsyncReadAllocs(t *testing.T) {
 	run() // warm the lock table, the inbox and the commit path
 	if n := testing.AllocsPerRun(500, run); n > execAsyncReadAllocs {
 		t.Fatalf("ExecAsync read: %.1f allocs/txn, ceiling %d", n, execAsyncReadAllocs)
+	}
+}
+
+// execAsyncTwoPhaseAllocs is the allocation ceiling of one ExecAsync of
+// a prebuilt TPC-B-shaped flow on a two-partition engine: three writes
+// on both partitions, then a phase-1 write whose lock phase 0 claimed.
+// It measured 15 before the storage transaction, the messages and the
+// commit completion moved into the run; what is left is the run, the
+// phase-1 rendezvous point, the four rows' latched copies (rows loaded on
+// the shared path) and the log's completion goroutine.
+const execAsyncTwoPhaseAllocs = 7
+
+// twoPhaseFlow is the TPC-B-shaped flow: phase 0 bumps the balances of
+// rows 10, 60 and 30, phase 1 that of row 20.
+func twoPhaseFlow(tbl *catalog.Table) *xct.Flow {
+	return bumpFlow(tbl, 2, []int64{10, 60, 30}, 20)
+}
+
+func TestExecAsyncTwoPhaseAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	_, tbl, e := rig(t, 100, 2)
+	flow := twoPhaseFlow(tbl)
+	verdict := make(chan error, 1)
+	done := func(err error) { verdict <- err }
+	run := func() {
+		e.ExecAsync(0, flow, done)
+		if err := <-verdict; err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm the lock tables, the inboxes and the commit path
+	if n := testing.AllocsPerRun(500, run); n > execAsyncTwoPhaseAllocs {
+		t.Fatalf("ExecAsync two-phase: %.1f allocs/txn, ceiling %d", n, execAsyncTwoPhaseAllocs)
 	}
 }
 
@@ -140,6 +176,24 @@ func BenchmarkInboxParkWake(b *testing.B) {
 		pong.push(m)
 		batch, _ := ping.popAll(buf)
 		buf = batch
+	}
+}
+
+// BenchmarkExecAsyncTwoPhase: one TPC-B-shaped two-phase transaction
+// (twoPhaseFlow) per op through a two-partition engine, dispatch to
+// verdict.
+func BenchmarkExecAsyncTwoPhase(b *testing.B) {
+	_, tbl, e := rig(b, 100, 2)
+	flow := twoPhaseFlow(tbl)
+	verdict := make(chan error, 1)
+	done := func(err error) { verdict <- err }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.ExecAsync(0, flow, done)
+		if err := <-verdict; err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -283,13 +283,15 @@ func (e *Dora) Exec(worker int, flow *xct.Flow) error {
 // fires exactly once with the transaction's verdict. Nothing in the
 // flow's lifetime parks a goroutine on another partition's work: this is
 // the paper's asynchronous action model end to end, with Exec as the
-// thin synchronous wrapper clients use.
+// thin synchronous wrapper clients use. The engine's bookkeeping for the
+// transaction is one run (storage transaction, phase 0 and its messages,
+// commit completion) plus one rendezvous point per later phase.
 //
 // done runs on whichever goroutine resolves the transaction: a partition
 // worker (the last action's, or the one whose compensation finished the
 // rollback), the dispatching goroutine (a flow that failed to route), or
-// the log's flush goroutine (a commit completing once its record is
-// durable). It must not block: while it runs, that worker's queue or
+// the goroutine the log starts to complete the commits one flush made
+// durable. It must not block: while it runs, that worker's queue or
 // every later commit of the same flush waits behind it.
 func (e *Dora) ExecAsync(worker int, flow *xct.Flow, done func(error)) {
 	if len(flow.Phases) == 0 {
@@ -317,14 +319,13 @@ func (e *Dora) ExecAsync(worker int, flow *xct.Flow, done func(error)) {
 			panic(r)
 		}
 	}()
-	txn := e.sm.Begin()
-	if tt := e.cfg.Tracer.Begin(txn.ID); tt != nil {
+	run = newFlowRun(e, flow, done)
+	run.gated.Store(true)
+	if tt := e.cfg.Tracer.Begin(run.txn.ID); tt != nil {
 		tt.SetStart(t0)
 		tt.Span(trace.StageAdmission, worker, t0, time.Since(t0))
-		txn.Trace = tt
+		run.txn.Trace = tt
 	}
-	run = newFlowRun(e, flow, txn, done)
-	run.gated.Store(true)
 	e.dispatchPhase(run, 0)
 }
 
@@ -337,7 +338,7 @@ func (e *Dora) dispatchPhase(run *flowRun, phase int) {
 	actions := run.flow.Phases[phase].Actions
 	r := run.phaseRVP(phase, len(actions))
 	r.at = time.Now()
-	r.env = xct.Env{Txn: run.txn, Ses: e.coordSes}
+	r.env = xct.Env{Txn: &run.txn, Ses: e.coordSes}
 	// With phase 0 we also enqueue lock *claims* for every later-phase
 	// action whose key is static and aligned, so the transaction's whole
 	// (static) lock set enters all queues in one atomic canonical batch —
@@ -353,9 +354,9 @@ func (e *Dora) dispatchPhase(run *flowRun, phase int) {
 					continue
 				}
 				run.addTable(tbl.ID)
-				r.targets = append(r.targets, dispatchTarget{tbl, e.ownerOf(tbl, a.Key), &actionMsg{
-					act: a, run: run, routeKey: a.Key, at: r.at, claim: true,
-				}})
+				m := r.newMsg()
+				m.act, m.run, m.routeKey, m.at, m.claim = a, run, a.Key, r.at, true
+				r.targets = append(r.targets, dispatchTarget{tbl, e.ownerOf(tbl, a.Key), m})
 			}
 		}
 	}
@@ -427,7 +428,9 @@ func (r *rvp) routed() {
 			continue
 		}
 		tbl := e.sm.Cat.Table(a.Table)
-		r.targets = append(r.targets, dispatchTarget{tbl, e.ownerOf(tbl, r.rks[i]), &actionMsg{act: a, run: run, rvp: r, routeKey: r.rks[i], at: r.at}})
+		m := r.newMsg()
+		m.act, m.run, m.rvp, m.routeKey, m.at = a, run, r, r.rks[i], r.at
+		r.targets = append(r.targets, dispatchTarget{tbl, e.ownerOf(tbl, r.rks[i]), m})
 	}
 	e.enqueuePhase(r.targets)
 	// Account for actions that never dispatched (resolve failures).
@@ -496,11 +499,12 @@ func (e *Dora) report(r *rvp, err error) {
 		return
 	}
 	run := r.run
-	if run.failed() || r.phase+1 >= len(run.flow.Phases) {
+	next := int(r.phase) + 1
+	if run.failed() || next >= len(run.flow.Phases) {
 		e.resolve(run)
 		return
 	}
-	e.dispatchPhase(run, r.phase+1)
+	e.dispatchPhase(run, next)
 }
 
 // resolve commits or rolls back a run on the goroutine whose report
@@ -508,9 +512,9 @@ func (e *Dora) report(r *rvp, err error) {
 // worker that ran the last action (paper §1.1: the last thread to report
 // decides). A commit appends the commit record, then broadcasts the
 // local-lock release to every partition of every touched table. Commits
-// are pipelined: nothing waits for the log sync — the log's flush
-// goroutine completes the transaction (and unblocks its client) once the
-// commit record hardens, while the locks are already released at
+// are pipelined: nothing waits for the log sync — the log completes the
+// transaction through the run (Complete), unblocking its client, once
+// the commit record hardens, while the locks are already released at
 // commit-LSN assignment (early lock release; safe because the log
 // flushes in LSN order, so no dependent transaction can become durable
 // first).
@@ -522,7 +526,7 @@ func (e *Dora) resolve(run *flowRun) {
 		// partitioned trees' owner executors (thread-to-data is preserved
 		// under rollback). The undo chain rides the async path: the final
 		// continuation releases the locks and reports the abort.
-		e.sm.RollbackAsync(nil, run.txn, nil, func(rbErr error) {
+		e.sm.RollbackAsync(nil, &run.txn, nil, func(rbErr error) {
 			if rbErr != nil {
 				// The run's keys hold a half-undone state: keep its local
 				// locks (waiters time out through sweepTimeouts) and hand
@@ -538,17 +542,7 @@ func (e *Dora) resolve(run *flowRun) {
 		return
 	}
 	tt := run.txn.Trace
-	e.sm.CommitAsync(run.txn, func(err error) {
-		if err != nil {
-			// Log-device failure after the locks were released: the log
-			// is dead, so physical rollback is pointless — report the
-			// abort to the client.
-			e.Aborted.Inc()
-		} else {
-			e.Committed.Inc()
-		}
-		run.finish(err)
-	})
+	e.sm.CommitAsync(&run.txn, run)
 	var relAt time.Time
 	if tt != nil {
 		relAt = time.Now()

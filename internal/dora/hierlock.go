@@ -910,11 +910,12 @@ func (lt *hierLockTable) keysWithWaiters(g *granule) bool {
 
 // promoteNode re-attempts a node's waiters in FIFO order. A waiter that
 // acquires fully becomes runnable; one still blocked HERE goes back to
-// the queue front and stops the scan; one now blocked at a different
-// level re-parks there (tail) and the scan continues. Re-attempting is
-// deterministic between grants, so a moved waiter cannot ping-pong:
-// its next failure at the new node front-parks it there. The runnable
-// waiters are appended to out.
+// the queue front and stops the scan, except for the waiters of
+// transactions that hold n (promoteHolders); one now blocked at a
+// different level re-parks there (tail) and the scan continues.
+// Re-attempting is deterministic between grants, so a moved waiter
+// cannot ping-pong: its next failure at the new node front-parks it
+// there. The runnable waiters are appended to out.
 func (lt *hierLockTable) promoteNode(n *hnode, out []*actionMsg) []*actionMsg {
 	prev := lt.promotingFrom
 	lt.promotingFrom = n
@@ -932,10 +933,42 @@ func (lt *hierLockTable) promoteNode(n *hnode, out []*actionMsg) []*actionMsg {
 			copy(n.waiters[1:], n.waiters)
 			n.waiters[0] = w
 			lt.waiting++
-			break
+			return lt.promoteHolders(n, out)
 		}
 		lt.wait(w)
 	}
+	return out
+}
+
+// promoteHolders re-attempts, past n's blocked queue head, the waiters
+// whose own transaction holds n — typically a later-phase action whose
+// claim this promotion just granted. Such a waiter takes nothing from
+// the waiters ahead of it (its transaction already holds the node, and
+// every waiter that conflicts with it waits for that transaction
+// anyway); leaving it parked would close a cycle: the head waits for
+// the transaction, the transaction's action waits behind the head, and
+// only the local timeout breaks it.
+func (lt *hierLockTable) promoteHolders(n *hnode, out []*actionMsg) []*actionMsg {
+	kept := n.waiters[:1]
+	for _, w := range n.waiters[1:] {
+		if n.holdOf(w.run.txn.ID) < 0 {
+			kept = append(kept, w)
+			continue
+		}
+		if lt.acquire(w) {
+			lt.waiting--
+			out = append(out, w)
+			continue
+		}
+		if lt.nodeFor(w.wnLevel, w.wnID) == n {
+			kept = append(kept, w)
+			continue
+		}
+		lt.waiting--
+		lt.wait(w)
+	}
+	clear(n.waiters[len(kept):])
+	n.waiters = kept
 	return out
 }
 

@@ -16,7 +16,7 @@ func hierPoint(txn uint64, key int64, mode xct.Mode) *actionMsg {
 func hierRange(txn uint64, lo, hi int64, mode xct.Mode) *actionMsg {
 	return &actionMsg{
 		act: &xct.Action{Mode: mode, Ranged: true, RangeLo: lo, RangeHi: hi},
-		run: &flowRun{txn: &tx.Txn{ID: txn}},
+		run: &flowRun{txn: tx.Txn{ID: txn}},
 	}
 }
 

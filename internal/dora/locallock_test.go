@@ -10,7 +10,7 @@ import (
 func mkMsg(txnID uint64, mode xct.Mode, claim bool) *actionMsg {
 	return &actionMsg{
 		act:   &xct.Action{Mode: mode},
-		run:   &flowRun{txn: &tx.Txn{ID: txnID}},
+		run:   &flowRun{txn: tx.Txn{ID: txnID}},
 		claim: claim,
 	}
 }
@@ -223,5 +223,36 @@ func TestInboxBlockingPop(t *testing.T) {
 	ib.push(m)
 	if got := <-done; got != m {
 		t.Fatal("blocked popAll returned wrong message")
+	}
+}
+
+// TestLocalLockPromotesHolderPastBlockedHead: a release that grants a
+// claim also grants the claiming transaction's own action parked behind
+// a waiter the claim blocks, instead of leaving it behind that waiter —
+// which waits for the very transaction the action belongs to.
+func TestLocalLockPromotesHolderPastBlockedHead(t *testing.T) {
+	lt := newHierLockTable(-1)
+	if !grant(lt, 10, 1, xct.Write) {
+		t.Fatal("writer refused on free key")
+	}
+	claim11 := mkMsg(11, xct.Write, true)
+	act12 := mkMsg(12, xct.Write, false)
+	act11 := mkMsg(11, xct.Write, false)
+	park(t, lt, 1, claim11)
+	park(t, lt, 1, act12)
+	park(t, lt, 1, act11)
+	runnable := lt.release(10)
+	if len(runnable) != 2 || runnable[0] != claim11 || runnable[1] != act11 {
+		t.Fatalf("release(10) granted %d waiters, want 11's claim and action", len(runnable))
+	}
+	if lt.waiting != 1 {
+		t.Fatalf("waiting = %d, want 12's action still parked", lt.waiting)
+	}
+	runnable = lt.release(11)
+	if len(runnable) != 1 || runnable[0] != act12 {
+		t.Fatal("12's action not granted after 11 released")
+	}
+	if lt.waiting != 0 {
+		t.Fatalf("waiting = %d after the last grant", lt.waiting)
 	}
 }

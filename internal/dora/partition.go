@@ -459,7 +459,7 @@ func (p *partition) execute(am *actionMsg) {
 		tt.Span(trace.StageQueueWait, p.worker, am.at, execAt.Sub(am.at))
 	}
 	am.host = actionHost{p: p, am: am}
-	am.env = xct.Env{Txn: am.run.txn, Ses: p.ses, Async: &am.host}
+	am.env = xct.Env{Txn: &am.run.txn, Ses: p.ses, Async: &am.host}
 	err := am.act.Run(&am.env)
 	if tt != nil {
 		tt.Span(trace.StageExec, p.worker, execAt, time.Since(execAt))

@@ -34,7 +34,7 @@ func (e *RollbackError) Error() string {
 func (e *RollbackError) Unwrap() error { return e.Err }
 
 // phaseInline is the number of actions (plus claims) a phase dispatches
-// without its dispatch arrays spilling to the heap.
+// without its dispatch arrays or its messages spilling to the heap.
 const phaseInline = 4
 
 // flowRun is one in-flight transaction: the flow graph being executed,
@@ -42,14 +42,18 @@ const phaseInline = 4
 // run execute on several partition workers concurrently, so all mutable
 // state is synchronized.
 //
-// A run is one allocation: it carries the client's callback, the
-// execution-gate release flag, the release message its commit broadcasts
-// and phase 0's rendezvous point inline. Runs cross goroutines and are
-// never reused.
+// A run is the transaction's one engine allocation: it carries the
+// storage transaction, the client's callback, the execution-gate release
+// flag, the release message its commit broadcasts and phase 0's
+// rendezvous point, with phase 0's action and claim messages right
+// behind it in the same object (soloRun, wideRun), and it is its own
+// commit completion (Complete). Each later phase adds one rendezvous
+// point. Runs cross goroutines and are never reused.
 type flowRun struct {
 	eng  *Dora
 	flow *xct.Flow
-	txn  *tx.Txn
+	// txn is the storage transaction, started in place (sm.BeginInto).
+	txn tx.Txn
 	// done delivers the final verdict to the client exactly once, through
 	// finish (the commit completion or the rollback continuation calls
 	// it).
@@ -58,6 +62,9 @@ type flowRun struct {
 	// shared (ExecAsync); finish releases it exactly once, even if a
 	// panicking dispatch already did.
 	gated atomic.Bool
+	// failedFlag sits next to gated so the two 4-byte flags share a word
+	// (see rvp on the size class).
+	failedFlag atomic.Bool
 
 	mu  sync.Mutex
 	err error
@@ -65,23 +72,91 @@ type flowRun struct {
 	tables   []uint32
 	tableBuf [phaseInline]uint32
 
-	failedFlag atomic.Bool
-
 	// rel is the release message broadcast to every partition of the
 	// touched tables (read-only once built, so one copy serves them all).
 	rel releaseMsg
-	// ph0 is phase 0's rendezvous point; later phases allocate their own.
+	// ph0 is phase 0's rendezvous point; later phases allocate their own
+	// (phaseRVP).
 	ph0 rvp
 }
 
-func newFlowRun(e *Dora, flow *xct.Flow, txn *tx.Txn, done func(error)) *flowRun {
-	return &flowRun{
-		eng:  e,
-		flow: flow,
-		txn:  txn,
-		done: done,
-		rel:  releaseMsg{txn: txn.ID},
+// Message slots come in a few sizes, so a run or rendezvous point keeps
+// no more empty slots than it must: a run has one, two or phaseInline,
+// a later phase one or phaseInline. Most TATP transactions send one
+// message per phase, a few two, and TPC-B's first phase four; four
+// slots for every run would make a single-action run two size classes
+// bigger.
+type (
+	soloRun struct {
+		flowRun
+		msgBuf [1]actionMsg
 	}
+	duoRun struct {
+		flowRun
+		msgBuf [2]actionMsg
+	}
+	wideRun struct {
+		flowRun
+		msgBuf [phaseInline]actionMsg
+	}
+	soloPhase struct {
+		rvp
+		msgBuf [1]actionMsg
+	}
+	widePhase struct {
+		rvp
+		msgBuf [phaseInline]actionMsg
+	}
+)
+
+// newFlowRun builds a run with phase 0's message slots and starts its
+// storage transaction.
+func newFlowRun(e *Dora, flow *xct.Flow, done func(error)) *flowRun {
+	var run *flowRun
+	var slots []actionMsg
+	switch n := phase0Msgs(flow); {
+	case n <= 1:
+		r := new(soloRun)
+		run, slots = &r.flowRun, r.msgBuf[:]
+	case n == 2:
+		r := new(duoRun)
+		run, slots = &r.flowRun, r.msgBuf[:]
+	default:
+		r := new(wideRun)
+		run, slots = &r.flowRun, r.msgBuf[:]
+	}
+	run.eng, run.flow, run.done, run.ph0.msgs = e, flow, done, slots
+	e.sm.BeginInto(&run.txn)
+	run.rel.txn = run.txn.ID
+	return run
+}
+
+// phase0Msgs bounds the messages phase 0 sends: its actions plus a claim
+// for each later-phase action with a static key (dispatchPhase claims
+// those whose key field is the partitioning field).
+func phase0Msgs(flow *xct.Flow) int {
+	n := len(flow.Phases[0].Actions)
+	for _, ph := range flow.Phases[1:] {
+		for _, a := range ph.Actions {
+			if !a.LateKey {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// Complete implements tx.Completion: the storage manager calls it once
+// the run's commit record is durable, or with the log's failure (the log
+// is dead then and the locks already released, so physical rollback is
+// pointless: the client gets the abort).
+func (r *flowRun) Complete(err error) {
+	if err != nil {
+		r.eng.Aborted.Inc()
+	} else {
+		r.eng.Committed.Inc()
+	}
+	r.finish(err)
 }
 
 // finish releases the execution gate (once), closes the transaction's
@@ -150,24 +225,41 @@ func (r *flowRun) tableIDs() []uint32 {
 // It also carries the phase's dispatch state, so a dispatched phase is
 // one allocation (none for phase 0, which lives in its flowRun): the
 // routing countdown, the resolved route keys, the skip bits of actions
-// that failed to route, and the routed targets, each with inline room
-// for phaseInline entries.
+// that failed to route, the routed targets and their messages, each with
+// inline room for phaseInline entries.
+//
+// The 4-byte fields come first and pair up, so a single-action run (see
+// soloRun) stays within the 1024-byte size class.
 type rvp struct {
 	run       *flowRun
-	phase     int
+	phase     int32
 	remaining atomic.Int32
 
 	// pending counts the routing loop plus every in-flight asynchronous
 	// key resolution; whoever brings it to zero enqueues the phase.
 	pending atomic.Int32
+	skipBuf [phaseInline]bool
 	at      time.Time // dispatch time (each action's queue-wait origin)
 	env     xct.Env   // resolver environment (coordinator session)
 	rks     []int64
 	skip    []bool
 	targets []dispatchTarget
 	rkBuf   [phaseInline]int64
-	skipBuf [phaseInline]bool
 	tgtBuf  [phaseInline]dispatchTarget
+	// msgs are the message slots not yet taken (newMsg).
+	msgs []actionMsg
+}
+
+// newMsg returns a zero message for one of the phase's targets: an
+// inline slot while one is left, a heap object past phaseInline. Only
+// the goroutine routing the phase calls it.
+func (r *rvp) newMsg() *actionMsg {
+	if len(r.msgs) == 0 {
+		return new(actionMsg)
+	}
+	m := &r.msgs[0]
+	r.msgs = r.msgs[1:]
+	return m
 }
 
 func newRVP(run *flowRun, phase, count int) *rvp {
@@ -177,17 +269,23 @@ func newRVP(run *flowRun, phase, count int) *rvp {
 }
 
 func (r *rvp) init(run *flowRun, phase, count int) {
-	r.run, r.phase = run, phase
+	r.run, r.phase = run, int32(phase)
 	r.remaining.Store(int32(count))
 }
 
 // phaseRVP returns the rendezvous point for a phase of n actions, its
 // dispatch arrays sized for them (targets spill on append once claims
-// push them past phaseInline).
+// push them past phaseInline, messages once the slots run out).
 func (run *flowRun) phaseRVP(phase, n int) *rvp {
 	r := &run.ph0
-	if phase > 0 {
-		r = new(rvp)
+	switch {
+	case phase == 0:
+	case n == 1:
+		sp := new(soloPhase)
+		r, sp.msgs = &sp.rvp, sp.msgBuf[:]
+	default:
+		wp := new(widePhase)
+		r, wp.msgs = &wp.rvp, wp.msgBuf[:]
 	}
 	r.init(run, phase, n)
 	r.rks, r.skip, r.targets = r.rkBuf[:], r.skipBuf[:], r.tgtBuf[:0]

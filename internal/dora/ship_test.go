@@ -34,7 +34,7 @@ func stageRead(e *Dora, tbl *catalog.Table, key int64) (*actionMsg, <-chan verdi
 			return err
 		},
 	})
-	run := newFlowRun(e, flow, e.sm.Begin(), func(err error) { out <- verdict{ran, err} })
+	run := newFlowRun(e, flow, func(err error) { out <- verdict{ran, err} })
 	run.addTable(tbl.ID)
 	am := &actionMsg{act: flow.Phases[0].Actions[0], run: run, rvp: newRVP(run, 0, 1), routeKey: key, at: time.Now()}
 	return am, out
@@ -95,7 +95,7 @@ func runOn(p *partition, fn func(*partition)) {
 func writeLock(tbl *catalog.Table, txn *tx.Txn, key int64) *actionMsg {
 	return &actionMsg{
 		act:      &xct.Action{Table: tbl.Name, KeyField: "id", Key: key, Mode: xct.Write},
-		run:      &flowRun{txn: txn},
+		run:      &flowRun{txn: tx.Txn{ID: txn.ID}},
 		routeKey: key,
 		claim:    true,
 	}

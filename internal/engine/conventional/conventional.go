@@ -18,6 +18,7 @@ import (
 	"dora/internal/lockmgr"
 	"dora/internal/metrics"
 	"dora/internal/sm"
+	"dora/internal/tx"
 	"dora/internal/xct"
 )
 
@@ -77,7 +78,7 @@ func (e *Engine) Exec(worker int, flow *xct.Flow) error {
 		}
 	}
 	done := make(chan error, 1)
-	e.SM.CommitAsync(txn, func(err error) { done <- err })
+	e.SM.CommitAsync(txn, tx.CompletionFunc(func(err error) { done <- err }))
 	// Early lock release: the commit LSN is assigned, so conflicting
 	// transactions may run now — log-LSN flush order guarantees none of
 	// them becomes durable before this one. Durability itself completes on

@@ -43,6 +43,7 @@ import (
 	"dora/internal/sm"
 	"dora/internal/storage"
 	"dora/internal/tuple"
+	"dora/internal/tx"
 )
 
 // Config tunes the daemon.
@@ -435,7 +436,7 @@ func (d *Daemon) heapUnit(ctx *dora.OwnerCtx) bool {
 			}
 		}
 	}
-	d.sm.CommitAsync(txn, func(error) {})
+	d.sm.CommitAsync(txn, tx.CompletionFunc(func(error) {}))
 	return worked
 }
 

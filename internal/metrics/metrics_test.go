@@ -203,3 +203,14 @@ func TestPredictability(t *testing.T) {
 		t.Fatal("table filter broken")
 	}
 }
+
+// BenchmarkHistogramObserve: one Observe per op, durations cycling over
+// the buckets (the tracer's and the engine's latency recording).
+func BenchmarkHistogramObserve(b *testing.B) {
+	var h Histogram
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Observe(time.Duration(i&1023) * time.Microsecond)
+	}
+}

@@ -55,7 +55,7 @@ type replicaLog struct {
 
 type replWaiter struct {
 	lsn uint64
-	fn  func(error)
+	w   wal.Waiter
 }
 
 // Append panics: replicas never originate log records.
@@ -86,7 +86,7 @@ func (l *replicaLog) append(data []byte) error {
 	l.waiters = keep
 	l.mu.Unlock()
 	for _, w := range fire {
-		w.fn(nil)
+		w.w.Forced(nil)
 	}
 	return nil
 }
@@ -94,19 +94,19 @@ func (l *replicaLog) append(data []byte) error {
 // Force implements wal.Manager: it waits until delivery covers lsn.
 func (l *replicaLog) Force(lsn wal.LSN) error {
 	ch := make(chan error, 1)
-	l.ForceAsync(lsn, func(err error) { ch <- err })
+	l.ForceAsync(lsn, wal.WaiterFunc(func(err error) { ch <- err }))
 	return <-ch
 }
 
 // ForceAsync implements wal.AsyncForcer.
-func (l *replicaLog) ForceAsync(lsn wal.LSN, fn func(error)) {
+func (l *replicaLog) ForceAsync(lsn wal.LSN, w wal.Waiter) {
 	l.mu.Lock()
 	if l.durable > lsn {
 		l.mu.Unlock()
-		fn(nil)
+		w.Forced(nil)
 		return
 	}
-	l.waiters = append(l.waiters, replWaiter{lsn, fn})
+	l.waiters = append(l.waiters, replWaiter{lsn, w})
 	l.mu.Unlock()
 }
 

@@ -11,6 +11,7 @@ import (
 	"dora/internal/page"
 	"dora/internal/storage"
 	"dora/internal/tuple"
+	"dora/internal/tx"
 	"dora/internal/wal"
 )
 
@@ -130,7 +131,7 @@ func commitAsyncUpdates(t *testing.T, s *SM, n int64) chan error {
 		if err := s.Session(0).Update(txn, tbl, i, acct(i, "r", i)); err != nil {
 			t.Fatal(err)
 		}
-		s.CommitAsync(txn, func(err error) { done <- err })
+		s.CommitAsync(txn, tx.CompletionFunc(func(err error) { done <- err }))
 	}
 	return done
 }

@@ -322,9 +322,17 @@ func (s *SM) CreateTable(spec TableSpec) (*catalog.Table, error) {
 
 // Begin starts a transaction.
 func (s *SM) Begin() *tx.Txn {
-	t := s.ids.NewTxn()
-	s.register(t)
+	t := new(tx.Txn)
+	s.BeginInto(t)
 	return t
+}
+
+// BeginInto starts a transaction in t, a zero Txn the caller owns: an
+// engine embeds the storage transaction in its own per-transaction state
+// so starting one allocates nothing.
+func (s *SM) BeginInto(t *tx.Txn) {
+	s.ids.Start(t)
+	s.register(t)
 }
 
 // Session returns an access handle tagged with a worker id for the
@@ -345,26 +353,29 @@ func (s *SM) OwnedSession(worker int, owner *btree.Owner) *Session {
 // transaction's last: no end record follows it.
 func (s *SM) Commit(t *tx.Txn) error {
 	ch := make(chan error, 1)
-	s.CommitAsync(t, func(err error) { ch <- err })
+	s.CommitAsync(t, tx.CompletionFunc(func(err error) { ch <- err }))
 	return <-ch
 }
 
 // CommitAsync appends t's commit record and schedules the rest of commit
-// — status flip, durability notification — for when the log hardens it.
-// The completion appends nothing: a hardened commit record resolves the
-// transaction, so the flush daemon's callbacks never wait for log room.
-// done is invoked exactly once: inline if the log manager only supports
-// synchronous forces (or t is read-only), otherwise from the flush
-// daemon (flush pipelining: the worker never blocks on the sync).
+// — status flip, durability notification — for when the log hardens it
+// (FinishCommit). The finish appends nothing: a hardened commit record
+// resolves the transaction. done.Complete is invoked exactly once: inline
+// if the log manager only supports synchronous forces (or t is
+// read-only), otherwise from the log's completion goroutine (flush
+// pipelining: the worker never blocks on the sync). Without a tracer
+// sample or a commit gate nothing is allocated: t itself waits on the
+// force and reaches FinishCommit, which calls done.
 //
 // When CommitAsync returns, t's commit LSN is assigned, and engines may
 // release t's locks immediately (early lock release). That is safe
 // because the log hardens in LSN order: any transaction that read t's
 // writes logs its own commit record after t's, so it cannot become
 // durable — and its client cannot be acknowledged — before t is.
-func (s *SM) CommitAsync(t *tx.Txn, done func(error)) {
+func (s *SM) CommitAsync(t *tx.Txn, done tx.Completion) {
+	t.SetCommit(s, done)
 	if t.LastLSN() == 0 {
-		s.commitReadOnly(t, done)
+		s.commitReadOnly(t)
 		return
 	}
 	tt := t.Trace
@@ -382,23 +393,16 @@ func (s *SM) CommitAsync(t *tx.Txn, done func(error)) {
 			break
 		}
 	}
-	finish := func(err error) {
-		s.deregister(t)
-		if err != nil {
-			done(err)
-			return
-		}
-		t.SetStatus(tx.Committed)
-		s.Commits.Inc()
-		done(nil)
-	}
-	complete := finish
+	// Untraced and ungated, t itself waits on the force; a commit gate
+	// or a trace sample wraps it in closures.
+	var w wal.Waiter = t
 	if gp := s.commitGate.Load(); gp != nil {
 		gate := *gp
+		finish := func(err error) { s.FinishCommit(t, err) }
 		// The gate runs between local durability and completion: the
 		// commit record hardened here, but the acknowledgement waits for
 		// the replication rule.
-		complete = func(err error) {
+		w = wal.WaiterFunc(func(err error) {
 			if err != nil {
 				finish(err)
 				return
@@ -412,24 +416,38 @@ func (s *SM) CommitAsync(t *tx.Txn, done func(error)) {
 				tt.Span(trace.StageAckWait, -1, gateAt, time.Since(gateAt))
 				finish(err)
 			})
-		}
+		})
 	}
 	if af, ok := s.Log.(wal.AsyncForcer); ok {
 		if tt != nil {
 			// The flush-wait span runs from the force request to the
 			// flush daemon hardening the commit LSN; the ack-wait span
-			// (inside complete) starts only after it ends.
+			// (inside the gate's waiter) starts only after it ends.
 			flushAt := time.Now()
-			inner := complete
-			complete = func(err error) {
+			inner := w
+			w = wal.WaiterFunc(func(err error) {
 				tt.Span(trace.StageFlushWait, -1, flushAt, time.Since(flushAt))
-				inner(err)
-			}
+				inner.Forced(err)
+			})
 		}
-		af.ForceAsync(lsn, complete)
+		af.ForceAsync(lsn, w)
 		return
 	}
-	complete(s.Log.Force(lsn))
+	w.Forced(s.Log.Force(lsn))
+}
+
+// FinishCommit is a commit's last step, reached through t (tx.Finisher)
+// once its force returned, or with the read-only horizon's outcome: it
+// drops t from the active registry and, on success, marks it committed
+// and counts it, then hands the verdict to the completion CommitAsync
+// was given.
+func (s *SM) FinishCommit(t *tx.Txn, err error) {
+	s.deregister(t)
+	if err == nil {
+		t.SetStatus(tx.Committed)
+		s.Commits.Inc()
+	}
+	t.CommitDone().Complete(err)
 }
 
 // commitReadOnly completes a transaction that wrote nothing. With a
@@ -439,22 +457,14 @@ func (s *SM) CommitAsync(t *tx.Txn, done func(error)) {
 // writes whose commit records are still in flight — it must not be
 // acknowledged before the highest assigned commit LSN hardens, or a
 // crash could erase state a client was told it read.
-func (s *SM) commitReadOnly(t *tx.Txn, done func(error)) {
-	finish := func(err error) {
-		s.deregister(t)
-		if err == nil {
-			t.SetStatus(tx.Committed)
-			s.Commits.Inc()
-		}
-		done(err)
-	}
+func (s *SM) commitReadOnly(t *tx.Txn) {
 	if af, ok := s.Log.(wal.AsyncForcer); ok {
 		if target := s.lastCommit.Load(); target != 0 && s.Log.Durable() <= target {
-			af.ForceAsync(target, finish)
+			af.ForceAsync(target, t)
 			return
 		}
 	}
-	finish(nil)
+	s.FinishCommit(t, nil)
 }
 
 // Rollback undoes every operation of t (in reverse), logging CLRs, and

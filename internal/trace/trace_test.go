@@ -191,3 +191,22 @@ func TestRingStorm(t *testing.T) {
 		t.Fatalf("aggregated %d + dropped %d != produced %d", agg, s.Dropped, want)
 	}
 }
+
+// BenchmarkRingPush: one span-record push per op into a default-sized
+// ring, drained every 64 pushes so it never fills (a full ring drops
+// the record, which would time the refusal instead).
+func BenchmarkRingPush(b *testing.B) {
+	r := newRing(12)
+	var rec spanRec
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !r.push(spanRec{txnID: uint64(i), durNS: int64(i), stage: StageExec}) {
+			b.Fatal("ring full")
+		}
+		if i%64 == 63 {
+			for r.pop(&rec) {
+			}
+		}
+	}
+}

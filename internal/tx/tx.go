@@ -89,6 +89,31 @@ type Txn struct {
 	// only under mu, so a record of this transaction never needs a heap
 	// object of its own.
 	rec wal.Record
+
+	// fin and done are the pending commit's finish step and its client
+	// completion, set by SetCommit before the commit force is issued: the
+	// Txn itself is the force's waiter, so an asynchronous commit builds
+	// no closure.
+	fin  Finisher
+	done Completion
+}
+
+// Completion receives a transaction's commit verdict exactly once.
+type Completion interface {
+	Complete(err error)
+}
+
+// CompletionFunc adapts a function to Completion.
+type CompletionFunc func(error)
+
+// Complete implements Completion.
+func (f CompletionFunc) Complete(err error) { f(err) }
+
+// Finisher finishes a transaction once its commit force has returned
+// (the storage manager: status flip, registry and counters, then the
+// client's completion).
+type Finisher interface {
+	FinishCommit(t *Txn, err error)
 }
 
 // inlineUndos is how many undo entries a transaction holds before its
@@ -98,8 +123,9 @@ const inlineUndos = 4
 // IDGen allocates transaction ids.
 type IDGen struct{ next atomic.Uint64 }
 
-// NewTxn returns a fresh active transaction.
-func (g *IDGen) NewTxn() *Txn { return &Txn{ID: g.next.Add(1)} }
+// Start gives t, a zero Txn the caller owns (an engine embeds it in its
+// own per-transaction state), the next id.
+func (g *IDGen) Start(t *Txn) { t.ID = g.next.Add(1) }
 
 // EnsureAtLeast raises the generator so future ids exceed v (recovery
 // must not reuse ids that appear in the log).
@@ -166,6 +192,19 @@ func (t *Txn) Append(m wal.Manager, rec wal.Record) (lsn, prev uint64) {
 	}
 	return lsn, prev
 }
+
+// SetCommit records the finish step and the completion of t's pending
+// commit; Forced runs them.
+func (t *Txn) SetCommit(fin Finisher, done Completion) {
+	t.fin, t.done = fin, done
+}
+
+// Forced implements wal.Waiter: the commit force returned, so the
+// finish step runs.
+func (t *Txn) Forced(err error) { t.fin.FinishCommit(t, err) }
+
+// CommitDone returns the completion SetCommit recorded.
+func (t *Txn) CommitDone() Completion { return t.done }
 
 // AddUndo appends a logical undo entry.
 func (t *Txn) AddUndo(u Undo) {

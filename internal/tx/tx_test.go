@@ -16,7 +16,7 @@ func TestIDGenUnique(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
-				id := g.NewTxn().ID
+				id := nextID(&g)
 				if _, dup := seen.LoadOrStore(id, true); dup {
 					t.Errorf("duplicate txn id %d", id)
 					return
@@ -27,14 +27,21 @@ func TestIDGenUnique(t *testing.T) {
 	wg.Wait()
 }
 
+// nextID starts a transaction from g and returns its id.
+func nextID(g *IDGen) uint64 {
+	var t Txn
+	g.Start(&t)
+	return t.ID
+}
+
 func TestEnsureAtLeast(t *testing.T) {
 	var g IDGen
 	g.EnsureAtLeast(100)
-	if id := g.NewTxn().ID; id <= 100 {
+	if id := nextID(&g); id <= 100 {
 		t.Fatalf("id = %d, want > 100", id)
 	}
 	g.EnsureAtLeast(50) // lowering must be a no-op
-	if id := g.NewTxn().ID; id <= 100 {
+	if id := nextID(&g); id <= 100 {
 		t.Fatalf("id = %d after no-op lower", id)
 	}
 }

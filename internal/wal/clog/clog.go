@@ -127,18 +127,18 @@ func (g *group) extent(total int64) {
 }
 
 // waiter is one outstanding durability request: an asynchronous force's
-// callback, or the wake-up channel of a blocking Force.
+// waiter, or the wake-up channel of a blocking Force.
 type waiter struct {
 	lsn  uint64
-	fn   func(error)
+	w    wal.Waiter
 	wake chan struct{}
 }
 
-// callbacks is a batch of asynchronous-force callbacks that became due
+// callbacks is a batch of asynchronous-force waiters that became due
 // together; a completion goroutine runs them and hands the batch back
 // for reuse.
 type callbacks struct {
-	fns []func(error)
+	ws  []wal.Waiter
 	err error
 }
 
@@ -570,11 +570,11 @@ func (l *Log) completeWaiters(err error) {
 	l.waitMu.Unlock()
 	// Blocking forces are woken right here: each channel has room for
 	// its one send, so the daemon never blocks on it, and the woken force
-	// reads its outcome from the log itself. Callbacks run off
-	// the daemon thread: a commit completion appends the transaction's
-	// end record, and under backpressure that append would otherwise
-	// park the daemon in waitForRoom — waiting for a flush only the
-	// daemon itself can perform.
+	// reads its outcome from the log itself. Callbacks run off the daemon
+	// thread: a commit completion hands the client its verdict, and a
+	// client's done may dispatch a new transaction whose first append,
+	// under backpressure, parks in waitForRoom — waiting for a flush only
+	// the daemon itself can perform.
 	var cb *callbacks
 	for _, w := range fire {
 		if w.wake != nil {
@@ -586,7 +586,7 @@ func (l *Log) completeWaiters(err error) {
 				cb = new(callbacks)
 			}
 		}
-		cb.fns = append(cb.fns, w.fn)
+		cb.ws = append(cb.ws, w.w)
 	}
 	clear(fire)
 	l.fire = fire[:0]
@@ -599,11 +599,11 @@ func (l *Log) completeWaiters(err error) {
 // runCallbacks runs one batch of due callbacks in order, then offers the
 // batch back for reuse.
 func (l *Log) runCallbacks(cb *callbacks) {
-	for _, fn := range cb.fns {
-		fn(cb.err)
+	for _, w := range cb.ws {
+		w.Forced(cb.err)
 	}
-	clear(cb.fns)
-	cb.fns = cb.fns[:0]
+	clear(cb.ws)
+	cb.ws = cb.ws[:0]
 	l.spare.Store(cb)
 }
 
@@ -634,19 +634,20 @@ func (l *Log) queueLocked(w waiter) {
 	l.kick()
 }
 
-// ForceAsync implements wal.AsyncForcer: fn runs exactly once — inline if
-// lsn is already durable, otherwise from a completion goroutine once the
-// flush daemon hardens it. Callbacks may block (and may append — commit
-// completion writes the end record); they never run on the daemon itself.
-func (l *Log) ForceAsync(lsn wal.LSN, fn func(error)) {
+// ForceAsync implements wal.AsyncForcer: w.Forced runs exactly once —
+// inline if lsn is already durable, otherwise from a completion goroutine
+// once the flush daemon hardens it. Waiters may block and may append (a
+// commit's client may start its next transaction from its completion);
+// they never run on the daemon itself.
+func (l *Log) ForceAsync(lsn wal.LSN, w wal.Waiter) {
 	l.Forces.Inc()
 	l.waitMu.Lock()
 	if ok, err := l.settledLocked(lsn, false); ok {
 		l.waitMu.Unlock()
-		fn(err)
+		w.Forced(err)
 		return
 	}
-	l.queueLocked(waiter{lsn: lsn, fn: fn})
+	l.queueLocked(waiter{lsn: lsn, w: w})
 }
 
 // Force implements wal.Manager: it blocks until lsn is durable. A force

@@ -153,7 +153,7 @@ func TestForceAsyncCompletesInLSNOrderHorizon(t *testing.T) {
 	for _, lsn := range lsns {
 		lsn := lsn
 		wg.Add(1)
-		l.ForceAsync(lsn, func(err error) {
+		l.ForceAsync(lsn, wal.WaiterFunc(func(err error) {
 			if err != nil {
 				t.Error(err)
 			}
@@ -161,7 +161,7 @@ func TestForceAsyncCompletesInLSNOrderHorizon(t *testing.T) {
 			order = append(order, lsn)
 			mu.Unlock()
 			wg.Done()
-		})
+		}))
 	}
 	wg.Wait()
 	if len(order) != len(lsns) {
@@ -481,10 +481,10 @@ func TestCommitCallbacksSurviveBackpressure(t *testing.T) {
 			for i := 0; i < per; i++ {
 				lsn := l.Append(&wal.Record{Kind: wal.KUpdate, TxnID: uint64(w + 1), Redo: big})
 				cbs.Add(1)
-				l.ForceAsync(lsn, func(error) {
+				l.ForceAsync(lsn, wal.WaiterFunc(func(error) {
 					l.Append(&wal.Record{Kind: wal.KEnd, TxnID: uint64(w + 1)})
 					cbs.Done()
-				})
+				}))
 			}
 		}(w)
 	}
@@ -595,7 +595,7 @@ func TestBlockingAndAsyncForcesShareABatch(t *testing.T) {
 		forced.Add(1)
 		// Nothing is durable while the store's sync is gated, so the
 		// callback is queued, never run inline on this goroutine.
-		l.ForceAsync(lsn, func(err error) {
+		l.ForceAsync(lsn, wal.WaiterFunc(func(err error) {
 			defer wg.Done()
 			if err != nil {
 				t.Error(err)
@@ -604,7 +604,7 @@ func TestBlockingAndAsyncForcesShareABatch(t *testing.T) {
 				close(parked)
 				<-release
 			})
-		})
+		}))
 		go func() {
 			defer forced.Done()
 			if err := l.Force(lsn); err != nil {

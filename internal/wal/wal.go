@@ -174,12 +174,25 @@ type Manager interface {
 }
 
 // AsyncForcer is implemented by log managers that can complete
-// transactions asynchronously: fn runs once every record with LSN <= lsn
-// is durable (or the log has failed). The storage manager uses it for
-// flush pipelining — commit does not block the worker on the sync.
+// transactions asynchronously: w.Forced runs once every record with LSN
+// <= lsn is durable (or the log has failed). The storage manager uses it
+// for flush pipelining — commit does not block the worker on the sync.
 type AsyncForcer interface {
-	ForceAsync(lsn LSN, fn func(error))
+	ForceAsync(lsn LSN, w Waiter)
 }
+
+// Waiter receives the outcome of an asynchronous force exactly once. A
+// committing transaction is its own waiter (tx.Txn), so the common
+// commit queues no closure.
+type Waiter interface {
+	Forced(err error)
+}
+
+// WaiterFunc adapts a function to Waiter.
+type WaiterFunc func(error)
+
+// Forced implements Waiter.
+func (f WaiterFunc) Forced(err error) { f(err) }
 
 // Stats is a point-in-time copy of a log manager's operation counters.
 type Stats struct {
