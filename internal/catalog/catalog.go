@@ -165,17 +165,15 @@ func (t *Table) IndexByName(name string) *Index {
 type Catalog struct {
 	mu     sync.RWMutex
 	byName map[string]*Table
-	byID   map[uint32]*Table
-	nextID uint32
+	// tables lists the tables in registration order; table id i is
+	// tables[i-1]. It only ever grows, so Tables can hand out a view of
+	// it without copying.
+	tables []*Table
 }
 
 // New returns an empty catalog.
 func New() *Catalog {
-	return &Catalog{
-		byName: make(map[string]*Table),
-		byID:   make(map[uint32]*Table),
-		nextID: 1,
-	}
+	return &Catalog{byName: make(map[string]*Table)}
 }
 
 // AddTable registers a table built by the storage manager. The table is
@@ -186,10 +184,9 @@ func (c *Catalog) AddTable(t *Table) (*Table, error) {
 	if _, dup := c.byName[t.Name]; dup {
 		return nil, fmt.Errorf("catalog: table %q exists", t.Name)
 	}
-	t.ID = c.nextID
-	c.nextID++
+	c.tables = append(c.tables, t)
+	t.ID = uint32(len(c.tables))
 	c.byName[t.Name] = t
-	c.byID[t.ID] = t
 	return t, nil
 }
 
@@ -204,18 +201,17 @@ func (c *Catalog) Table(name string) *Table {
 func (c *Catalog) TableByID(id uint32) *Table {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.byID[id]
+	if id == 0 || int(id) > len(c.tables) {
+		return nil
+	}
+	return c.tables[id-1]
 }
 
-// Tables returns all tables in registration order.
+// Tables returns all tables in registration order. The slice is shared
+// with the catalog and must not be modified; it costs no allocation,
+// since later registrations append past its end and never touch it.
 func (c *Catalog) Tables() []*Table {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	out := make([]*Table, 0, len(c.byID))
-	for id := uint32(1); id < c.nextID; id++ {
-		if t := c.byID[id]; t != nil {
-			out = append(out, t)
-		}
-	}
-	return out
+	return c.tables[:len(c.tables):len(c.tables)]
 }

@@ -47,6 +47,27 @@ func TestAddAndLookup(t *testing.T) {
 	}
 }
 
+// TestTablesView: Tables hands out the registration list without copying
+// it, and a view taken earlier is not disturbed by later registrations.
+func TestTablesView(t *testing.T) {
+	c := New()
+	a, _ := c.AddTable(mkTable("a"))
+	if n := testing.AllocsPerRun(100, func() { c.Tables() }); n != 0 {
+		t.Fatalf("Tables: %.1f allocs, want 0", n)
+	}
+	old := c.Tables()
+	b, _ := c.AddTable(mkTable("b"))
+	if len(old) != 1 || old[0] != a {
+		t.Fatalf("earlier view = %v", old)
+	}
+	if got := c.Tables(); len(got) != 2 || got[1] != b {
+		t.Fatalf("Tables() = %v", got)
+	}
+	if c.TableByID(0) != nil || c.TableByID(b.ID+1) != nil {
+		t.Fatal("ids outside the registered range must return nil")
+	}
+}
+
 func TestDuplicateNameRejected(t *testing.T) {
 	c := New()
 	if _, err := c.AddTable(mkTable("dup")); err != nil {

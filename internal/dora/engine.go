@@ -338,7 +338,7 @@ func (e *Dora) dispatchPhase(run *flowRun, phase int) {
 	actions := run.flow.Phases[phase].Actions
 	r := run.phaseRVP(phase, len(actions))
 	r.at = time.Now()
-	r.env = xct.Env{Txn: &run.txn, Ses: e.coordSes}
+	r.env = run.flow.Env(&run.txn, e.coordSes)
 	// With phase 0 we also enqueue lock *claims* for every later-phase
 	// action whose key is static and aligned, so the transaction's whole
 	// (static) lock set enters all queues in one atomic canonical batch —
@@ -355,7 +355,7 @@ func (e *Dora) dispatchPhase(run *flowRun, phase int) {
 				}
 				run.addTable(tbl.ID)
 				m := r.newMsg()
-				m.act, m.run, m.routeKey, m.at, m.claim = a, run, a.Key, r.at, true
+				m.act, m.run, m.routeKey, m.claim = a, run, a.Key, true
 				r.targets = append(r.targets, dispatchTarget{tbl, e.ownerOf(tbl, a.Key), m})
 			}
 		}
@@ -429,7 +429,7 @@ func (r *rvp) routed() {
 		}
 		tbl := e.sm.Cat.Table(a.Table)
 		m := r.newMsg()
-		m.act, m.run, m.rvp, m.routeKey, m.at = a, run, r, r.rks[i], r.at
+		m.act, m.run, m.rvp, m.routeKey = a, run, r, r.rks[i]
 		r.targets = append(r.targets, dispatchTarget{tbl, e.ownerOf(tbl, r.rks[i]), m})
 	}
 	e.enqueuePhase(r.targets)

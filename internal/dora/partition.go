@@ -28,7 +28,6 @@ type actionMsg struct {
 	run      *flowRun
 	rvp      *rvp  // nil for claims
 	routeKey int64 // value in the table's current partition-field space
-	at       time.Time
 	// claim marks an early lock acquisition for a later-phase action:
 	// enqueued atomically with phase 0, it makes every statically-keyed
 	// lock of the transaction appear in all queues in one canonical
@@ -456,10 +455,11 @@ func (p *partition) execute(am *actionMsg) {
 	var execAt time.Time
 	if tt != nil {
 		execAt = time.Now()
-		tt.Span(trace.StageQueueWait, p.worker, am.at, execAt.Sub(am.at))
+		tt.Span(trace.StageQueueWait, p.worker, am.rvp.at, execAt.Sub(am.rvp.at))
 	}
 	am.host = actionHost{p: p, am: am}
-	am.env = xct.Env{Txn: &am.run.txn, Ses: p.ses, Async: &am.host}
+	am.env = am.run.flow.Env(&am.run.txn, p.ses)
+	am.env.Async = &am.host
 	err := am.act.Run(&am.env)
 	if tt != nil {
 		tt.Span(trace.StageExec, p.worker, execAt, time.Since(execAt))
@@ -486,7 +486,7 @@ func (p *partition) sweepTimeouts() {
 			// drop them once their transaction has failed.
 			return !w.run.failed()
 		}
-		if now.Sub(w.at) > limit && !w.run.failed() {
+		if now.Sub(w.rvp.at) > limit && !w.run.failed() {
 			p.eng.Timeouts.Inc()
 			p.eng.report(w.rvp, ErrLocalTimeout)
 			return false

@@ -239,8 +239,11 @@ type rvp struct {
 	// key resolution; whoever brings it to zero enqueues the phase.
 	pending atomic.Int32
 	skipBuf [phaseInline]bool
-	at      time.Time // dispatch time (each action's queue-wait origin)
-	env     xct.Env   // resolver environment (coordinator session)
+	// at is the dispatch time: each of the phase's messages reads it as
+	// its queue-wait origin and local-timeout clock (claims never time
+	// out), so the messages carry no clock of their own.
+	at      time.Time
+	env     xct.Env // resolver environment (coordinator session)
 	rks     []int64
 	skip    []bool
 	targets []dispatchTarget

@@ -36,7 +36,9 @@ func stageRead(e *Dora, tbl *catalog.Table, key int64) (*actionMsg, <-chan verdi
 	})
 	run := newFlowRun(e, flow, func(err error) { out <- verdict{ran, err} })
 	run.addTable(tbl.ID)
-	am := &actionMsg{act: flow.Phases[0].Actions[0], run: run, rvp: newRVP(run, 0, 1), routeKey: key, at: time.Now()}
+	r := newRVP(run, 0, 1)
+	r.at = time.Now()
+	am := &actionMsg{act: flow.Phases[0].Actions[0], run: run, rvp: r, routeKey: key}
 	return am, out
 }
 

@@ -67,12 +67,12 @@ func (e *Engine) session(worker int) *sm.Session {
 func (e *Engine) Exec(worker int, flow *xct.Flow) error {
 	ses := e.session(worker)
 	txn := e.SM.Begin()
-	env := &xct.Env{Txn: txn, Ses: ses}
+	env := flow.Env(txn, ses)
 
 	for pi := range flow.Phases {
 		for _, a := range flow.Phases[pi].Actions {
-			if err := e.execAction(env, a); err != nil {
-				e.abort(env)
+			if err := e.execAction(&env, a); err != nil {
+				e.abort(&env)
 				return fmt.Errorf("conventional: %s/%s: %w", flow.Name, a.Label, err)
 			}
 		}

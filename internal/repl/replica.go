@@ -421,7 +421,7 @@ func (r *Replica) ExecReadOnly(worker int, flow *xct.Flow) error {
 	}
 	t := r.sm.Begin()
 	ses := r.sm.Session(worker)
-	env := &xct.Env{Txn: t, Ses: ses}
+	env := flow.Env(t, ses)
 	for pi := range flow.Phases {
 		for _, a := range flow.Phases[pi].Actions {
 			if a.Mode == xct.Write {
@@ -431,7 +431,7 @@ func (r *Replica) ExecReadOnly(worker int, flow *xct.Flow) error {
 			if a.Run == nil {
 				continue
 			}
-			if err := a.Run(env); err != nil {
+			if err := a.Run(&env); err != nil {
 				_ = r.sm.Rollback(t)
 				return err
 			}

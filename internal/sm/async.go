@@ -92,12 +92,12 @@ func (ss *Session) UpdateAsync(t *tx.Txn, tbl *catalog.Table, key int64, rec tup
 func (ss *Session) MutateAsync(t *tx.Txn, tbl *catalog.Table, key int64, fn func(tuple.Record) tuple.Record, home ContExec, k func(error)) {
 	ss.trace(tbl, key, true)
 	if tok, ok := tbl.Primary.Tree.Local(ss.owner, key); ok {
-		k(ss.mutateAt(tok, t, tbl, key, fn))
+		k(ss.mutateAt(tok, t, tbl, key, applyClosure, fn))
 		return
 	}
 	var err error
 	tbl.Primary.Tree.ExecAtAsync(ss.owner, key, home, func(tok *btree.Owner) {
-		err = ss.mutateAt(tok, t, tbl, key, fn)
+		err = ss.mutateAt(tok, t, tbl, key, applyClosure, fn)
 	}, func() { k(err) })
 }
 

@@ -386,21 +386,35 @@ func (ss *Session) finishUpdate(tok *btree.Owner, t *tx.Txn, tbl *catalog.Table,
 // is valid only during the call and must not be kept. fn may modify and
 // return it.
 func (ss *Session) Mutate(t *tx.Txn, tbl *catalog.Table, key int64, fn func(tuple.Record) tuple.Record) error {
+	return ss.MutateWith(t, tbl, key, applyClosure, fn)
+}
+
+// applyClosure is the modifier of the closure forms (Mutate,
+// MutateAsync): arg is the caller's closure.
+func applyClosure(r tuple.Record, arg any) tuple.Record {
+	return arg.(func(tuple.Record) tuple.Record)(r)
+}
+
+// MutateWith is Mutate with a modifier that captures nothing: fn receives
+// the record and arg, so a caller passing a package-level fn and a
+// pointer arg allocates no closure. fn runs under the same rules as
+// Mutate's.
+func (ss *Session) MutateWith(t *tx.Txn, tbl *catalog.Table, key int64, fn func(tuple.Record, any) tuple.Record, arg any) error {
 	ss.trace(tbl, key, true)
 	if tok, ok := tbl.Primary.Tree.Local(ss.owner, key); ok {
-		return ss.mutateAt(tok, t, tbl, key, fn)
+		return ss.mutateAt(tok, t, tbl, key, fn, arg)
 	}
 	var err error
 	tbl.Primary.Tree.ExecAt(ss.owner, key, func(tok *btree.Owner) {
-		err = ss.mutateAt(tok, t, tbl, key, fn)
+		err = ss.mutateAt(tok, t, tbl, key, fn, arg)
 	})
 	return err
 }
 
-// mutateAt is the owner-thread body of Mutate. On an owner's thread its
-// only allocation is the heap's copy of the before image, which becomes
-// the undo image.
-func (ss *Session) mutateAt(tok *btree.Owner, t *tx.Txn, tbl *catalog.Table, key int64, fn func(tuple.Record) tuple.Record) error {
+// mutateAt is the owner-thread body of MutateWith. On an owner's thread
+// its only allocation is the heap's copy of the before image, which
+// becomes the undo image.
+func (ss *Session) mutateAt(tok *btree.Owner, t *tx.Txn, tbl *catalog.Table, key int64, fn func(tuple.Record, any) tuple.Record, arg any) error {
 	v, err := tbl.Primary.Tree.GetAs(tok, key)
 	if err != nil {
 		if errors.Is(err, btree.ErrNotFound) {
@@ -421,7 +435,7 @@ func (ss *Session) mutateAt(tok *btree.Owner, t *tx.Txn, tbl *catalog.Table, key
 			return nil, derr
 		}
 		sc.upd = append(sc.upd[:0], old...)
-		upd = fn(sc.upd)
+		upd = fn(sc.upd, arg)
 		if nk := tbl.Primary.Key(upd); nk != key {
 			return nil, fmt.Errorf("sm: update changes primary key %d -> %d on %s", key, nk, tbl.Name)
 		}

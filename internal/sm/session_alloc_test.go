@@ -183,6 +183,46 @@ func TestMutateOwnedAllocs(t *testing.T) {
 	}
 }
 
+// addBalance is a capture-free modifier for MutateWith: it adds *arg to
+// the balance.
+func addBalance(r tuple.Record, arg any) tuple.Record {
+	r[1].Int += *arg.(*int64)
+	return r
+}
+
+// TestMutateStaticAllocs: an owner's MutateWith on a stamped page, with a
+// package-level modifier and a pointer argument, allocates only the
+// before image it keeps for undo — no closure, no boxing of the argument.
+func TestMutateStaticAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	s, tbl, ses := intRig(t)
+	const key = 113
+	if !stamped(t, tbl, ses, key) {
+		t.Fatalf("row %d not on a page stamped to its owner", key)
+	}
+	delta := new(int64)
+	*delta = 3
+	txn := s.Begin()
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := ses.MutateWith(txn, tbl, key, addBalance, delta); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("owner MutateWith: %.1f allocs, want 1 (the undo image)", allocs)
+	}
+	if err := s.Commit(txn); err != nil {
+		t.Fatal(err)
+	}
+	// AllocsPerRun runs the body once more than it averages over.
+	rec, err := ses.Read(s.Begin(), tbl, key)
+	if err != nil || rec[1].Int != 3*201 {
+		t.Fatalf("row %d reads %v %v, want balance %d", key, rec, err, 3*201)
+	}
+}
+
 // TestInsertOwnedAllocs: an owner's insert of an all-integer record
 // encodes into the owner's buffer and logs through the transaction's
 // record, so it allocates at most one object (in fact only the index and

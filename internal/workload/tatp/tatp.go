@@ -259,127 +259,169 @@ func Load(s *sm.SM, n int64) (*DB, error) {
 	return db, nil
 }
 
-// resolveByNbr returns a Resolver for actions keyed by sub_nbr: it probes
-// the sub_by_nbr secondary index.
-func (db *DB) resolveByNbr(nbr int64) xct.Resolver {
-	return func(env *xct.Env, field string) (int64, error) {
-		rec, err := env.Ses.ReadByIndex(env.Txn, db.Subscriber, "sub_by_nbr", nbr)
-		if err != nil {
-			return 0, err
-		}
-		i := db.Subscriber.FieldIndex(field)
-		if i < 0 {
-			return 0, fmt.Errorf("tatp: subscriber has no field %q", field)
-		}
-		return rec[i].Int, nil
-	}
+// sub heads every TATP transaction's parameter block (see package xct
+// on the idiom): the flow, the database and the subscriber key the
+// flow's first action carries — s_id or sub_nbr, per its KeyField. Each
+// transaction kind embeds it in a struct of its own that also holds the
+// kind's parameters, actions and scratch, so building a flow is one
+// allocation.
+type sub struct {
+	xct.Flow
+	db  *DB
+	key int64
 }
 
-// resolveBySIDAsync returns an AsyncResolver for subscriber actions keyed
-// by s_id: it reads the row by primary key and projects the requested
+func (s *sub) head() *sub { return s }
+
+// subKeyed is every parameter block, seen through its embedded sub: what
+// the resolvers read.
+type subKeyed interface{ head() *sub }
+
+// subField projects field out of a subscriber row a resolver read.
+func subField(db *DB, rec tuple.Record, err error, field string) (int64, error) {
+	if err != nil {
+		return 0, err
+	}
+	i := db.Subscriber.FieldIndex(field)
+	if i < 0 {
+		return 0, fmt.Errorf("tatp: subscriber has no field %q", field)
+	}
+	return rec[i].Int, nil
+}
+
+// resolveByNbr is the Resolver of actions keyed by sub_nbr: it probes the
+// sub_by_nbr secondary index.
+func resolveByNbr(env *xct.Env, field string) (int64, error) {
+	h := env.Params.(subKeyed).head()
+	rec, err := env.Ses.ReadByIndex(env.Txn, h.db.Subscriber, "sub_by_nbr", h.key)
+	return subField(h.db, rec, err, field)
+}
+
+// resolveBySIDAsync is the AsyncResolver of subscriber actions keyed by
+// s_id: it reads the row by primary key and projects the requested
 // field. Only DORA, once subscriber is repartitioned onto sub_nbr, calls
 // it (the conventional engine locks s_id itself), so these actions carry
 // no sync Resolve. The read ships asynchronously and the dispatcher
 // suspends instead of blocking on it.
-func (db *DB) resolveBySIDAsync(sid int64) xct.AsyncResolver {
-	return func(env *xct.Env, field string, k func(int64, error)) {
-		env.Ses.ReadAsync(env.Txn, db.Subscriber, sid, nil, func(rec tuple.Record, err error) {
-			if err != nil {
-				k(0, err)
-				return
-			}
-			i := db.Subscriber.FieldIndex(field)
-			if i < 0 {
-				k(0, fmt.Errorf("tatp: subscriber has no field %q", field))
-				return
-			}
-			k(rec[i].Int, nil)
-		})
-	}
+func resolveBySIDAsync(env *xct.Env, field string, k func(int64, error)) {
+	h := env.Params.(subKeyed).head()
+	env.Ses.ReadAsync(env.Txn, h.db.Subscriber, h.key, nil, func(rec tuple.Record, err error) {
+		k(subField(h.db, rec, err, field))
+	})
 }
 
 // resolveByNbrAsync is resolveByNbr in continuation-passing form.
-func (db *DB) resolveByNbrAsync(nbr int64) xct.AsyncResolver {
-	return func(env *xct.Env, field string, k func(int64, error)) {
-		env.Ses.ReadByIndexAsync(env.Txn, db.Subscriber, "sub_by_nbr", nbr, nil, func(rec tuple.Record, err error) {
-			if err != nil {
-				k(0, err)
-				return
-			}
-			i := db.Subscriber.FieldIndex(field)
-			if i < 0 {
-				k(0, fmt.Errorf("tatp: subscriber has no field %q", field))
-				return
-			}
-			k(rec[i].Int, nil)
-		})
-	}
+func resolveByNbrAsync(env *xct.Env, field string, k func(int64, error)) {
+	h := env.Params.(subKeyed).head()
+	env.Ses.ReadByIndexAsync(env.Txn, h.db.Subscriber, "sub_by_nbr", h.key, nil, func(rec tuple.Record, err error) {
+		k(subField(h.db, rec, err, field))
+	})
+}
+
+type getSubscriberData struct {
+	sub
+	act [1]xct.Action
+	ptr [1]*xct.Action
 }
 
 // GetSubscriberData returns the flow for TATP GET_SUBSCRIBER_DATA.
 func (db *DB) GetSubscriberData(sid int64) *xct.Flow {
-	return xct.NewFlow("GetSubscriberData").AddPhase(&xct.Action{
+	f := &getSubscriberData{sub: sub{db: db, key: sid}}
+	f.Name, f.Params = "GetSubscriberData", f
+	f.act[0] = xct.Action{
 		Table: "subscriber", KeyField: "s_id", Key: sid, Mode: xct.Read,
-		ResolveAsync: db.resolveBySIDAsync(sid), Label: "read-sub",
-		Run: func(env *xct.Env) error {
-			_, err := env.Ses.Read(env.Txn, db.Subscriber, sid)
-			return err
-		},
-	})
+		ResolveAsync: resolveBySIDAsync, Label: "read-sub", Run: readSub,
+	}
+	f.ptr[0] = &f.act[0]
+	return f.AddPhase(f.ptr[:]...)
+}
+
+func readSub(env *xct.Env) error {
+	f := env.Params.(*getSubscriberData)
+	_, err := env.Ses.Read(env.Txn, f.db.Subscriber, f.key)
+	return err
+}
+
+type getNewDestination struct {
+	sub
+	sfType, startTime, endTime int64
+	// active is phase 0's verdict for phase 1.
+	active bool
+	acts   [2]xct.Action
+	ptrs   [2]*xct.Action
 }
 
 // GetNewDestination returns the flow for TATP GET_NEW_DESTINATION:
 // phase 1 checks the special facility is active, phase 2 scans matching
 // call forwardings.
 func (db *DB) GetNewDestination(sid, sfType, startTime, endTime int64) *xct.Flow {
-	active := new(bool)
-	return xct.NewFlow("GetNewDestination").
-		AddPhase(&xct.Action{
-			Table: "special_facility", KeyField: "s_id", Key: sid, Mode: xct.Read,
-			Label: "read-sf",
-			Run: func(env *xct.Env) error {
-				rec, err := env.Ses.Read(env.Txn, db.SpecialFac, SFKey(sid, sfType))
-				if err != nil {
-					if errors.Is(err, sm.ErrNotFound) {
-						return nil // no such facility: valid empty result
-					}
-					return err
-				}
-				*active = rec[2].Int == 1
-				return nil
-			},
-		}).
-		AddPhase(&xct.Action{
-			Table: "call_forwarding", KeyField: "s_id", Key: sid, Mode: xct.Read,
-			Label: "scan-cf",
-			Run: func(env *xct.Env) error {
-				if !*active {
-					return nil
-				}
-				lo := CFKey(sid, sfType, 0)
-				hi := CFKey(sid, sfType, 16)
-				return env.Ses.ScanRange(env.Txn, db.CallForward, lo, hi,
-					func(k int64, rec tuple.Record) bool {
-						// start_time <= startTime && endTime < end_time
-						return !(rec[2].Int <= startTime && endTime < rec[3].Int)
-					})
-			},
+	f := &getNewDestination{sub: sub{db: db, key: sid}, sfType: sfType, startTime: startTime, endTime: endTime}
+	f.Name, f.Params = "GetNewDestination", f
+	f.acts = [2]xct.Action{
+		{Table: "special_facility", KeyField: "s_id", Key: sid, Mode: xct.Read, Label: "read-sf", Run: readSF},
+		{Table: "call_forwarding", KeyField: "s_id", Key: sid, Mode: xct.Read, Label: "scan-cf", Run: scanCF},
+	}
+	f.ptrs = [2]*xct.Action{&f.acts[0], &f.acts[1]}
+	return f.AddPhase(f.ptrs[:1]...).AddPhase(f.ptrs[1:]...)
+}
+
+func readSF(env *xct.Env) error {
+	f := env.Params.(*getNewDestination)
+	rec, err := env.Ses.Read(env.Txn, f.db.SpecialFac, SFKey(f.key, f.sfType))
+	f.active = err == nil && rec[2].Int == 1
+	if errors.Is(err, sm.ErrNotFound) {
+		return nil // no such facility: valid empty result
+	}
+	return err
+}
+
+func scanCF(env *xct.Env) error {
+	f := env.Params.(*getNewDestination)
+	if !f.active {
+		return nil
+	}
+	lo := CFKey(f.key, f.sfType, 0)
+	hi := CFKey(f.key, f.sfType, 16)
+	return env.Ses.ScanRange(env.Txn, f.db.CallForward, lo, hi,
+		func(k int64, rec tuple.Record) bool {
+			// start_time <= startTime && endTime < end_time
+			return !(rec[2].Int <= f.startTime && f.endTime < rec[3].Int)
 		})
+}
+
+type getAccessData struct {
+	sub
+	aiType int64
+	act    [1]xct.Action
+	ptr    [1]*xct.Action
 }
 
 // GetAccessData returns the flow for TATP GET_ACCESS_DATA.
 func (db *DB) GetAccessData(sid, aiType int64) *xct.Flow {
-	return xct.NewFlow("GetAccessData").AddPhase(&xct.Action{
+	f := &getAccessData{sub: sub{db: db, key: sid}, aiType: aiType}
+	f.Name, f.Params = "GetAccessData", f
+	f.act[0] = xct.Action{
 		Table: "access_info", KeyField: "s_id", Key: sid, Mode: xct.Read,
-		Label: "read-ai",
-		Run: func(env *xct.Env) error {
-			_, err := env.Ses.Read(env.Txn, db.AccessInfo, AIKey(sid, aiType))
-			if errors.Is(err, sm.ErrNotFound) {
-				return nil // ~37% of probes are misses by design
-			}
-			return err
-		},
-	})
+		Label: "read-ai", Run: readAI,
+	}
+	f.ptr[0] = &f.act[0]
+	return f.AddPhase(f.ptr[:]...)
+}
+
+func readAI(env *xct.Env) error {
+	f := env.Params.(*getAccessData)
+	_, err := env.Ses.Read(env.Txn, f.db.AccessInfo, AIKey(f.key, f.aiType))
+	if errors.Is(err, sm.ErrNotFound) {
+		return nil // ~37% of probes are misses by design
+	}
+	return err
+}
+
+type batchScanSubscribers struct {
+	sub
+	hi  int64
+	act [1]xct.Action
+	ptr [1]*xct.Action
 }
 
 // BatchScanSubscribers returns a flow reading every subscriber with
@@ -392,127 +434,170 @@ func (db *DB) GetAccessData(sid, aiType int64) *xct.Flow {
 // wanting full coverage keep [lo, hi] inside one partition (the scan
 // itself ships foreign segments to their owners like any range scan).
 func (db *DB) BatchScanSubscribers(lo, hi int64) *xct.Flow {
-	return xct.NewFlow("BatchScanSubscribers").AddPhase(&xct.Action{
+	f := &batchScanSubscribers{sub: sub{db: db, key: lo}, hi: hi}
+	f.Name, f.Params = "BatchScanSubscribers", f
+	f.act[0] = xct.Action{
 		Table: "subscriber", KeyField: "s_id", Key: lo, Mode: xct.Read,
-		Ranged: true, RangeLo: lo, RangeHi: hi, Label: "scan-subs",
-		Run: func(env *xct.Env) error {
-			return env.Ses.ScanRange(env.Txn, db.Subscriber, lo, hi,
-				func(int64, tuple.Record) bool { return true })
-		},
-	})
+		Ranged: true, RangeLo: lo, RangeHi: hi, Label: "scan-subs", Run: scanSubs,
+	}
+	f.ptr[0] = &f.act[0]
+	return f.AddPhase(f.ptr[:]...)
+}
+
+func scanSubs(env *xct.Env) error {
+	f := env.Params.(*batchScanSubscribers)
+	return env.Ses.ScanRange(env.Txn, f.db.Subscriber, f.key, f.hi, visitAll)
+}
+
+func visitAll(int64, tuple.Record) bool { return true }
+
+type updateSubscriberData struct {
+	sub
+	sfType, bit, dataA int64
+	acts               [2]xct.Action
+	ptrs               [2]*xct.Action
 }
 
 // UpdateSubscriberData returns the flow for TATP UPDATE_SUBSCRIBER_DATA:
 // two parallel single-site writes.
 func (db *DB) UpdateSubscriberData(sid, sfType, bit, dataA int64) *xct.Flow {
-	return xct.NewFlow("UpdateSubscriberData").AddPhase(
-		&xct.Action{
-			Table: "subscriber", KeyField: "s_id", Key: sid, Mode: xct.Write,
-			ResolveAsync: db.resolveBySIDAsync(sid), Label: "upd-sub",
-			Run: func(env *xct.Env) error {
-				return env.Ses.Mutate(env.Txn, db.Subscriber, sid, func(r tuple.Record) tuple.Record {
-					r[subBit1] = tuple.I(bit)
-					return r
-				})
-			},
-		},
-		&xct.Action{
-			Table: "special_facility", KeyField: "s_id", Key: sid, Mode: xct.Write,
-			Label: "upd-sf",
-			Run: func(env *xct.Env) error {
-				err := env.Ses.Mutate(env.Txn, db.SpecialFac, SFKey(sid, sfType), func(r tuple.Record) tuple.Record {
-					r[4] = tuple.I(dataA)
-					return r
-				})
-				if errors.Is(err, sm.ErrNotFound) {
-					return nil
-				}
-				return err
-			},
-		},
-	)
+	f := &updateSubscriberData{sub: sub{db: db, key: sid}, sfType: sfType, bit: bit, dataA: dataA}
+	f.Name, f.Params = "UpdateSubscriberData", f
+	f.acts = [2]xct.Action{
+		{Table: "subscriber", KeyField: "s_id", Key: sid, Mode: xct.Write,
+			ResolveAsync: resolveBySIDAsync, Label: "upd-sub", Run: updSub},
+		{Table: "special_facility", KeyField: "s_id", Key: sid, Mode: xct.Write,
+			Label: "upd-sf", Run: updSF},
+	}
+	f.ptrs = [2]*xct.Action{&f.acts[0], &f.acts[1]}
+	return f.AddPhase(f.ptrs[:]...)
+}
+
+func updSub(env *xct.Env) error {
+	f := env.Params.(*updateSubscriberData)
+	return env.Ses.MutateWith(env.Txn, f.db.Subscriber, f.key, setBit1, f)
+}
+
+func setBit1(r tuple.Record, arg any) tuple.Record {
+	r[subBit1] = tuple.I(arg.(*updateSubscriberData).bit)
+	return r
+}
+
+func updSF(env *xct.Env) error {
+	f := env.Params.(*updateSubscriberData)
+	err := env.Ses.MutateWith(env.Txn, f.db.SpecialFac, SFKey(f.key, f.sfType), setDataA, f)
+	if errors.Is(err, sm.ErrNotFound) {
+		return nil
+	}
+	return err
+}
+
+func setDataA(r tuple.Record, arg any) tuple.Record {
+	r[4] = tuple.I(arg.(*updateSubscriberData).dataA)
+	return r
+}
+
+type updateLocation struct {
+	sub
+	vlr int64
+	act [1]xct.Action
+	ptr [1]*xct.Action
 }
 
 // UpdateLocation returns the flow for TATP UPDATE_LOCATION — keyed by
 // sub_nbr, the canonical non-partition-aligned access.
 func (db *DB) UpdateLocation(nbr, vlr int64) *xct.Flow {
-	return xct.NewFlow("UpdateLocation").AddPhase(&xct.Action{
+	f := &updateLocation{sub: sub{db: db, key: nbr}, vlr: vlr}
+	f.Name, f.Params = "UpdateLocation", f
+	f.act[0] = xct.Action{
 		Table: "subscriber", KeyField: "sub_nbr", Key: nbr, Mode: xct.Write,
-		Resolve: db.resolveByNbr(nbr), ResolveAsync: db.resolveByNbrAsync(nbr), Label: "upd-loc",
-		Run: func(env *xct.Env) error {
-			rec, err := env.Ses.ReadByIndex(env.Txn, db.Subscriber, "sub_by_nbr", nbr)
-			if err != nil {
-				return err
-			}
-			sid := rec[subSID].Int
-			return env.Ses.Mutate(env.Txn, db.Subscriber, sid, func(r tuple.Record) tuple.Record {
-				r[subVLRLoc] = tuple.I(vlr)
-				return r
-			})
-		},
-	})
+		Resolve: resolveByNbr, ResolveAsync: resolveByNbrAsync, Label: "upd-loc", Run: updLoc,
+	}
+	f.ptr[0] = &f.act[0]
+	return f.AddPhase(f.ptr[:]...)
+}
+
+func updLoc(env *xct.Env) error {
+	f := env.Params.(*updateLocation)
+	rec, err := env.Ses.ReadByIndex(env.Txn, f.db.Subscriber, "sub_by_nbr", f.key)
+	if err != nil {
+		return err
+	}
+	return env.Ses.MutateWith(env.Txn, f.db.Subscriber, rec[subSID].Int, setVLR, f)
+}
+
+func setVLR(r tuple.Record, arg any) tuple.Record {
+	r[subVLRLoc] = tuple.I(arg.(*updateLocation).vlr)
+	return r
+}
+
+// callForwarding is the parameter block of both call-forwarding
+// transactions: phase 0 resolves the subscriber by sub_nbr and fills in
+// sid and phase 1's routing key (a late key), phase 1 inserts or deletes
+// the forwarding.
+type callForwarding struct {
+	sub
+	sfType, startTime, endTime, numberx int64
+	sid                                 int64
+	rec                                 [5]tuple.Value // the inserted row
+	acts                                [2]xct.Action
+	ptrs                                [2]*xct.Action
+}
+
+// build wires the two phases: a find-sub read by sub_nbr, then body on
+// call_forwarding under the late s_id key.
+func (f *callForwarding) build(name, label string, body func(*xct.Env) error) *xct.Flow {
+	f.Name, f.Params = name, f
+	f.acts = [2]xct.Action{
+		{Table: "subscriber", KeyField: "sub_nbr", Key: f.key, Mode: xct.Read,
+			Resolve: resolveByNbr, ResolveAsync: resolveByNbrAsync, Label: "find-sub", Run: findSub},
+		{Table: "call_forwarding", KeyField: "s_id", Mode: xct.Write,
+			Label: label, LateKey: true, Run: body},
+	}
+	f.ptrs = [2]*xct.Action{&f.acts[0], &f.acts[1]}
+	return f.AddPhase(f.ptrs[:1]...).AddPhase(f.ptrs[1:]...)
 }
 
 // InsertCallForwarding returns the flow for TATP INSERT_CALL_FORWARDING.
 // Phase 1 resolves the subscriber and checks the facility; phase 2
 // inserts. A duplicate forwarding aborts the transaction (per spec).
 func (db *DB) InsertCallForwarding(nbr, sfType, startTime, endTime, numberx int64) *xct.Flow {
-	sid := new(int64)
-	// Phase 2's routing key (the resolved s_id) is produced by phase 1:
-	// the first action fills it in before the RVP dispatches the insert.
-	ins := &xct.Action{
-		Table: "call_forwarding", KeyField: "s_id", Mode: xct.Write,
-		Label: "ins-cf", LateKey: true,
-		Run: func(env *xct.Env) error {
-			return env.Ses.Insert(env.Txn, db.CallForward, tuple.Record{
-				tuple.I(*sid), tuple.I(sfType), tuple.I(startTime),
-				tuple.I(endTime), tuple.I(numberx),
-			})
-		},
-	}
-	return xct.NewFlow("InsertCallForwarding").
-		AddPhase(&xct.Action{
-			Table: "subscriber", KeyField: "sub_nbr", Key: nbr, Mode: xct.Read,
-			Resolve: db.resolveByNbr(nbr), ResolveAsync: db.resolveByNbrAsync(nbr), Label: "find-sub",
-			Run: func(env *xct.Env) error {
-				rec, err := env.Ses.ReadByIndex(env.Txn, db.Subscriber, "sub_by_nbr", nbr)
-				if err != nil {
-					return err
-				}
-				*sid = rec[subSID].Int
-				ins.Key = *sid
-				return nil
-			},
-		}).
-		AddPhase(ins)
+	f := &callForwarding{sub: sub{db: db, key: nbr}, sfType: sfType, startTime: startTime, endTime: endTime, numberx: numberx}
+	return f.build("InsertCallForwarding", "ins-cf", insCF)
 }
 
 // DeleteCallForwarding returns the flow for TATP DELETE_CALL_FORWARDING.
 // Deleting a non-existent forwarding aborts (per spec).
 func (db *DB) DeleteCallForwarding(nbr, sfType, startTime int64) *xct.Flow {
-	sid := new(int64)
-	del := &xct.Action{
-		Table: "call_forwarding", KeyField: "s_id", Mode: xct.Write,
-		Label: "del-cf", LateKey: true,
-		Run: func(env *xct.Env) error {
-			return env.Ses.Delete(env.Txn, db.CallForward, CFKey(*sid, sfType, startTime))
-		},
+	f := &callForwarding{sub: sub{db: db, key: nbr}, sfType: sfType, startTime: startTime}
+	return f.build("DeleteCallForwarding", "del-cf", delCF)
+}
+
+// findSub resolves sub_nbr to s_id: phase 1's routing key is produced
+// here, before the RVP dispatches it.
+func findSub(env *xct.Env) error {
+	f := env.Params.(*callForwarding)
+	rec, err := env.Ses.ReadByIndex(env.Txn, f.db.Subscriber, "sub_by_nbr", f.key)
+	if err != nil {
+		return err
 	}
-	return xct.NewFlow("DeleteCallForwarding").
-		AddPhase(&xct.Action{
-			Table: "subscriber", KeyField: "sub_nbr", Key: nbr, Mode: xct.Read,
-			Resolve: db.resolveByNbr(nbr), ResolveAsync: db.resolveByNbrAsync(nbr), Label: "find-sub",
-			Run: func(env *xct.Env) error {
-				rec, err := env.Ses.ReadByIndex(env.Txn, db.Subscriber, "sub_by_nbr", nbr)
-				if err != nil {
-					return err
-				}
-				*sid = rec[subSID].Int
-				del.Key = *sid
-				return nil
-			},
-		}).
-		AddPhase(del)
+	f.sid = rec[subSID].Int
+	f.acts[1].Key = f.sid
+	return nil
+}
+
+func insCF(env *xct.Env) error {
+	f := env.Params.(*callForwarding)
+	f.rec = [5]tuple.Value{
+		tuple.I(f.sid), tuple.I(f.sfType), tuple.I(f.startTime),
+		tuple.I(f.endTime), tuple.I(f.numberx),
+	}
+	return env.Ses.Insert(env.Txn, f.db.CallForward, f.rec[:])
+}
+
+func delCF(env *xct.Env) error {
+	f := env.Params.(*callForwarding)
+	return env.Ses.Delete(env.Txn, f.db.CallForward, CFKey(f.sid, f.sfType, f.startTime))
 }
 
 // MixOptions parameterize NewMix.

@@ -1,6 +1,7 @@
 package tatp
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -8,7 +9,9 @@ import (
 	"dora/internal/dora"
 	"dora/internal/engine"
 	"dora/internal/engine/conventional"
+	"dora/internal/repl"
 	"dora/internal/sm"
+	"dora/internal/wal"
 	"dora/internal/workload"
 )
 
@@ -111,6 +114,90 @@ func TestUpdateLocationRoundTrip(t *testing.T) {
 	_, unaligned := de.AlignmentStats(false)
 	if unaligned[db.Subscriber.ID]["sub_nbr"] == 0 {
 		t.Fatal("UpdateLocation not counted as unaligned")
+	}
+}
+
+// TestUpdateLocationAsyncResolver: DORA resolves every sub_nbr-keyed
+// UpdateLocation through the action's async resolver, which reads its
+// sub_nbr from the flow's parameter block through the resolver's Env.
+func TestUpdateLocationAsyncResolver(t *testing.T) {
+	const n = 60
+	db := loadDB(t, n)
+	de := dora.New(db.SM, dora.Config{PartitionsPerTable: 3, Domains: db.Domains()})
+	defer de.Close()
+	for sid := int64(1); sid <= n; sid++ {
+		if err := de.Exec(0, db.UpdateLocation(db.SubNbr(sid), 1000+sid)); err != nil {
+			t.Fatalf("UpdateLocation(s_id %d): %v", sid, err)
+		}
+	}
+	if got := de.AsyncResolves.Load(); got != n {
+		t.Fatalf("DORA ran %d async resolves, want %d", got, n)
+	}
+	ses := db.SM.Session(0)
+	for sid := int64(1); sid <= n; sid++ {
+		rec, err := ses.Read(db.SM.Begin(), db.Subscriber, sid)
+		if err != nil || rec[subVLRLoc].Int != 1000+sid {
+			t.Fatalf("s_id %d: vlr_location = %v, %v, want %d", sid, rec, err, 1000+sid)
+		}
+	}
+}
+
+// TestReadFlowsOnReplica: the TATP read flows run on a read replica
+// through ExecReadOnly, whose Env carries the flow's parameter block like
+// the engines' do.
+func TestReadFlowsOnReplica(t *testing.T) {
+	const n = 100
+	store := wal.NewMemStore()
+	s, err := sm.Open(sm.Options{Frames: 2048, LogStore: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := Load(s, n); err != nil {
+		t.Fatal(err)
+	}
+	sh, err := repl.AttachPrimary(s, store, repl.Rule{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Close()
+	var rdb *DB
+	rep, err := repl.NewReplica(repl.Options{Frames: 2048, DDL: func(rs *sm.SM) error {
+		var derr error
+		rdb, derr = Schema(rs, n)
+		return derr
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Close()
+	if err := sh.AddReplica("r", repl.LocalLink{R: rep}); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for rep.CommitHorizon() < s.LastCommitLSN() {
+		if time.Now().After(deadline) {
+			t.Fatal("replica did not catch up")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for sid := int64(1); sid <= n; sid++ {
+		if err := rep.ExecReadOnly(0, rdb.GetSubscriberData(sid)); err != nil {
+			t.Fatalf("GetSubscriberData(%d): %v", sid, err)
+		}
+		for ai := int64(1); ai <= 4; ai++ {
+			if err := rep.ExecReadOnly(0, rdb.GetAccessData(sid, ai)); err != nil {
+				t.Fatalf("GetAccessData(%d, %d): %v", sid, ai, err)
+			}
+		}
+	}
+	// The bodies read the keys their flows carry: a subscriber past the
+	// loaded range is not found.
+	if err := rep.ExecReadOnly(0, rdb.GetSubscriberData(n+1)); !errors.Is(err, sm.ErrNotFound) {
+		t.Fatalf("GetSubscriberData(%d) on the replica: %v, want not found", n+1, err)
+	}
+	if got := rep.Reads.Load(); got != 5*n {
+		t.Fatalf("replica reads = %d, want %d", got, 5*n)
 	}
 }
 

@@ -147,48 +147,68 @@ func Load(s *sm.SM, branches, accountsPerBranch int64) (*DB, error) {
 	return db, nil
 }
 
+// accountUpdate is one AccountUpdate transaction in a single heap object:
+// its flow graph, its parameters, its four actions and the phase slices'
+// backing, and the history row the insert writes (see package xct on the
+// idiom). Bodies reach it through env.Params.
+type accountUpdate struct {
+	xct.Flow
+	db                 *DB
+	b, t, a, delta, hs int64
+	acts               [4]xct.Action
+	ptrs               [4]*xct.Action
+	hist               [5]tuple.Value
+}
+
 // AccountUpdate builds the TPC-B transaction: update account, teller and
 // branch balances by delta (three parallel single-site writes), then
 // insert the history row.
 func (db *DB) AccountUpdate(b, t, a, delta, hseq int64) *xct.Flow {
-	return xct.NewFlow("AccountUpdate").
-		AddPhase(
-			&xct.Action{
-				Table: "account", KeyField: "b_id", Key: b, Mode: xct.Write, Label: "upd-acct",
-				Run: func(env *xct.Env) error {
-					return env.Ses.Mutate(env.Txn, db.Account, db.AKey(b, a), func(r tuple.Record) tuple.Record {
-						r[2] = tuple.I(r[2].Int + delta)
-						return r
-					})
-				},
-			},
-			&xct.Action{
-				Table: "teller", KeyField: "b_id", Key: b, Mode: xct.Write, Label: "upd-teller",
-				Run: func(env *xct.Env) error {
-					return env.Ses.Mutate(env.Txn, db.Teller, db.TKey(b, t), func(r tuple.Record) tuple.Record {
-						r[2] = tuple.I(r[2].Int + delta)
-						return r
-					})
-				},
-			},
-			&xct.Action{
-				Table: "branch", KeyField: "b_id", Key: b, Mode: xct.Write, Label: "upd-branch",
-				Run: func(env *xct.Env) error {
-					return env.Ses.Mutate(env.Txn, db.Branch, b, func(r tuple.Record) tuple.Record {
-						r[1] = tuple.I(r[1].Int + delta)
-						return r
-					})
-				},
-			},
-		).
-		AddPhase(&xct.Action{
-			Table: "history_tpcb", KeyField: "b_id", Key: b, Mode: xct.Write, Label: "ins-h",
-			Run: func(env *xct.Env) error {
-				return env.Ses.Insert(env.Txn, db.History, tuple.Record{
-					tuple.I(b), tuple.I(hseq), tuple.I(t), tuple.I(a), tuple.I(delta),
-				})
-			},
-		})
+	u := &accountUpdate{db: db, b: b, t: t, a: a, delta: delta, hs: hseq}
+	u.Name, u.Params = "AccountUpdate", u
+	u.acts = [4]xct.Action{
+		{Table: "account", KeyField: "b_id", Key: b, Mode: xct.Write, Label: "upd-acct", Run: updAccount},
+		{Table: "teller", KeyField: "b_id", Key: b, Mode: xct.Write, Label: "upd-teller", Run: updTeller},
+		{Table: "branch", KeyField: "b_id", Key: b, Mode: xct.Write, Label: "upd-branch", Run: updBranch},
+		{Table: "history_tpcb", KeyField: "b_id", Key: b, Mode: xct.Write, Label: "ins-h", Run: insHistory},
+	}
+	for i := range u.acts {
+		u.ptrs[i] = &u.acts[i]
+	}
+	return u.AddPhase(u.ptrs[:3]...).AddPhase(u.ptrs[3:]...)
+}
+
+func updAccount(env *xct.Env) error {
+	u := env.Params.(*accountUpdate)
+	return env.Ses.MutateWith(env.Txn, u.db.Account, u.db.AKey(u.b, u.a), addDelta2, u)
+}
+
+func updTeller(env *xct.Env) error {
+	u := env.Params.(*accountUpdate)
+	return env.Ses.MutateWith(env.Txn, u.db.Teller, u.db.TKey(u.b, u.t), addDelta2, u)
+}
+
+func updBranch(env *xct.Env) error {
+	u := env.Params.(*accountUpdate)
+	return env.Ses.MutateWith(env.Txn, u.db.Branch, u.b, addDelta1, u)
+}
+
+func insHistory(env *xct.Env) error {
+	u := env.Params.(*accountUpdate)
+	u.hist = [5]tuple.Value{tuple.I(u.b), tuple.I(u.hs), tuple.I(u.t), tuple.I(u.a), tuple.I(u.delta)}
+	return env.Ses.Insert(env.Txn, u.db.History, u.hist[:])
+}
+
+// addDelta2 adds the transaction's delta to field 2 (account and teller
+// balance); addDelta1 to field 1 (branch balance).
+func addDelta2(r tuple.Record, arg any) tuple.Record {
+	r[2] = tuple.I(r[2].Int + arg.(*accountUpdate).delta)
+	return r
+}
+
+func addDelta1(r tuple.Record, arg any) tuple.Record {
+	r[1] = tuple.I(r[1].Int + arg.(*accountUpdate).delta)
+	return r
 }
 
 // NewMix returns the single-transaction TPC-B mix. The history sequence

@@ -17,6 +17,18 @@
 // transaction — and unblocks its client — once that record hardens.
 // LSN-ordered flushing makes the early release safe: a transaction that
 // read the released writes cannot become durable first.
+//
+// Workloads build each transaction in one heap object: a per-kind struct
+// that embeds Flow and holds the transaction's parameters, its Action
+// array, the pointer array its phases slice (AddPhase does not copy a
+// slice it is handed) and any scratch the bodies share, such as a value
+// an earlier phase computes for a later one. The builder points
+// Flow.Params at that struct, every engine copies it into the Env of each
+// body and resolver it calls (Flow.Env), and the bodies and resolvers are
+// package-level functions that capture nothing: they read their inputs
+// through a type assertion on Env.Params. A flow is built once, for one
+// transaction, and is never shared between transactions: its parameter
+// block is that transaction's private state.
 package xct
 
 import (
@@ -150,10 +162,14 @@ func (m Mode) IntentFor() LockMode {
 
 // Env is the execution environment handed to action bodies: the shared
 // transaction context plus the worker-tagged storage session of whichever
-// thread runs the action.
+// thread runs the action. Engines build it with Flow.Env, so Params is
+// always the flow's.
 type Env struct {
 	Txn *tx.Txn
 	Ses *sm.Session
+	// Params is the executing flow's Flow.Params: the parameter block a
+	// capture-free body or resolver reads its inputs from.
+	Params any
 	// Async, when non-nil, is the engine's continuation host: the action
 	// may suspend itself on a foreign (cross-partition) operation instead
 	// of blocking its worker thread. Engines without partition workers
@@ -250,16 +266,31 @@ type Flow struct {
 	// Name identifies the transaction type (statistics, designer).
 	Name   string
 	Phases []Phase
+	// Params is the flow's parameter block, handed to every body and
+	// resolver as Env.Params. Builders point it at the struct that embeds
+	// the Flow (see the package comment); a pointer stored in an
+	// interface costs no allocation. Flows whose bodies are closures
+	// leave it nil.
+	Params any
 	// inline backs Phases for flows built with AddPhase until they grow
 	// past two phases, so building a typical flow allocates the Flow
 	// once instead of once more per phase.
 	inline [2]Phase
 }
 
+// Env returns the execution environment for running the flow's bodies
+// and resolvers as transaction t on session ses. Engines set Async
+// themselves where they host continuations.
+func (f *Flow) Env(t *tx.Txn, ses *sm.Session) Env {
+	return Env{Txn: t, Ses: ses, Params: f.Params}
+}
+
 // NewFlow starts a flow-graph builder.
 func NewFlow(name string) *Flow { return &Flow{Name: name} }
 
 // AddPhase appends a phase with the given actions and returns the flow.
+// The phase keeps the slice it is handed: AddPhase(ptrs[:k]...) over an
+// array in the builder's struct allocates nothing.
 func (f *Flow) AddPhase(actions ...*Action) *Flow {
 	if f.Phases == nil {
 		f.Phases = f.inline[:0]
