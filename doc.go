@@ -10,12 +10,11 @@
 //
 // Beyond the paper it grows the prototype toward the authors' follow-on
 // work: a consolidation-array log manager with flush pipelining and
-// early lock release (internal/wal/clog, experiment E11), a
-// physiologically partitioned access path (internal/btree's
-// PartitionedTree, PLP-style: per-partition B+tree subtrees owned by
-// DORA's workers, making owner-thread index descents latch-free —
-// experiment E12), and background physical maintenance (internal/maint,
-// experiment E13): heap pages are stamped with their owner's token so
+// early lock release (internal/wal/clog), a physiologically partitioned
+// access path (internal/btree's PartitionedTree, PLP-style:
+// per-partition B+tree subtrees owned by DORA's workers, making
+// owner-thread index descents latch-free), and background physical
+// maintenance (internal/maint): heap pages are stamped with their owner's token so
 // aligned record reads skip the buffer-frame latch, and a paced daemon —
 // running its operations on the owning workers' threads via the inbox
 // path — migrates or re-stamps the pages that splits and merges
@@ -25,7 +24,7 @@
 // index descents take no node latches, and frame latches on aligned
 // reads converge to zero as maintenance drains.
 //
-// The write side of that class is retired too (experiment E15): owner
+// The write side of that class is retired too: owner
 // mutations of stamped pages are latch-free by construction
 // (storage.Heap's UpdateOwnedWith/DeleteOwnedWith/MutateOwnedWith and
 // latch-free owner inserts), because page cleaning is owner-coordinated
@@ -59,8 +58,8 @@
 // in-flight cap, drop and latency accounting) measures behaviour past
 // the saturation knee.
 //
-// Cross-partition execution is asynchronous end to end (experiment
-// E14): a foreign operation ships to its owner together with a
+// Cross-partition execution is asynchronous end to end: a foreign
+// operation ships to its owner together with a
 // continuation instead of parking the sender, action bodies SUSPEND on
 // foreign logical ops (xct.Env.Async + the Session's *Async operations)
 // while their worker keeps draining its inbox, the flow-graph executor
@@ -77,7 +76,7 @@
 // on a ship, so arbitrary action bodies are deadlock-safe by
 // construction.
 //
-// Replication (internal/repl, experiment E16) turns the group-commit
+// Replication (internal/repl) turns the group-commit
 // log into a replication stream: the clog flush daemon's hardened group
 // extents ship — in LSN order, over in-process or TCP links — to
 // replicas that append them to their own log and replay them through
@@ -99,7 +98,7 @@
 // unparked; a merge that retires a resolved owner before the phase is
 // enqueued makes the enqueue re-resolve rather than strand the action.
 //
-// The backward paths are partitioned too (experiment E17): crash-
+// The backward paths are partitioned too: crash-
 // recovery redo and replica streaming apply share a partition-parallel
 // redo pipeline (sm.Options.RedoWorkers / repl.Options.RedoWorkers). A
 // dispatcher scans records in LSN order and keeps everything global —
@@ -115,15 +114,16 @@
 // error fail-stops the whole pool; promotion drains and retires it
 // before the serial winner/loser pass. Undo orders losers
 // deterministically, so parallel recovery is byte-for-byte identical to
-// serial — E17 asserts that digest equality at 1/2/4/8 appliers and
-// races a serial against a parallel replica on one shipped stream.
+// serial, which sm's tests assert as digest equality at 1/2/4/8
+// appliers; repl's race a serial against a parallel replica on one
+// shipped stream.
 // Buffer-pool write-back pipelines its owner-coordinated snapshot ships
 // the same way — checkpoint FlushAll, the cleaner's paced sweep and its
 // eviction hints alike: all stamped frames' ships go out at once and the
 // copies harden from a completion queue, so checkpoint latency stops
 // scaling with owner count.
 //
-// Observability (experiment E18) closes the loop on all of it: an
+// Observability closes the loop on all of it: an
 // always-on sampled latency tracer (internal/trace) follows one
 // transaction in N end to end — admission, queue wait, execution,
 // suspends, ships, log reserve/fill, the flush-hardening wait, early
@@ -139,12 +139,10 @@
 // as one JSON line. The parallel-redo pool feeds the same stats back
 // into itself: with AdaptiveRedo set, the dispatcher resizes the
 // applier pool from windowed queue-depth averages, only at barrier
-// points where the drained queues make the page remap order-safe. E18
-// verifies the decomposition (stage sum ≈ traced p50, queue_wait — not
-// exec — grows past the saturation knee) and the sampling cost (<2%
-// throughput, measured drift-robustly in alternating windows).
+// points where the drained queues make the page remap order-safe.
 //
 // See README.md for the package tour, quickstart, and the experiment
-// index. The packages live under internal/; the runnable entry points
+// index (E1, E2 and E4–E9, one per panel of the demonstrated system,
+// run by cmd/dorabench). The packages live under internal/; the runnable entry points
 // are the examples/ programs and the cmd/ tools.
 package dora

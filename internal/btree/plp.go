@@ -34,7 +34,7 @@ import (
 // Release, MoveRange, ReassignOwner) take it exclusively. The shared hold
 // is a single uncontended atomic in the steady state and is deliberately
 // NOT counted as a latch critical section — the per-node crabbing it
-// replaces is what experiment E12 measures.
+// replaces is what CriticalSectionStats.IndexLatch counts.
 
 // Owner is an opaque ownership token. Subtree ownership is compared by
 // token identity, never by integer worker ids, so an arbitrary session

@@ -2,6 +2,7 @@ package dora
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -125,6 +126,87 @@ func TestContinuationShipCommits(t *testing.T) {
 	}
 	if got := sumCol(t, s, ledger, 50); got != txns {
 		t.Fatalf("ledger total = %d, want %d", got, txns)
+	}
+}
+
+// TestContinuationShipsOverlap: with concurrent clients, every foreign
+// op rides a continuation ship (no worker ever parks on a blocking
+// ship), and an accounts worker runs later actions while an earlier one
+// of its own is suspended on an in-flight ledger op — the sender keeps
+// draining its inbox. The ledger half of each transaction does a fixed
+// amount of work on the owner's thread so suspensions last long enough
+// to overlap.
+// Side effects stay exactly-once.
+func TestContinuationShipsOverlap(t *testing.T) {
+	const n, clients = 64, 4
+	s, acct, ledger, e := rig2(t, n, 2, Config{})
+	bump := func(r tuple.Record) tuple.Record {
+		r[1] = tuple.I(r[1].Int + 1)
+		return r
+	}
+	slowBump := func(r tuple.Record) tuple.Record {
+		x := uint64(88172645463325252)
+		for i := 0; i < 20000; i++ { // a fixed amount of owner-side work
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+		}
+		if x == 0 { // never: xorshift keeps a non-zero state non-zero
+			return r
+		}
+		return bump(r)
+	}
+	xfer := func(k int64) *xct.Flow {
+		return xct.NewFlow("xfer-slow").AddPhase(&xct.Action{
+			Table: "accounts", KeyField: "id", Key: k, Mode: xct.Write,
+			Run: func(env *xct.Env) error {
+				if err := env.Ses.Mutate(env.Txn, acct, k, bump); err != nil {
+					return err
+				}
+				resume := env.Async.Suspend()
+				env.Ses.MutateAsync(env.Txn, ledger, k, slowBump, env.Async.Home(), resume)
+				return nil
+			},
+		})
+	}
+	var committed atomic.Int64
+	var execErr atomic.Value
+	deadline := time.Now().Add(10 * time.Second)
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < 100 || (e.ShipSnapshot().OverlapExec == 0 && time.Now().Before(deadline)); i++ {
+				if err := e.Exec(c, xfer(int64((c*17+i)%n)+1)); err != nil {
+					execErr.Store(err)
+					return
+				}
+				committed.Add(1)
+			}
+		}(c)
+	}
+	wg.Wait()
+	if err := execErr.Load(); err != nil {
+		t.Fatalf("xfer: %v", err)
+	}
+	// Snapshot before the verification reads, which ship blocking from a
+	// plain session.
+	ss := e.ShipSnapshot()
+	if ss.ContShips == 0 {
+		t.Fatal("no continuation ships")
+	}
+	if ss.BlockingShips != 0 {
+		t.Fatalf("blocking ships = %d, want 0: a worker parked on a ship", ss.BlockingShips)
+	}
+	if ss.OverlapExec == 0 {
+		t.Fatal("no overlap: no worker ran an action while one of its own was suspended")
+	}
+	if got, want := sumCol(t, s, acct, n), n*100+committed.Load(); got != want {
+		t.Fatalf("accounts total = %d, want %d", got, want)
+	}
+	if got := sumCol(t, s, ledger, n); got != committed.Load() {
+		t.Fatalf("ledger total = %d, want %d", got, committed.Load())
 	}
 }
 

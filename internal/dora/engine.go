@@ -181,8 +181,8 @@ func New(s *sm.SM, cfg Config) *Dora {
 	// daemon: eviction refuses to clean dirty stamped frames itself (only
 	// the owner's thread may copy them), so SOMETHING must harden them in
 	// the background or a pool smaller than the stamped hot set could run
-	// out of victims. Embedders may run additional cleaners (doramon,
-	// E15); they compose.
+	// out of victims. Embedders may run additional cleaners (doramon);
+	// they compose.
 	s.Pool.SetSnapshotterAsync(e.snapshotPageAsync)
 	e.cleaner = buffer.NewCleaner(s.Pool, buffer.CleanerConfig{Interval: 10 * time.Millisecond})
 	e.cleaner.Start()

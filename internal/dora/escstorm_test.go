@@ -16,7 +16,7 @@ import (
 // escalation (threshold 4 in the storm rig), so escalated coarse holds
 // are constantly being taken, conflicted with by the hot-key writers,
 // and de-escalated while the storm migrates the granules they cover.
-// Reads, like E19's audit — a phase's point actions grant in parallel,
+// Reads, like tatp's escalation audit — a phase's point actions grant in parallel,
 // so overlapping multi-key WRITE runs could deadlock each other, which
 // the lock tables (per the paper) do not detect.
 func auditFlow(acct *catalog.Table, base, span int64) *xct.Flow {

@@ -20,7 +20,7 @@ import "dora/internal/xct"
 // partition mirrors it into atomic gauges after each inbox batch.
 type lockStats struct {
 	// acquisitions counts lock-table grant operations, one per hierarchy
-	// node touched — O(1) in a range scan's width (experiment E19).
+	// node touched — O(1) in a range scan's width.
 	acquisitions int64
 	// rangeLocks counts coarse (granule- or partition-level) S/X grants
 	// taken by ranged actions.

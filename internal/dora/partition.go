@@ -177,7 +177,7 @@ func (p *partition) loop() {
 }
 
 // mirrorLockStats publishes the thread-private lock table's accounting
-// through the partition's atomic gauges (monitor, E19).
+// through the partition's atomic gauges (monitor).
 func (p *partition) mirrorLockStats() {
 	p.WaitingNow.Set(int64(p.locks.waitingCount()))
 	p.HeldKeys.Set(int64(p.locks.heldKeys()))

@@ -31,7 +31,7 @@ type PartitionStat struct {
 	// Suspended is the number of this worker's actions currently
 	// suspended on in-flight foreign operations; OverlapExec counts
 	// actions it executed while at least one was suspended — the
-	// sender-thread-utilization signal of experiment E14.
+	// sender-thread-utilization signal.
 	Suspended   int64 `json:"suspended"`
 	OverlapExec int64 `json:"overlap_exec"`
 	HeldKeys    int64 `json:"held_keys"`
@@ -89,7 +89,7 @@ func (e *Dora) PartitionStats() []PartitionStat {
 }
 
 // ShipStats aggregates the engine's ship accounting across all live
-// partitions (monitor, experiment E14).
+// partitions (monitor).
 type ShipStats struct {
 	// BlockingShips / ContShips are foreign access-path operations
 	// executed on owner threads for a parked sender / with a
@@ -167,7 +167,7 @@ func (e *Dora) ShipSnapshot() ShipStats {
 }
 
 // LockStats aggregates the local lock tables' hierarchy accounting
-// across all live partitions plus retired history (monitor, E19).
+// across all live partitions plus retired history (monitor).
 type LockStats struct {
 	// Acquisitions counts lock-table grant operations, one per hierarchy
 	// node touched — O(1) in a range scan's width.

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"math/rand"
 
 	"dora/internal/dora"
 	"dora/internal/engine"
@@ -13,7 +12,6 @@ import (
 	"dora/internal/workload/tatp"
 	"dora/internal/workload/tpcb"
 	"dora/internal/workload/tpcc"
-	"dora/internal/xct"
 )
 
 // E1AccessPatterns reproduces the demo's "Access Patterns" panel
@@ -121,69 +119,6 @@ func E2VaryingLoad(c Config, clientSteps []int) (*Table, error) {
 	return tb, nil
 }
 
-// E3IntraParallel reproduces the idle-load claim: with a single client,
-// DORA exploits intra-transaction parallelism (parallel actions of one
-// phase run on different micro-engines) to cut response time. Per-action
-// weight simulates non-trivial actions.
-func E3IntraParallel(c Config) (*Table, error) {
-	c = c.fill()
-	work := c.ActionWork
-	if work == 0 {
-		work = 30000 // ~tens of µs per action
-	}
-	tb := &Table{
-		Title:  "E3  single-client response time (intra-transaction parallelism), TPC-B-style",
-		Header: []string{"engine", "mean latency us", "p95 us"},
-		Caption: fmt.Sprintf("transaction = 3 parallel single-site writes + history insert; "+
-			"action weight = %d spin iterations", work),
-	}
-	for _, which := range []string{"conventional", "dora"} {
-		cs := &metrics.CriticalSectionStats{}
-		s, err := sm.Open(sm.Options{Frames: 1 << 13, CS: cs})
-		if err != nil {
-			return nil, err
-		}
-		defer s.Close()
-		db, err := tpcb.Load(s, c.Branches, 100)
-		if err != nil {
-			return nil, err
-		}
-		var e engine.Engine
-		if which == "dora" {
-			e = dora.New(s, dora.Config{PartitionsPerTable: c.Partitions, Domains: db.Domains()})
-		} else {
-			e = conventional.New(s)
-		}
-		mix := tpcbWorkMix(db, work)
-		dr := workload.Driver{Engine: e, Mix: mix, Clients: 1, Duration: c.Duration, Seed: 33}
-		res := dr.Run()
-		tb.Rows = append(tb.Rows, []string{which, f1(res.LatencyMeanUS), d2(res.P95US)})
-		_ = e.Close()
-	}
-	return tb, nil
-}
-
-// tpcbWorkMix is the TPC-B mix with simulated per-action compute, so the
-// intra-transaction parallelism of DORA's parallel actions is visible.
-func tpcbWorkMix(db *tpcb.DB, work int) workload.Mix {
-	base := db.NewMix(nil)
-	inner := base[0].Build
-	base[0].Build = func(rng *rand.Rand) *xct.Flow {
-		flow := inner(rng)
-		for pi := range flow.Phases {
-			for _, a := range flow.Phases[pi].Actions {
-				run := a.Run
-				a.Run = func(env *xct.Env) error {
-					spin(work)
-					return run(env)
-				}
-			}
-		}
-		return flow
-	}
-	return base
-}
-
 // E4CriticalSections reproduces the paper's core claim (§1): the number
 // of lock-manager critical sections entered per committed transaction.
 // DORA bypasses the centralized lock manager entirely, so its lock-
@@ -225,52 +160,55 @@ func E4CriticalSections(c Config) (*Table, error) {
 }
 
 // E5PeakThroughput reproduces the headline comparison: peak throughput
-// of both engines on TATP, TPC-C and TPC-B at saturation.
+// of both engines on TATP, TPC-C and TPC-B at saturation. Each engine's
+// throughput sits next to its failed transactions (abort: retries
+// exhausted) and retried attempts, so a stalled cell shows as one.
 func E5PeakThroughput(c Config) (*Table, error) {
 	c = c.fill()
 	tb := &Table{
-		Title:  "E5  peak throughput at saturation (tps)",
-		Header: []string{"workload", "conventional", "dora", "dora/conv"},
+		Title: "E5  peak throughput at saturation (tps)",
+		Header: []string{"workload", "conventional", "conv abort", "conv retry",
+			"dora", "dora abort", "dora retry", "dora/conv"},
+		Caption: "abort = transactions that failed after the driver's retries;\n" +
+			"retry = aborted attempts the driver retried.",
 	}
 	type bench struct {
 		name string
-		run  func(which string) (float64, error)
+		run  func(which string) (workload.Result, error)
 	}
 	benches := []bench{
-		{"TATP", func(which string) (float64, error) {
+		{"TATP", func(which string) (workload.Result, error) {
 			db, e, _, closeRig, err := tatpRig(c, which)
 			if err != nil {
-				return 0, err
+				return workload.Result{}, err
 			}
 			defer closeRig()
-			res := (&workload.Driver{
+			return (&workload.Driver{
 				Engine: e, Mix: db.NewMix(tatp.MixOptions{}),
 				Clients: c.Clients, Duration: c.Duration, Seed: 55,
-			}).Run()
-			return res.Throughput, nil
+			}).Run(), nil
 		}},
-		{"TATP read-only", func(which string) (float64, error) {
+		{"TATP read-only", func(which string) (workload.Result, error) {
 			db, e, _, closeRig, err := tatpRig(c, which)
 			if err != nil {
-				return 0, err
+				return workload.Result{}, err
 			}
 			defer closeRig()
-			res := (&workload.Driver{
+			return (&workload.Driver{
 				Engine: e, Mix: db.ReadOnlyMix(tatp.MixOptions{}),
 				Clients: c.Clients, Duration: c.Duration, Seed: 56,
-			}).Run()
-			return res.Throughput, nil
+			}).Run(), nil
 		}},
-		{"TPC-C", func(which string) (float64, error) {
+		{"TPC-C", func(which string) (workload.Result, error) {
 			cs := &metrics.CriticalSectionStats{}
 			s, err := sm.Open(sm.Options{Frames: 1 << 14, CS: cs})
 			if err != nil {
-				return 0, err
+				return workload.Result{}, err
 			}
 			defer s.Close()
 			db, err := tpcc.Load(s, tpcc.DefaultScale(c.Warehouses))
 			if err != nil {
-				return 0, err
+				return workload.Result{}, err
 			}
 			var e engine.Engine
 			if which == "dora" {
@@ -279,22 +217,21 @@ func E5PeakThroughput(c Config) (*Table, error) {
 				e = conventional.New(s)
 			}
 			defer e.Close()
-			res := (&workload.Driver{
+			return (&workload.Driver{
 				Engine: e, Mix: db.NewMix(tpcc.MixOptions{}),
 				Clients: c.Clients, Duration: c.Duration, Seed: 57,
-			}).Run()
-			return res.Throughput, nil
+			}).Run(), nil
 		}},
-		{"TPC-B", func(which string) (float64, error) {
+		{"TPC-B", func(which string) (workload.Result, error) {
 			cs := &metrics.CriticalSectionStats{}
 			s, err := sm.Open(sm.Options{Frames: 1 << 13, CS: cs})
 			if err != nil {
-				return 0, err
+				return workload.Result{}, err
 			}
 			defer s.Close()
 			db, err := tpcb.Load(s, c.Branches, 1000)
 			if err != nil {
-				return 0, err
+				return workload.Result{}, err
 			}
 			var e engine.Engine
 			if which == "dora" {
@@ -303,11 +240,10 @@ func E5PeakThroughput(c Config) (*Table, error) {
 				e = conventional.New(s)
 			}
 			defer e.Close()
-			res := (&workload.Driver{
+			return (&workload.Driver{
 				Engine: e, Mix: db.NewMix(nil),
 				Clients: c.Clients, Duration: c.Duration, Seed: 58,
-			}).Run()
-			return res.Throughput, nil
+			}).Run(), nil
 		}},
 	}
 	for _, b := range benches {
@@ -320,10 +256,12 @@ func E5PeakThroughput(c Config) (*Table, error) {
 			return nil, fmt.Errorf("%s dora: %w", b.name, err)
 		}
 		ratio := 0.0
-		if conv > 0 {
-			ratio = dra / conv
+		if conv.Throughput > 0 {
+			ratio = dra.Throughput / conv.Throughput
 		}
-		tb.Rows = append(tb.Rows, []string{b.name, f1(conv), f1(dra), f2(ratio)})
+		tb.Rows = append(tb.Rows, []string{b.name,
+			f1(conv.Throughput), d2(conv.Aborted), d2(conv.Retries),
+			f1(dra.Throughput), d2(dra.Aborted), d2(dra.Retries), f2(ratio)})
 	}
 	return tb, nil
 }

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"dora/internal/designer"
@@ -281,49 +280,4 @@ func E9PhysicalDesign(workers int) (*Table, string, error) {
 		})
 	}
 	return tb, d.Render(), nil
-}
-
-// E10CoreScaling reproduces the hardware-contexts experiment: saturated
-// TATP throughput as GOMAXPROCS grows, both engines.
-func E10CoreScaling(c Config, procs []int) (*Table, error) {
-	c = c.fill()
-	if len(procs) == 0 {
-		max := runtime.GOMAXPROCS(0)
-		for p := 1; p <= max; p *= 2 {
-			procs = append(procs, p)
-		}
-		if procs[len(procs)-1] != max {
-			procs = append(procs, max)
-		}
-	}
-	orig := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(orig)
-	tb := &Table{
-		Title:  "E10  throughput vs hardware contexts (GOMAXPROCS), TATP at saturation",
-		Header: []string{"procs", "conventional tps", "dora tps", "dora/conv"},
-	}
-	for _, p := range procs {
-		runtime.GOMAXPROCS(p)
-		tps := map[string]float64{}
-		for _, which := range []string{"conventional", "dora"} {
-			db, e, _, closeRig, err := tatpRig(c, which)
-			if err != nil {
-				return nil, err
-			}
-			res := (&workload.Driver{
-				Engine: e, Mix: db.NewMix(tatp.MixOptions{}),
-				Clients: 4 * p, Duration: c.Duration, Seed: 99,
-			}).Run()
-			tps[which] = res.Throughput
-			closeRig()
-		}
-		ratio := 0.0
-		if tps["conventional"] > 0 {
-			ratio = tps["dora"] / tps["conventional"]
-		}
-		tb.Rows = append(tb.Rows, []string{
-			d2(int64(p)), f1(tps["conventional"]), f1(tps["dora"]), f2(ratio),
-		})
-	}
-	return tb, nil
 }

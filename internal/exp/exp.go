@@ -1,18 +1,13 @@
-// Package exp implements the reproduction experiments E1–E19 (indexed in
-// README.md) — the demo paper's exhibited scenarios (access patterns,
-// performance under varying load, load balancing, alignment advisor,
-// designer tools), the companion DORA paper's quantitative claims
-// (critical sections per transaction, peak throughput, scalability), and
-// this repo's own measurements: log-manager scalability (E11),
-// access-path latching under the partitioned B+tree (E12), and the
-// follow-on subsystems' experiments (E13 maintenance, E14 continuation
-// ships, E15 page cleaning, E16 replication, E17 parallel redo).
-// cmd/dorabench and the root bench_test.go both drive this package, so
-// the printed tables and the testing.B benchmarks are the same code.
+// Package exp implements the reproduction experiments, one per panel of
+// the demonstrated system (indexed in README.md): E1 access patterns, E2
+// performance under varying load, E4 critical sections per transaction
+// and E5 peak throughput (the companion DORA paper's claims behind the
+// demo's comparison), E6 load balancing under a moving hot spot, E7 the
+// alignment advisor, and E8–E9 the designer's flow graphs and physical
+// design. cmd/dorabench runs them and prints their tables.
 package exp
 
 import (
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"strings"
@@ -40,20 +35,7 @@ type Config struct {
 	Clients int
 	// Partitions per table for DORA (default GOMAXPROCS, min 2).
 	Partitions int
-	// ActionWork is simulated per-action compute (spin iterations);
-	// only experiment E3 uses a non-zero default.
-	ActionWork int
-	// ArrivalRate, when > 0, fixes the open-loop row's offered load in
-	// txn/s (experiment E15; default 2x the measured closed-loop
-	// throughput).
-	ArrivalRate float64
-	// MaxInFlight caps the open-loop row's concurrent transactions
-	// (default 256).
-	MaxInFlight int
-	// RedoWorkers is the parallel-redo applier count the replica rows of
-	// E17 use (default 4; recovery rows sweep 1/2/4/8 regardless).
-	RedoWorkers int
-	// Quick shrinks everything for unit tests and smoke benches.
+	// Quick shrinks everything for unit tests and smoke runs.
 	Quick bool
 }
 
@@ -87,9 +69,6 @@ func (c Config) fill() Config {
 	}
 	if c.Clients == 0 {
 		c.Clients = 2 * runtime.GOMAXPROCS(0)
-	}
-	if c.RedoWorkers == 0 {
-		c.RedoWorkers = 4
 	}
 	if c.Partitions == 0 {
 		c.Partitions = runtime.GOMAXPROCS(0)
@@ -128,19 +107,6 @@ func tatpRig(c Config, which string) (db *tatp.DB, e engine.Engine, cs *metrics.
 		return nil, nil, nil, nil, fmt.Errorf("exp: unknown engine %q", which)
 	}
 	return db, e, cs, func() { _ = e.Close(); _ = s.Close() }, nil
-}
-
-// spin burns roughly n loop iterations (simulated action weight).
-func spin(n int) {
-	x := uint64(88172645463325252)
-	for i := 0; i < n; i++ {
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-	}
-	if x == 0 {
-		panic("unreachable")
-	}
 }
 
 // Table is a printable result table.
@@ -184,23 +150,6 @@ func (t *Table) Render() string {
 		fmt.Fprintf(&b, "%s\n", t.Caption)
 	}
 	return b.String()
-}
-
-// JSON renders the table as one indented JSON object. CI redirects this
-// into BENCH_<id>.json artifacts so the perf trajectory (apply
-// throughput, recovery time, ...) is recorded per commit and can be
-// diffed across the history.
-func (t *Table) JSON() (string, error) {
-	b, err := json.MarshalIndent(struct {
-		Title   string     `json:"title"`
-		Header  []string   `json:"header"`
-		Rows    [][]string `json:"rows"`
-		Caption string     `json:"caption,omitempty"`
-	}{t.Title, t.Header, t.Rows, t.Caption}, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	return string(b) + "\n", nil
 }
 
 func f1(v float64) string { return fmt.Sprintf("%.1f", v) }

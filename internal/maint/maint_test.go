@@ -42,6 +42,29 @@ func resetOwned(tables ...*catalog.Table) {
 	}
 }
 
+func tatpTables(db *tatp.DB) []*catalog.Table {
+	return []*catalog.Table{db.Subscriber, db.AccessInfo, db.SpecialFac, db.CallForward}
+}
+
+// latchedReads runs the read-only TATP mix on e for 150 ms and returns
+// the share of its owner-thread (aligned) heap reads that took a frame
+// latch: the layout measure, 1.0 with nothing stamped.
+func latchedReads(t *testing.T, e *dora.Dora, db *tatp.DB, seed int64) float64 {
+	t.Helper()
+	tables := tatpTables(db)
+	resetOwned(tables...)
+	dr := workload.Driver{
+		Engine: e, Mix: db.ReadOnlyMix(tatp.MixOptions{}),
+		Clients: 2, Duration: 150 * time.Millisecond, Seed: seed,
+	}
+	dr.Run()
+	ratio, n := ownedRatio(tables...)
+	if n == 0 {
+		t.Fatal("no owner-thread reads observed")
+	}
+	return ratio
+}
+
 // TestConvergingReportsPendingWork: the balancer's maintenance gate —
 // a rebalance event marks the table converging until the daemon's
 // convergence pass drains its units.
@@ -77,8 +100,9 @@ func TestConvergingReportsPendingWork(t *testing.T) {
 }
 
 // TestConvergenceAfterLoad: a freshly loaded database has every page
-// unstamped (the loader is a shared session), so aligned reads latch;
-// one Drain converges the layout and the latched-read ratio drops to 0.
+// unstamped (the loader is a shared session), so aligned reads and owner
+// writes latch; one Drain converges the layout and both latched ratios
+// drop to 0.
 func TestConvergenceAfterLoad(t *testing.T) {
 	s, err := sm.Open(sm.Options{Frames: 1 << 12})
 	if err != nil {
@@ -93,23 +117,35 @@ func TestConvergenceAfterLoad(t *testing.T) {
 	defer e.Close()
 	d := New(s, e, Config{})
 
-	tables := []*catalog.Table{db.Subscriber, db.AccessInfo, db.SpecialFac, db.CallForward}
-	run := func() {
-		dr := workload.Driver{
-			Engine: e, Mix: db.ReadOnlyMix(tatp.MixOptions{}),
-			Clients: 2, Duration: 150 * time.Millisecond, Seed: 7,
+	tables := tatpTables(db)
+	// writes runs 200 UpdateSubscriberData flows and returns the share of
+	// their owner-thread heap mutations that took the frame latch.
+	writes := func(seed int64) float64 {
+		t.Helper()
+		var owned, latched int64
+		for _, tbl := range tables {
+			tbl.Heap.OwnedWrites.Reset()
+			tbl.Heap.OwnedWritesLatched.Reset()
 		}
-		dr.Run()
+		rng := rand.New(rand.NewSource(seed))
+		for i := 0; i < 200; i++ {
+			_ = e.Exec(0, db.UpdateSubscriberData(1+rng.Int63n(500), 1+rng.Int63n(4), rng.Int63n(2), rng.Int63n(256)))
+		}
+		for _, tbl := range tables {
+			owned += tbl.Heap.OwnedWrites.Load()
+			latched += tbl.Heap.OwnedWritesLatched.Load()
+		}
+		if owned == 0 {
+			t.Fatal("no owner-thread writes observed")
+		}
+		return float64(latched) / float64(owned)
 	}
 
-	resetOwned(tables...)
-	run()
-	before, n := ownedRatio(tables...)
-	if n == 0 {
-		t.Fatal("no owner-thread reads observed")
-	}
-	if before < 0.5 {
+	if before := latchedReads(t, e, db, 7); before < 0.5 {
 		t.Fatalf("fresh load latched-read ratio = %.3f, expected near 1", before)
+	}
+	if w := writes(3); w < 0.5 {
+		t.Fatalf("fresh load latched owner-write ratio = %.3f, expected near 1", w)
 	}
 
 	d.Drain()
@@ -118,14 +154,11 @@ func TestConvergenceAfterLoad(t *testing.T) {
 		t.Fatalf("drain did no work: %+v", st)
 	}
 
-	resetOwned(tables...)
-	run()
-	after, n := ownedRatio(tables...)
-	if n == 0 {
-		t.Fatal("no owner-thread reads after drain")
+	if after := latchedReads(t, e, db, 7); after > 0.01 {
+		t.Fatalf("converged latched-read ratio = %.4f, want ~0", after)
 	}
-	if after > 0.01 {
-		t.Fatalf("converged latched-read ratio = %.4f (n=%d), want ~0", after, n)
+	if w := writes(4); w > 0.02 {
+		t.Fatalf("converged latched owner-write ratio = %.4f, want ~0", w)
 	}
 	// A second drain is a no-op: the layout is a fixed point.
 	prev := d.Snapshot()
@@ -135,12 +168,48 @@ func TestConvergenceAfterLoad(t *testing.T) {
 	}
 }
 
+// TestMaintenanceProbesRanges: heap migration gates each unit with one
+// RangeBusy probe of its assigned range on the hierarchical lock table,
+// never with a KeyBusy probe per record.
+func TestMaintenanceProbesRanges(t *testing.T) {
+	s, err := sm.Open(sm.Options{Frames: 1 << 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	db, err := tatp.Load(s, 2000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := dora.New(s, dora.Config{PartitionsPerTable: 2, Domains: db.Domains()})
+	defer e.Close()
+	d := New(s, e, Config{})
+	defer d.Close()
+	before := e.LockSnapshot()
+	d.Drain("subscriber") // the fresh load is unstamped: every page migrates
+	after := e.LockSnapshot()
+	if d.Snapshot().UnitsRun == 0 {
+		t.Fatal("drain ran no maintenance unit")
+	}
+	if kp := after.KeyProbes - before.KeyProbes; kp != 0 {
+		t.Fatalf("maintenance took %d key probes, want range probes only", kp)
+	}
+	if after.RangeProbes == before.RangeProbes {
+		t.Fatal("maintenance took no range probes")
+	}
+}
+
 // TestStormRaceAndFanout runs the maintenance daemon concurrently with
 // foreground TATP traffic and a split/merge storm (the -race exercise in
 // the CI matrix), then drains and checks (a) the layout re-converges,
 // (b) root fan-out stays bounded by 2x the partition count after >= 100
 // split/merge cycles with compaction on, and (c) no record was lost or
-// duplicated.
+// duplicated. Around the storm it measures the layout as the fraction of
+// owner-thread (aligned) reads that still latched a frame: near 1 on the
+// fresh load (the loader stamps no page), ~0 once a drain converged it,
+// higher after the storm (moved ranges lost their stamps; the daemon
+// sits out the last cycles) than after the final drain, which brings it
+// back to ~0.
 func TestStormRaceAndFanout(t *testing.T) {
 	const subs = 400
 	s, err := sm.Open(sm.Options{Frames: 1 << 12})
@@ -155,6 +224,14 @@ func TestStormRaceAndFanout(t *testing.T) {
 	e := dora.New(s, dora.Config{PartitionsPerTable: 2, Domains: db.Domains()})
 	defer e.Close()
 	d := New(s, e, Config{Interval: 200 * time.Microsecond})
+
+	if fresh := latchedReads(t, e, db, 9); fresh < 0.5 {
+		t.Fatalf("fresh load latched/owned read = %.3f, expected near 1", fresh)
+	}
+	d.Drain()
+	if conv := latchedReads(t, e, db, 10); conv > 0.02 {
+		t.Fatalf("converged latched/owned read = %.4f, want ~0", conv)
+	}
 	d.Start()
 
 	var stop atomic.Bool
@@ -172,8 +249,14 @@ func TestStormRaceAndFanout(t *testing.T) {
 		}(int64(c + 1))
 	}
 
-	// >= 100 split/merge cycles against the subscriber table.
-	for cycle := 0; cycle < 110; cycle++ {
+	// >= 100 split/merge cycles against the subscriber table: 110 with
+	// the daemon running, then 10 with it stopped, so the daemon cannot
+	// have re-stamped what the last cycles moved before the layout is
+	// measured.
+	for cycle := 0; cycle < 120; cycle++ {
+		if cycle == 110 {
+			_ = d.Close()
+		}
 		rt := e.Router("subscriber")
 		ranges := rt.Ranges()
 		r := ranges[cycle%len(ranges)]
@@ -191,7 +274,7 @@ func TestStormRaceAndFanout(t *testing.T) {
 	}
 	stop.Store(true)
 	wg.Wait()
-	_ = d.Close()
+	decayed := latchedReads(t, e, db, 12)
 	d.Drain()
 
 	// (b) fan-out bound.
@@ -206,19 +289,12 @@ func TestStormRaceAndFanout(t *testing.T) {
 		}
 	}
 	// (a) converged ratio.
-	tables := []*catalog.Table{db.Subscriber, db.AccessInfo, db.SpecialFac, db.CallForward}
-	resetOwned(tables...)
-	dr := workload.Driver{
-		Engine: e, Mix: db.ReadOnlyMix(tatp.MixOptions{}),
-		Clients: 2, Duration: 150 * time.Millisecond, Seed: 11,
-	}
-	dr.Run()
-	ratio, n := ownedRatio(tables...)
-	if n == 0 {
-		t.Fatal("no owner-thread reads after storm drain")
-	}
+	ratio := latchedReads(t, e, db, 11)
 	if ratio > 0.01 {
 		t.Fatalf("post-storm converged ratio = %.4f, want ~0", ratio)
+	}
+	if decayed <= ratio {
+		t.Fatalf("storm did not decay the layout: latched/owned read %.4f after the storm, %.4f after its drain", decayed, ratio)
 	}
 	// (c) integrity: every subscriber present exactly once, index and
 	// heap agree.

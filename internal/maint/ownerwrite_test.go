@@ -182,20 +182,28 @@ func TestOwnerWriteStormRace(t *testing.T) {
 
 	// Converge, then measure: once every record sits on a page stamped to
 	// its owner, owner writes must take ZERO frame latches — with the
-	// cleaner still hardening snapshots underneath.
+	// cleaner still hardening snapshots underneath. The phase writes at
+	// least 400 times and until the cleaner has shipped a snapshot
+	// request to an owner, so cleaning provably ran through the
+	// copy-on-write protocol while the writes went latch-free.
 	_ = d.Close()
 	d.Drain()
 	for _, name := range tables {
 		tbls[name].Heap.OwnedWrites.Reset()
 		tbls[name].Heap.OwnedWritesLatched.Reset()
 	}
+	ships := s.Pool.SnapshotShips.Load()
 	rng := rand.New(rand.NewSource(99))
-	for i := 0; i < 400; i++ {
+	deadline := time.Now().Add(10 * time.Second)
+	for i := 0; i < 400 || (s.Pool.SnapshotShips.Load() == ships && time.Now().Before(deadline)); i++ {
 		name := tables[i%len(tables)]
 		id := 1 + rng.Int63n(n)
 		if err := e.Exec(0, incFlow(name, id)); err == nil {
 			commits[name][id].Add(1)
 		}
+	}
+	if s.Pool.SnapshotShips.Load() == ships {
+		t.Fatal("no snapshot ships while converged: the cleaner did not run the copy-on-write protocol")
 	}
 	var owned, latched int64
 	for _, name := range tables {

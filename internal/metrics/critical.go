@@ -14,7 +14,7 @@ type CriticalSectionStats struct {
 	// Latch counts page/node latch acquisitions. The original DORA paper
 	// removes *lock-manager* serialization and leaves latching in place;
 	// since the partitioned access path (PLP-style per-partition B+tree
-	// subtrees, experiment E12) that caveat is partially retired: owner-
+	// subtrees) that caveat is partially retired: owner-
 	// thread index descents are latch-free, and only page/frame latches
 	// plus shared-tree residue remain here.
 	Latch Counter
@@ -26,9 +26,8 @@ type CriticalSectionStats struct {
 	// FrameLatch counts the subset of Latch that came from buffer-frame
 	// latches taken by heap record accesses — the serialization heap-page
 	// ownership stamping removes: for owner-thread aligned reads via
-	// background maintenance (experiment E13), and for owner-thread
-	// mutations via the copy-on-write page-cleaning protocol (experiment
-	// E15). Like IndexLatch it is a view into Latch, not an additional
+	// background maintenance, and for owner-thread mutations via the
+	// copy-on-write page-cleaning protocol. Like IndexLatch it is a view into Latch, not an additional
 	// class.
 	FrameLatch Counter
 	// FrameLatchWrite counts the subset of FrameLatch taken exclusively

@@ -8,6 +8,7 @@ import (
 	"dora/internal/buffer"
 	"dora/internal/sm"
 	"dora/internal/wal"
+	"dora/internal/wal/clog"
 	"dora/internal/xct"
 )
 
@@ -105,13 +106,13 @@ func TestApplyErrorFailsReplica(t *testing.T) {
 	// Craft a hardened stream whose records reference a table the replica
 	// does not have: analysis accepts it, application cannot.
 	badStore := wal.NewMemStore()
-	lg, err := wal.New(badStore, nil)
+	lg, err := clog.New(badStore, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lg.Append(&wal.Record{Kind: wal.KInsert, TxnID: 7, Table: 999, Redo: []byte{1, 2, 3}})
 	lg.Append(&wal.Record{Kind: wal.KCommit, TxnID: 7, PrevLSN: wal.LSN(wal.HeaderSize)})
-	if err := lg.FlushAll(); err != nil {
+	if err := lg.Close(); err != nil {
 		t.Fatal(err)
 	}
 	origin, body := streamBody(t, badStore)

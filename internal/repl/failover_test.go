@@ -89,6 +89,7 @@ func TestPromoteExactlyOnce(t *testing.T) {
 	for i := int64(1); i <= acked; i++ {
 		commitRow(t, s, acct(i, "a", i)) // returned ⇒ replica acked it
 	}
+	lastAcked := s.LastCommitLSN()
 	// "Crash": shipping stops; the tail commits complete degraded and
 	// never reach the replica — the divergent suffix of the dead primary.
 	sh.Close()
@@ -102,6 +103,9 @@ func TestPromoteExactlyOnce(t *testing.T) {
 	}
 	if !rep.Promoted() {
 		t.Fatal("not promoted")
+	}
+	if h := rep.CommitHorizon(); h < lastAcked {
+		t.Fatalf("promoted replica's commit horizon %d short of the last acked commit %d", h, lastAcked)
 	}
 	ses := ns.Session(0)
 	tbl := ns.Cat.Table("accounts")

@@ -327,6 +327,47 @@ func TestTruncationBlocksStaleJoiner(t *testing.T) {
 	}
 }
 
+// TestTrimmerUnderReplicaAck: the log trimmer, constrained by the
+// shipper's ack horizon, keeps truncating the primary's log while a
+// replica streams: trims happen, the store's origin never passes the
+// slowest replica's ack, and the replica keeps up across them.
+func TestTrimmerUnderReplicaAck(t *testing.T) {
+	s, store, sh := openPrimary(t, 0)
+	defer s.Close()
+	defer sh.Close()
+	rep := openReplica(t)
+	if err := sh.AddReplica("b", LocalLink{rep}); err != nil {
+		t.Fatal(err)
+	}
+	tr := &sm.Trimmer{SM: s, Interval: time.Millisecond, Threshold: 16 << 10, AckHorizon: sh.AckHorizon}
+	tr.Start()
+	deadline := time.Now().Add(10 * time.Second)
+	id := int64(0)
+	for tr.Trims.Load() == 0 && time.Now().Before(deadline) {
+		id++
+		commitRow(t, s, acct(id, "trim", id))
+	}
+	tr.Stop()
+	if tr.Trims.Load() == 0 {
+		t.Fatalf("no WAL trims after %d replicated commits", id)
+	}
+	raw, err := store.Contents()
+	if err != nil {
+		t.Fatal(err)
+	}
+	origin, _, err := wal.StreamOrigin(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ack := sh.AckHorizon(); origin > ack {
+		t.Fatalf("log truncated to %d, past the replica's ack horizon %d", origin, ack)
+	}
+	waitFor(t, "replica catch-up across trims", caughtUp(s, rep))
+	if rec, err := replicaRead(t, rep, id); err != nil || rec[2].Int != id {
+		t.Fatalf("last row on the replica: %v %v", rec, err)
+	}
+}
+
 func TestAheadReplicaRefused(t *testing.T) {
 	s, _, sh := openPrimary(t, 0)
 	defer s.Close()

@@ -9,8 +9,8 @@ import (
 )
 
 // LocalLink ships extents to a replica in the same process — zero-copy
-// apart from the replica's own persistence, used by tests and the
-// single-process read-offload experiment (E16).
+// apart from the replica's own persistence, used by tests and by
+// doramon's in-process read replica.
 type LocalLink struct{ R *Replica }
 
 // Expected implements Link.

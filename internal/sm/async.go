@@ -52,37 +52,6 @@ func (ss *Session) ReadAsync(t *tx.Txn, tbl *catalog.Table, key int64, home Cont
 	}, func() { k(rec, err) })
 }
 
-// InsertAsync is Insert in continuation-passing style.
-func (ss *Session) InsertAsync(t *tx.Txn, tbl *catalog.Table, rec tuple.Record, home ContExec, k func(error)) {
-	key := tbl.Primary.Key(rec)
-	ss.trace(tbl, key, true)
-	if tok, ok := tbl.Primary.Tree.Local(ss.owner, key); ok {
-		k(ss.insertAt(tok, t, tbl, key, rec))
-		return
-	}
-	var err error
-	tbl.Primary.Tree.ExecAtAsync(ss.owner, key, home, func(tok *btree.Owner) {
-		err = ss.insertAt(tok, t, tbl, key, rec)
-	}, func() { k(err) })
-}
-
-// UpdateAsync is Update in continuation-passing style.
-func (ss *Session) UpdateAsync(t *tx.Txn, tbl *catalog.Table, key int64, rec tuple.Record, home ContExec, k func(error)) {
-	if nk := tbl.Primary.Key(rec); nk != key {
-		k(fmt.Errorf("sm: update changes primary key %d -> %d on %s", key, nk, tbl.Name))
-		return
-	}
-	ss.trace(tbl, key, true)
-	if tok, ok := tbl.Primary.Tree.Local(ss.owner, key); ok {
-		k(ss.updateAt(tok, t, tbl, key, rec))
-		return
-	}
-	var err error
-	tbl.Primary.Tree.ExecAtAsync(ss.owner, key, home, func(tok *btree.Owner) {
-		err = ss.updateAt(tok, t, tbl, key, rec)
-	}, func() { k(err) })
-}
-
 // MutateAsync is Mutate in continuation-passing style: like the
 // synchronous Mutate, the read-modify-write runs as ONE operation on the
 // owning thread — a single ship covers both halves, and on a stamped
@@ -98,19 +67,6 @@ func (ss *Session) MutateAsync(t *tx.Txn, tbl *catalog.Table, key int64, fn func
 	var err error
 	tbl.Primary.Tree.ExecAtAsync(ss.owner, key, home, func(tok *btree.Owner) {
 		err = ss.mutateAt(tok, t, tbl, key, applyClosure, fn)
-	}, func() { k(err) })
-}
-
-// DeleteAsync is Delete in continuation-passing style.
-func (ss *Session) DeleteAsync(t *tx.Txn, tbl *catalog.Table, key int64, home ContExec, k func(error)) {
-	ss.trace(tbl, key, true)
-	if tok, ok := tbl.Primary.Tree.Local(ss.owner, key); ok {
-		k(ss.deleteAt(tok, t, tbl, key))
-		return
-	}
-	var err error
-	tbl.Primary.Tree.ExecAtAsync(ss.owner, key, home, func(tok *btree.Owner) {
-		err = ss.deleteAt(tok, t, tbl, key)
 	}, func() { k(err) })
 }
 

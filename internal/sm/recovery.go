@@ -152,7 +152,8 @@ func (s *SM) Recover() (RecoveryStats, error) {
 	// --- Undo losers, in descending-id order. The order is deterministic
 	// so two recoveries of the same crash image — serial or parallel —
 	// append identical CLR/KEnd sequences and leave byte-identical pages
-	// (the end-state equivalence E17 asserts). ---
+	// (the end-state equivalence TestParallelRecoveryEquivalence
+	// asserts). ---
 	var losers []uint64
 	for id, ts := range states {
 		if ts.committed || ts.ended {

@@ -7,6 +7,7 @@ import (
 
 	"dora/internal/buffer"
 	"dora/internal/wal"
+	"dora/internal/wal/clog"
 )
 
 // crashRig runs a workload against an SM, then "crashes": it reopens a
@@ -36,36 +37,37 @@ func (r *crashRig) crash(t *testing.T) *SM {
 	return r.open(t)
 }
 
-// TestRecoverAcrossLogManagers runs the workload under the single-mutex
-// reference log (wal.New), crashes, and recovers under the
-// consolidation-array log (and vice versa): the two managers share one
-// on-disk format, so recovery must be oblivious to which one produced
-// the stream.
+// TestRecoverAcrossLogManagers runs the workload under one log manager,
+// crashes, and recovers under another over the crash copy of its store:
+// one built by Open from Options.LogStore, the other a clog.Log the
+// caller built and injected through Options.Log (as replication does).
+// Recovery must be oblivious to which manager produced the stream.
 func TestRecoverAcrossLogManagers(t *testing.T) {
-	// legacyOr hands opt's store to the single-mutex manager when legacy
-	// is set; Open builds the consolidation-array one otherwise.
-	legacyOr := func(t *testing.T, opt Options, legacy bool) Options {
+	// injectedOr hands opt's store to a caller-built clog.Log when
+	// injected is set; Open builds the manager from the store otherwise.
+	injectedOr := func(t *testing.T, opt Options, injected bool) Options {
 		t.Helper()
-		if legacy {
-			log, err := wal.New(opt.LogStore, nil)
+		if injected {
+			log, err := clog.New(opt.LogStore, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
+			t.Cleanup(func() { _ = log.Close() })
 			opt.Log = log
 		}
 		return opt
 	}
 	for _, dir := range []struct {
 		name              string
-		writer, recoverer bool // true: the single-mutex wal.Log
+		writer, recoverer bool // true: the injected manager
 	}{
-		{"legacy-to-clog", true, false},
-		{"clog-to-legacy", false, true},
+		{"injected-to-opened", true, false},
+		{"opened-to-injected", false, true},
 	} {
 		t.Run(dir.name, func(t *testing.T) {
 			disk := buffer.NewMemDisk()
 			store := wal.NewMemStore()
-			s, err := Open(legacyOr(t, Options{Frames: 64, Disk: disk, LogStore: store}, dir.writer))
+			s, err := Open(injectedOr(t, Options{Frames: 64, Disk: disk, LogStore: store}, dir.writer))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -87,7 +89,7 @@ func TestRecoverAcrossLogManagers(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			s2, err := Open(legacyOr(t, Options{Frames: 64, Disk: disk, LogStore: store.CrashCopy()}, dir.recoverer))
+			s2, err := Open(injectedOr(t, Options{Frames: 64, Disk: disk, LogStore: store.CrashCopy()}, dir.recoverer))
 			if err != nil {
 				t.Fatal(err)
 			}

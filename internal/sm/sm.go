@@ -47,8 +47,8 @@ type Options struct {
 	LogStore wal.Store
 	// Log, when non-nil, is used as the log manager directly and LogStore
 	// is ignored. Replication injects a replica's read-only
-	// delivered-stream manager this way (internal/repl); tests inject the
-	// single-mutex reference manager (wal.New) the same way.
+	// delivered-stream manager this way (internal/repl); tests inject a
+	// manager that keeps nothing the same way.
 	Log wal.Manager
 	// CS receives critical-section accounting (optional).
 	CS *metrics.CriticalSectionStats

@@ -74,12 +74,12 @@ type Heap struct {
 	// (aligned reads on the owner's thread); OwnedReadsLatched is the
 	// subset that still took the frame latch because the page is not
 	// (yet) stamped to the reader. Their ratio is the decay signal the
-	// maintenance daemon watches and experiment E13's convergence
-	// criterion: it falls to ~0 as migration drains.
+	// maintenance daemon watches and its tests' convergence criterion:
+	// it falls to ~0 as migration drains.
 	OwnedReads        metrics.Counter
 	OwnedReadsLatched metrics.Counter
-	// OwnedWrites / OwnedWritesLatched are the mutation-side twins
-	// (experiment E15): owner-thread record mutations, and the subset
+	// OwnedWrites / OwnedWritesLatched are the mutation-side twins:
+	// owner-thread record mutations, and the subset
 	// that still took the exclusive frame latch — because the page is
 	// not stamped to the writer or the frame is mid-load.
 	OwnedWrites        metrics.Counter

@@ -25,8 +25,8 @@ import (
 //     falls back to the latched path, exactly like GetOwned.
 //
 // With a nil token or an unstamped page, the operations take the classic
-// exclusive latch and count OwnedWritesLatched — the decay signal
-// experiment E15 watches converge to ~0.
+// exclusive latch and count OwnedWritesLatched — the decay signal that
+// converges to ~0 once maintenance has stamped the layout.
 
 // UpdateOwnedWith is UpdateWith carrying the calling worker's ownership
 // token: when rid's page is stamped to tok the rewrite happens without

@@ -201,7 +201,7 @@ func (t *Tracer) drain() {
 }
 
 // Reset drains pending records and clears every aggregate (histograms,
-// counters, coverage). Used between experiment rows.
+// counters, coverage), so a measurement window starts empty.
 func (t *Tracer) Reset() {
 	if t == nil {
 		return
@@ -297,16 +297,6 @@ func (t *Tracer) Snapshot() *StageLatency {
 		})
 	}
 	return s
-}
-
-// StageMeanMicros returns the mean of one stage's histogram (0 if empty
-// or nil), after draining. Convenience for experiment code.
-func (t *Tracer) StageMeanMicros(s Stage) float64 {
-	if t == nil {
-		return 0
-	}
-	t.drain()
-	return t.stages[s].MeanMicros()
 }
 
 // TxnTrace collects one sampled transaction's spans. Methods are safe on

@@ -13,7 +13,7 @@
 //     group size instead of queue length.
 //   - Decoupled buffer fill: space reservation (a pointer bump) is the only
 //     serialized step. Record serialization — the checksummed framing and
-//     the memcpy, which the single-mutex log performs inside its critical
+//     the memcpy, which a single-mutex log performs inside its critical
 //     section — happens in parallel after reservation, each member writing
 //     its own disjoint extent region.
 //   - Flush pipelining: a flush daemon hardens completed groups in LSN
@@ -21,9 +21,8 @@
 //     commit never blocks a worker thread on the device sync, and one sync
 //     covers every group that completed in the meantime (group commit).
 //
-// The record encoding is wal's (wal.EncodeInto), so the stream is
-// byte-identical to the legacy log's for equal records and the ARIES
-// scanner and recovery work unchanged over clog-produced logs.
+// The record encoding is wal's (wal.EncodeInto), so the ARIES scanner
+// and recovery read clog-produced logs through wal's decoder.
 package clog
 
 import (
@@ -198,7 +197,8 @@ type Log struct {
 	tracer atomic.Pointer[trace.Tracer]
 
 	// Appends counts records; Groups counts consolidated reservations;
-	// Forces/GroupedCommits/Syncs mirror the legacy log's counters.
+	// Forces counts durability requests, Syncs device syncs, and
+	// GroupedCommits forces satisfied without a sync of their own.
 	Appends        metrics.Counter
 	Groups         metrics.Counter
 	Forces         metrics.Counter

@@ -58,41 +58,48 @@ func TestAppendScanRoundTrip(t *testing.T) {
 }
 
 func TestStreamMatchesLegacyFormat(t *testing.T) {
-	// The same records appended to the legacy log and to clog must
-	// produce byte-identical streams (recovery compatibility).
-	recs := func() []*wal.Record {
-		return []*wal.Record{
-			{Kind: wal.KInsert, TxnID: 7, Table: 1, Page: 2, Slot: 3, Key: 4, Redo: []byte("abc")},
-			{Kind: wal.KCommit, TxnID: 7, PrevLSN: 8},
-			{Kind: wal.KEnd, TxnID: 7, PrevLSN: 8},
-		}
+	// clog's stream is the wal format: every record decodes through
+	// wal.ScanBytes back to the fields it was appended with, at the LSN
+	// Append returned, and each frame is the record's wal.EncodeInto
+	// image byte for byte (the encoder recovery's tools are tested
+	// against).
+	want := []*wal.Record{
+		{Kind: wal.KInsert, TxnID: 7, Table: 1, Page: 2, Slot: 3, Key: 4, Redo: []byte("abc")},
+		{Kind: wal.KUpdate, TxnID: 7, PrevLSN: 8, Table: 1, Page: 2, Slot: 3, Key: 4, Off: 1, Redo: []byte("x"), Undo: []byte("b")},
+		{Kind: wal.KCommit, TxnID: 7, PrevLSN: 8},
+		{Kind: wal.KEnd, TxnID: 7, PrevLSN: 8},
 	}
-	legacyStore := wal.NewMemStore()
-	legacy, err := wal.New(legacyStore, nil)
+	store := wal.NewMemStore()
+	cl, err := New(store, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range recs() {
-		legacy.Append(r)
-	}
-	if err := legacy.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	clogStore := wal.NewMemStore()
-	cl, err := New(clogStore, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range recs() {
+	for _, r := range want {
 		cl.Append(r)
 	}
 	if err := cl.Close(); err != nil {
 		t.Fatal(err)
 	}
-	lb, _ := legacyStore.Contents()
-	cb, _ := clogStore.Contents()
-	if string(lb) != string(cb) {
-		t.Fatalf("streams differ: legacy %d bytes, clog %d bytes", len(lb), len(cb))
+	raw, _ := store.Contents()
+	var got []*wal.Record
+	if err := wal.ScanBytes(raw, func(r *wal.Record) error { got = append(got, r); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("decoded %d records, want %d", len(got), len(want))
+	}
+	for i, w := range want {
+		g := got[i]
+		if g.LSN != w.LSN || g.Kind != w.Kind || g.Sub != w.Sub || g.TxnID != w.TxnID ||
+			g.PrevLSN != w.PrevLSN || g.Table != w.Table || g.Page != w.Page || g.Slot != w.Slot ||
+			g.Key != w.Key || g.Off != w.Off || string(g.Redo) != string(w.Redo) || string(g.Undo) != string(w.Undo) {
+			t.Fatalf("record %d decodes to %+v, appended %+v", i, g, w)
+		}
+		fr := make([]byte, wal.EncodedSize(w))
+		wal.EncodeInto(fr, w)
+		if off := int(w.LSN); string(raw[off:off+len(fr)]) != string(fr) {
+			t.Fatalf("record %d frame differs from its EncodeInto image", i)
+		}
 	}
 }
 
@@ -221,15 +228,15 @@ func TestCrashCopyKeepsOnlySyncedGroups(t *testing.T) {
 }
 
 func TestReopenAcrossImplementations(t *testing.T) {
-	// A legacy-written log reopens under clog and vice versa, with LSNs
-	// continuing monotonically.
+	// A reopened clog continues the stream it finds: its LSNs pick up
+	// after the existing records, and a scan sees both generations.
 	store := wal.NewMemStore()
-	legacy, err := wal.New(store, nil)
+	first, err := New(store, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lsn1 := legacy.Append(&wal.Record{Kind: wal.KCommit, TxnID: 1})
-	if err := legacy.FlushAll(); err != nil {
+	lsn1 := first.Append(&wal.Record{Kind: wal.KCommit, TxnID: 1})
+	if err := first.Close(); err != nil {
 		t.Fatal(err)
 	}
 	cl, err := New(store, nil)
@@ -238,21 +245,22 @@ func TestReopenAcrossImplementations(t *testing.T) {
 	}
 	lsn2 := cl.Append(&wal.Record{Kind: wal.KCommit, TxnID: 2})
 	if lsn2 <= lsn1 {
-		t.Fatalf("clog reused LSN space: %d <= %d", lsn2, lsn1)
+		t.Fatalf("reopened clog reused LSN space: %d <= %d", lsn2, lsn1)
 	}
 	if err := cl.Close(); err != nil {
 		t.Fatal(err)
 	}
-	back, err := wal.New(store, nil)
+	back, err := New(store, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := 0
-	if err := back.Scan(func(r *wal.Record) error { n++; return nil }); err != nil {
+	defer back.Close()
+	var txns []uint64
+	if err := back.Scan(func(r *wal.Record) error { txns = append(txns, r.TxnID); return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if n != 2 {
-		t.Fatalf("scanned %d records across implementations, want 2", n)
+	if len(txns) != 2 || txns[0] != 1 || txns[1] != 2 {
+		t.Fatalf("scanned transactions %v across reopens, want [1 2]", txns)
 	}
 }
 

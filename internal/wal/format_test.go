@@ -88,19 +88,12 @@ func seedRecords() []Record {
 // seedStream appends recs to a fresh log and returns the stream body
 // after the file header.
 func seedStream(t testing.TB, recs []Record) []byte {
-	l, err := New(NewMemStore(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := openLog(t, NewMemStore())
 	for i := range recs {
 		r := recs[i]
-		l.Append(&r)
+		l.append(t, &r)
 	}
-	if err := l.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	raw, _ := l.store.Contents()
-	return raw[HeaderSize:]
+	return l.raw(t)[HeaderSize:]
 }
 
 // frame wraps payload (LSN onward) in a length and a valid checksum.

@@ -5,34 +5,29 @@ import (
 	"testing"
 )
 
-// fill appends and forces n records, returning each record's LSN.
-func fill(t *testing.T, l *Log, n int) []LSN {
+// fill appends and syncs n records, returning each record's LSN.
+func fill(t *testing.T, l *testLog, n int) []LSN {
 	t.Helper()
 	lsns := make([]LSN, n)
 	for i := 0; i < n; i++ {
-		lsns[i] = l.Append(&Record{Kind: KUpdate, TxnID: uint64(i + 1), Redo: []byte("payload")})
+		lsns[i] = l.append(t, &Record{Kind: KUpdate, TxnID: uint64(i + 1), Redo: []byte("payload")})
 	}
-	if err := l.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
+	l.sync(t)
 	return lsns
 }
 
 func TestTruncatePrefix(t *testing.T) {
 	store := NewMemStore()
-	l, err := New(store, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := openLog(t, store)
 	lsns := fill(t, l, 20)
 	origin := lsns[10]
-	if err := l.Truncate(origin); err != nil {
+	if err := Truncate(store, origin); err != nil {
 		t.Fatal(err)
 	}
 	// The store shrank but the stream's LSN space is unchanged: scanning
 	// yields the suffix at its original LSNs.
 	var got []LSN
-	if err := l.Scan(func(r *Record) error { got = append(got, r.LSN); return nil }); err != nil {
+	if err := l.scan(t, func(r *Record) error { got = append(got, r.LSN); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 10 || got[0] != origin {
@@ -44,44 +39,36 @@ func TestTruncatePrefix(t *testing.T) {
 		t.Fatalf("store origin = %d (%v), want %d", o2, err, origin)
 	}
 	// Appends continue in the same LSN space after truncation.
-	next := l.Append(&Record{Kind: KCommit, TxnID: 99})
+	next := l.append(t, &Record{Kind: KCommit, TxnID: 99})
 	if next < lsns[19] {
 		t.Fatalf("post-truncation LSN %d regressed", next)
 	}
-	if err := l.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
+	l.sync(t)
 
-	// Truncation is idempotent and refuses to pass the durable end.
-	if err := l.Truncate(origin); err != nil {
+	// Truncation is idempotent and refuses to pass the stream's end.
+	if err := Truncate(store, origin); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Truncate(l.Durable() + 100); err == nil {
-		t.Fatal("truncation beyond the durable end accepted")
+	if err := Truncate(store, l.next+100); err == nil {
+		t.Fatal("truncation beyond the stream end accepted")
 	}
 }
 
 func TestTruncatedStoreReopens(t *testing.T) {
 	store := NewMemStore()
-	l, err := New(store, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := openLog(t, store)
 	lsns := fill(t, l, 12)
-	if err := l.Truncate(lsns[6]); err != nil {
+	if err := Truncate(store, lsns[6]); err != nil {
 		t.Fatal(err)
 	}
-	end := l.Durable()
+	end := l.next
 	// Reopen over the truncated stream: LSNs continue where they left off.
-	l2, err := New(store, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l2.Next() != end {
-		t.Fatalf("reopened next = %d, want %d", l2.Next(), end)
+	l2 := openLog(t, store)
+	if l2.next != end {
+		t.Fatalf("reopened next = %d, want %d", l2.next, end)
 	}
 	n := 0
-	if err := l2.Scan(func(r *Record) error { n++; return nil }); err != nil {
+	if err := l2.scan(t, func(r *Record) error { n++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if n != 6 {
@@ -91,10 +78,7 @@ func TestTruncatedStoreReopens(t *testing.T) {
 
 func TestTruncateTail(t *testing.T) {
 	store := NewMemStore()
-	l, err := New(store, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := openLog(t, store)
 	lsns := fill(t, l, 10)
 	cut := lsns[7] // keep records 0..6
 	if err := TruncateTail(store, cut); err != nil {
@@ -130,7 +114,7 @@ func TestTruncateTail(t *testing.T) {
 	}
 	// A cut at or beyond the stream end is a no-op; one below the origin
 	// is an error (that history is gone already).
-	if err := TruncateTail(store, l.Durable()+5); err != nil {
+	if err := TruncateTail(store, l.next+5); err != nil {
 		t.Fatalf("no-op tail truncation: %v", err)
 	}
 	if err := TruncateTail(store, lsns[1]); err == nil {
@@ -144,12 +128,9 @@ func TestTruncateFileStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := New(fs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := openLog(t, fs)
 	lsns := fill(t, l, 16)
-	if err := l.Truncate(lsns[8]); err != nil {
+	if err := Truncate(fs, lsns[8]); err != nil {
 		t.Fatal(err)
 	}
 	// The rewrite must survive the file being reopened.
@@ -180,10 +161,7 @@ func TestTruncateFileStore(t *testing.T) {
 
 func TestDecodeStreamStopsAtTear(t *testing.T) {
 	store := NewMemStore()
-	l, err := New(store, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := openLog(t, store)
 	fill(t, l, 5)
 	raw, _ := store.Contents()
 	origin, body, err := StreamOrigin(raw)

@@ -1,15 +1,11 @@
-// Package wal implements the write-ahead log: an append-only stream of
-// physiological log records with offset-based LSNs, a group-commit force
-// path, and a scanner for ARIES-style recovery (analysis / redo / undo is
-// driven by internal/sm on top of this package).
-//
-// The append path of this package's Log serializes on a single mutex —
-// the log-buffer critical section that every update of every transaction
-// must enter in both the conventional and the DORA engine. It is
-// instrumented so experiment E4 can report it separately from lock-manager
-// serialization. The clog subpackage removes that serialization with a
-// consolidation-array append path; both implement Manager and produce the
-// same record stream.
+// Package wal defines the write-ahead log's format and contracts: the
+// physiological log record and its framed encoding with offset-based
+// LSNs, the stream header (full or prefix-truncated), the durable stores
+// behind the log, prefix and tail truncation, and the scanner that
+// ARIES-style recovery (analysis / redo / undo, driven by internal/sm)
+// and replica replay read the stream with. The log manager itself — the
+// Manager interface's implementation, with a consolidation-array append
+// path, group commit and flush pipelining — is the clog subpackage.
 package wal
 
 import (
@@ -22,9 +18,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 
-	"dora/internal/metrics"
 	"dora/internal/page"
 )
 
@@ -147,11 +141,10 @@ type Truncator interface {
 	Truncate(origin LSN) error
 }
 
-// Manager is the log-manager interface the storage manager runs on. Two
-// implementations exist: Log (this package; single-mutex append path) and
-// clog.Log (consolidation-array append path with flush pipelining). Both
-// produce the same on-disk record stream, so recovery's scanner and every
-// log-inspection tool work over either.
+// Manager is the log-manager interface the storage manager runs on. Its
+// implementation is clog.Log (consolidation-array append path with flush
+// pipelining); recovery's scanner and every log-inspection tool read the
+// stream it writes through this package's decoder, not through it.
 type Manager interface {
 	// Append assigns an LSN to rec, serializes it into the log buffer,
 	// and returns the LSN. The record is not durable until forced.
@@ -206,7 +199,7 @@ type Stats struct {
 	GroupedCommits int64
 	// Groups counts entries into the serialized buffer-reservation step;
 	// Consolidated counts appends that piggybacked on another thread's
-	// reservation (always zero for the single-mutex log).
+	// reservation.
 	Groups       int64
 	Consolidated int64
 }
@@ -431,34 +424,10 @@ func syncDir(dir string) error {
 // Close implements Store.
 func (s *FileStore) Close() error { return s.f.Close() }
 
-// Log is the log manager.
-type Log struct {
-	mu      sync.Mutex // append critical section
-	buf     []byte     // appended but not yet handed to store
-	nextLSN LSN        // offset the next record will get
-	err     error      // sticky store failure: a dead log stays dead (mu)
-
-	flushMu sync.Mutex // serializes Force (group commit)
-	durable LSN        // all records below this offset are durable (atomic via mu)
-
-	sink atomic.Pointer[ExtentSink] // hardened-extent observer (log shipping)
-
-	store Store
-	cs    *metrics.CriticalSectionStats
-
-	// Appends and Forces count operations; GroupedCommits counts Force
-	// calls satisfied by an earlier flush (the group-commit win); Syncs
-	// counts device syncs actually issued.
-	Appends        metrics.Counter
-	Forces         metrics.Counter
-	GroupedCommits metrics.Counter
-	Syncs          metrics.Counter
-}
-
 // InitStore writes the file header into an empty store (and syncs it), or
 // validates the header of a non-empty one, returning the LSN after the
-// existing content — where the next append goes. Shared by both log
-// managers so they open each other's streams.
+// existing content — where the next append goes. A log manager opening
+// a store continues its stream this way.
 func InitStore(store Store) (LSN, error) {
 	existing, err := store.Contents()
 	if err != nil {
@@ -493,185 +462,6 @@ func StreamOrigin(raw []byte) (LSN, []byte, error) {
 		return origin, raw[TruncHeaderSize:], nil
 	}
 	return 0, nil, fmt.Errorf("%w: bad header", ErrCorrupt)
-}
-
-// New creates a log manager over store. If the store is empty the file
-// header is written; otherwise appends continue after existing content.
-func New(store Store, cs *metrics.CriticalSectionStats) (*Log, error) {
-	next, err := InitStore(store)
-	if err != nil {
-		return nil, err
-	}
-	l := &Log{store: store, cs: cs, nextLSN: next}
-	l.durable = l.nextLSN
-	return l, nil
-}
-
-// Append assigns an LSN to rec, serializes it into the log buffer, and
-// returns the LSN. The record is not durable until Force.
-func (l *Log) Append(rec *Record) LSN {
-	b := encode(rec)
-	l.mu.Lock()
-	if l.cs != nil {
-		l.cs.Log.Inc()
-	}
-	rec.LSN = l.nextLSN
-	// Patch the LSN into the already-encoded frame.
-	binary.LittleEndian.PutUint64(b[lsnOff:], rec.LSN)
-	// Recompute checksum over payload (LSN is inside the payload).
-	binary.LittleEndian.PutUint32(b[4:], crc32.ChecksumIEEE(b[lsnOff:]))
-	l.buf = append(l.buf, b...)
-	l.nextLSN += LSN(len(b))
-	l.Appends.Inc()
-	l.mu.Unlock()
-	return rec.LSN
-}
-
-// Durable returns the LSN up to which (exclusive) the log is durable.
-func (l *Log) Durable() LSN {
-	l.mu.Lock()
-	d := l.durable
-	l.mu.Unlock()
-	return d
-}
-
-// Next returns the LSN the next Append will receive.
-func (l *Log) Next() LSN {
-	l.mu.Lock()
-	n := l.nextLSN
-	l.mu.Unlock()
-	return n
-}
-
-// Force blocks until every record with LSN <= lsn is durable. Concurrent
-// forcers are batched: the first flush covers all earlier appends, and
-// later callers return without touching the store (group commit). A store
-// failure is sticky: the durability horizon freezes and every later Force
-// reports the failure, so an engine that told its client "aborted" on a
-// commit error can never see a later sync quietly harden that commit.
-func (l *Log) Force(lsn LSN) error {
-	l.Forces.Inc()
-	l.mu.Lock()
-	if l.err != nil {
-		err := l.err
-		l.mu.Unlock()
-		return err
-	}
-	if l.durable > lsn {
-		l.mu.Unlock()
-		l.GroupedCommits.Inc()
-		return nil
-	}
-	l.mu.Unlock()
-
-	l.flushMu.Lock()
-	defer l.flushMu.Unlock()
-	l.mu.Lock()
-	if l.err != nil {
-		err := l.err
-		l.mu.Unlock()
-		return err
-	}
-	if l.durable > lsn {
-		l.mu.Unlock()
-		l.GroupedCommits.Inc()
-		return nil
-	}
-	pend := l.buf
-	l.buf = nil
-	upTo := l.nextLSN
-	l.mu.Unlock()
-
-	err := error(nil)
-	if len(pend) > 0 {
-		err = l.store.Write(pend)
-	}
-	if err == nil {
-		err = l.store.Sync()
-	}
-	if err != nil {
-		l.mu.Lock()
-		if l.err == nil {
-			l.err = err
-		}
-		l.mu.Unlock()
-		return err
-	}
-	l.Syncs.Inc()
-	if sp := l.sink.Load(); sp != nil && len(pend) > 0 {
-		// pend was detached from the buffer above; ownership transfers to
-		// the sink. Still under flushMu, so extents arrive in LSN order.
-		(*sp)(upTo-LSN(len(pend)), pend)
-	}
-	l.mu.Lock()
-	l.durable = upTo
-	l.mu.Unlock()
-	return nil
-}
-
-// SetExtentSink implements ExtentSource.
-func (l *Log) SetExtentSink(fn ExtentSink) {
-	if fn == nil {
-		l.sink.Store(nil)
-		return
-	}
-	l.sink.Store(&fn)
-}
-
-// Truncate implements Truncator: it drops records below origin from the
-// backing store, serialized with Force so the rewrite never interleaves
-// with a flush. origin must not exceed the durable horizon.
-func (l *Log) Truncate(origin LSN) error {
-	l.flushMu.Lock()
-	defer l.flushMu.Unlock()
-	l.mu.Lock()
-	d := l.durable
-	l.mu.Unlock()
-	if origin > d {
-		return fmt.Errorf("wal: truncate origin %d above durable horizon %d", origin, d)
-	}
-	return Truncate(l.store, origin)
-}
-
-// Stats implements Manager. Every append reserves buffer space by itself,
-// so Groups mirrors Appends and nothing consolidates.
-func (l *Log) Stats() Stats {
-	a := l.Appends.Load()
-	return Stats{
-		Appends:        a,
-		Forces:         l.Forces.Load(),
-		Syncs:          l.Syncs.Load(),
-		GroupedCommits: l.GroupedCommits.Load(),
-		Groups:         a,
-	}
-}
-
-// Close implements Manager: it flushes outstanding records. The single-
-// mutex log has no background worker to stop.
-func (l *Log) Close() error { return l.FlushAll() }
-
-// FlushAll forces everything appended so far.
-func (l *Log) FlushAll() error {
-	l.mu.Lock()
-	target := l.nextLSN
-	l.mu.Unlock()
-	if target == 0 {
-		return nil
-	}
-	return l.Force(target - 1)
-}
-
-// Scan decodes every record in the durable+buffered stream in order,
-// invoking fn for each. Used by recovery and by log-inspection tools.
-func (l *Log) Scan(fn func(*Record) error) error {
-	if err := l.FlushAll(); err != nil {
-		return err
-	}
-	raw, err := l.store.Contents()
-	if err != nil {
-		return err
-	}
-	return ScanBytes(raw, fn)
 }
 
 // ScanBytes decodes a raw log image (including either header form).
@@ -762,7 +552,7 @@ func PageKey(r *Record) (page.ID, bool) {
 // Slot, the zigzag-mapped Key, UndoNext, Off (update patches only), then
 // len(Redo) followed by Redo and len(Undo) followed by Undo. A record's
 // size depends on its fields but never on its own LSN (the LSN is
-// fixed-width and PrevLSN stays absolute), because both log managers size
+// fixed-width and PrevLSN stays absolute), because the log manager sizes
 // a record before its LSN is known. Kind and Sub each fit in four bits.
 const (
 	lsnOff     = 8           // the LSN sits right after length and CRC
@@ -793,20 +583,10 @@ func EncodedSize(r *Record) int {
 	return n
 }
 
-// encode frames rec. The checksum is left for Append to fill after it
-// patches the LSN.
-func encode(r *Record) []byte {
-	b := make([]byte, EncodedSize(r))
-	encodeInto(b, r, false)
-	return b
-}
-
 // EncodeInto serializes r — including its current LSN and the payload
-// checksum — into b, which must be exactly EncodedSize(r) bytes. Both log
-// managers use it, so their streams are byte-identical for equal records.
-func EncodeInto(b []byte, r *Record) { encodeInto(b, r, true) }
-
-func encodeInto(b []byte, r *Record, withCRC bool) {
+// checksum — into b, which must be exactly EncodedSize(r) bytes. It is
+// the one encoder of the stream: DecodeStream reads back what it writes.
+func EncodeInto(b []byte, r *Record) {
 	binary.LittleEndian.PutUint32(b[0:], uint32(len(b)))
 	binary.LittleEndian.PutUint64(b[lsnOff:], r.LSN)
 	b[kindOff] = byte(r.Kind&0xF) | byte(r.Sub)<<4
@@ -825,9 +605,7 @@ func encodeInto(b []byte, r *Record, withCRC bool) {
 	w += copy(b[w:], r.Redo)
 	w += binary.PutUvarint(b[w:], uint64(len(r.Undo)))
 	copy(b[w:], r.Undo)
-	if withCRC {
-		binary.LittleEndian.PutUint32(b[4:], crc32.ChecksumIEEE(b[lsnOff:]))
-	}
+	binary.LittleEndian.PutUint32(b[4:], crc32.ChecksumIEEE(b[lsnOff:]))
 }
 
 // payloadReader decodes the varint fields of a payload. The first

@@ -1,31 +1,64 @@
 package wal
 
 import (
-	"errors"
 	"path/filepath"
-	"sync"
 	"testing"
 )
 
-func mk(t *testing.T) *Log {
+// testLog writes this package's format and store tests' streams: it
+// frames each record with EncodeInto at the stream offset InitStore
+// gives, as the log manager (clog, which imports this package) does,
+// and hands the frame straight to the store. sync hardens what was
+// written.
+type testLog struct {
+	store Store
+	next  LSN
+}
+
+func openLog(t testing.TB, store Store) *testLog {
 	t.Helper()
-	l, err := New(NewMemStore(), nil)
+	next, err := InitStore(store)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return l
+	return &testLog{store: store, next: next}
 }
 
-func TestAppendAssignsMonotonicLSNs(t *testing.T) {
-	l := mk(t)
-	var prev LSN
-	for i := 0; i < 100; i++ {
-		lsn := l.Append(&Record{Kind: KUpdate, TxnID: 1, Redo: []byte{byte(i)}})
-		if lsn <= prev {
-			t.Fatalf("LSN %d not > %d", lsn, prev)
-		}
-		prev = lsn
+func mk(t *testing.T) *testLog { return openLog(t, NewMemStore()) }
+
+// append frames rec at the end of the stream and returns its LSN.
+func (l *testLog) append(t testing.TB, rec *Record) LSN {
+	t.Helper()
+	rec.LSN = l.next
+	b := make([]byte, EncodedSize(rec))
+	EncodeInto(b, rec)
+	if err := l.store.Write(b); err != nil {
+		t.Fatal(err)
 	}
+	l.next += LSN(len(b))
+	return rec.LSN
+}
+
+func (l *testLog) sync(t testing.TB) {
+	t.Helper()
+	if err := l.store.Sync(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// raw returns the store's whole stream image.
+func (l *testLog) raw(t testing.TB) []byte {
+	t.Helper()
+	raw, err := l.store.Contents()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// scan decodes the store's stream.
+func (l *testLog) scan(t testing.TB, fn func(*Record) error) error {
+	return ScanBytes(l.raw(t), fn)
 }
 
 func TestScanRoundTrip(t *testing.T) {
@@ -40,10 +73,10 @@ func TestScanRoundTrip(t *testing.T) {
 	}
 	for _, r := range want {
 		r.PrevLSN = 11
-		l.Append(r)
+		l.append(t, r)
 	}
 	var got []*Record
-	if err := l.Scan(func(r *Record) error { got = append(got, r); return nil }); err != nil {
+	if err := l.scan(t, func(r *Record) error { got = append(got, r); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != len(want) {
@@ -65,63 +98,17 @@ func TestScanRoundTrip(t *testing.T) {
 	}
 }
 
-func TestForceAdvancesDurable(t *testing.T) {
-	l := mk(t)
-	lsn := l.Append(&Record{Kind: KCommit, TxnID: 1})
-	if l.Durable() > lsn {
-		t.Fatal("record durable before Force")
-	}
-	if err := l.Force(lsn); err != nil {
-		t.Fatal(err)
-	}
-	if l.Durable() <= lsn {
-		t.Fatalf("Durable = %d, want > %d", l.Durable(), lsn)
-	}
-}
-
-func TestGroupCommitBatches(t *testing.T) {
-	l := mk(t)
-	const n = 32
-	lsns := make([]LSN, n)
-	for i := range lsns {
-		lsns[i] = l.Append(&Record{Kind: KCommit, TxnID: uint64(i)})
-	}
-	var wg sync.WaitGroup
-	for _, lsn := range lsns {
-		wg.Add(1)
-		go func(lsn LSN) {
-			defer wg.Done()
-			if err := l.Force(lsn); err != nil {
-				t.Error(err)
-			}
-		}(lsn)
-	}
-	wg.Wait()
-	if l.GroupedCommits.Load() == 0 {
-		t.Fatal("expected at least one grouped commit among 32 concurrent forces")
-	}
-}
-
 func TestCrashCopyDropsUnsynced(t *testing.T) {
 	store := NewMemStore()
-	l, err := New(store, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := l.Append(&Record{Kind: KInsert, TxnID: 1, Redo: []byte("durable")})
-	if err := l.Force(a); err != nil {
-		t.Fatal(err)
-	}
-	l.Append(&Record{Kind: KInsert, TxnID: 2, Redo: []byte("lost")})
-	// Note: record 2 is appended but never forced; and never written.
+	l := openLog(t, store)
+	l.append(t, &Record{Kind: KInsert, TxnID: 1, Redo: []byte("durable")})
+	l.sync(t)
+	// Record 2 reaches the store but is never synced.
+	l.append(t, &Record{Kind: KInsert, TxnID: 2, Redo: []byte("lost")})
 
-	crashed := store.CrashCopy()
-	l2, err := New(crashed, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	crashed := openLog(t, store.CrashCopy())
 	var got []*Record
-	if err := l2.Scan(func(r *Record) error { got = append(got, r); return nil }); err != nil {
+	if err := crashed.scan(t, func(r *Record) error { got = append(got, r); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 1 || string(got[0].Redo) != "durable" {
@@ -131,11 +118,8 @@ func TestCrashCopyDropsUnsynced(t *testing.T) {
 
 func TestTornTailIgnored(t *testing.T) {
 	l := mk(t)
-	l.Append(&Record{Kind: KInsert, TxnID: 1, Redo: []byte("ok")})
-	if err := l.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	raw, _ := l.store.Contents()
+	l.append(t, &Record{Kind: KInsert, TxnID: 1, Redo: []byte("ok")})
+	raw := l.raw(t)
 	// Simulate a torn write: a half-record at the tail.
 	raw = append(raw, 0xFF, 0x00, 0x00, 0x00, 0x01, 0x02)
 	n := 0
@@ -151,12 +135,9 @@ func TestCorruptRecordRejectedMidStream(t *testing.T) {
 	l := mk(t)
 	var lsns []LSN
 	for i := 0; i < 10; i++ {
-		lsns = append(lsns, l.Append(&Record{Kind: KUpdate, TxnID: 1, Key: int64(i), Redo: []byte("payload")}))
+		lsns = append(lsns, l.append(t, &Record{Kind: KUpdate, TxnID: 1, Key: int64(i), Redo: []byte("payload")}))
 	}
-	if err := l.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	raw, _ := l.store.Contents()
+	raw := l.raw(t)
 	// Corrupt a payload byte of the 6th record: its CRC check must fail
 	// and the scan must stop before delivering it.
 	mid := int(lsns[5])
@@ -178,63 +159,20 @@ func TestCorruptRecordRejectedMidStream(t *testing.T) {
 
 func TestReopenContinuesLSNs(t *testing.T) {
 	store := NewMemStore()
-	l, _ := New(store, nil)
-	lsn1 := l.Append(&Record{Kind: KCommit, TxnID: 1})
-	if err := l.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	l2, err := New(store, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lsn2 := l2.Append(&Record{Kind: KCommit, TxnID: 2})
+	l := openLog(t, store)
+	lsn1 := l.append(t, &Record{Kind: KCommit, TxnID: 1})
+	l.sync(t)
+	l2 := openLog(t, store)
+	lsn2 := l2.append(t, &Record{Kind: KCommit, TxnID: 2})
 	if lsn2 <= lsn1 {
 		t.Fatalf("reopened log reused LSN space: %d <= %d", lsn2, lsn1)
 	}
 	n := 0
-	if err := l2.Scan(func(r *Record) error { n++; return nil }); err != nil {
+	if err := l2.scan(t, func(r *Record) error { n++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if n != 2 {
 		t.Fatalf("scanned %d, want 2", n)
-	}
-}
-
-// failSyncStore fails Sync on demand, simulating a dying log device.
-type failSyncStore struct {
-	*MemStore
-	fail bool
-}
-
-func (s *failSyncStore) Sync() error {
-	if s.fail {
-		return errors.New("device failure")
-	}
-	return s.MemStore.Sync()
-}
-
-func TestForceFailureIsSticky(t *testing.T) {
-	store := &failSyncStore{MemStore: NewMemStore()}
-	l, err := New(store, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := l.Durable()
-	store.fail = true
-	lsn := l.Append(&Record{Kind: KCommit, TxnID: 1})
-	if err := l.Force(lsn); err == nil {
-		t.Fatal("force over failing store must error")
-	}
-	// The device recovers, but the log must stay dead: a commit reported
-	// aborted on the first failure must never be hardened by a later
-	// transaction's force.
-	store.fail = false
-	lsn2 := l.Append(&Record{Kind: KCommit, TxnID: 2})
-	if err := l.Force(lsn2); err == nil {
-		t.Fatal("force after sticky failure must keep erroring")
-	}
-	if d := l.Durable(); d != before {
-		t.Fatalf("durable advanced from %d to %d over a dead log", before, d)
 	}
 }
 
@@ -244,14 +182,9 @@ func TestFileStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := New(store, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lsn := l.Append(&Record{Kind: KInsert, TxnID: 9, Key: 1234, Redo: []byte("persist")})
-	if err := l.Force(lsn); err != nil {
-		t.Fatal(err)
-	}
+	l := openLog(t, store)
+	l.append(t, &Record{Kind: KInsert, TxnID: 9, Key: 1234, Redo: []byte("persist")})
+	l.sync(t)
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -261,46 +194,11 @@ func TestFileStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store2.Close()
-	l2, err := New(store2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var got *Record
-	if err := l2.Scan(func(r *Record) error { got = r; return nil }); err != nil {
+	if err := openLog(t, store2).scan(t, func(r *Record) error { got = r; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if got == nil || got.TxnID != 9 || got.Key != 1234 || string(got.Redo) != "persist" {
 		t.Fatalf("file round trip: %+v", got)
-	}
-}
-
-func TestConcurrentAppendScan(t *testing.T) {
-	l := mk(t)
-	var wg sync.WaitGroup
-	const writers, per = 8, 500
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				l.Append(&Record{Kind: KUpdate, TxnID: uint64(w + 1), Key: int64(i)})
-			}
-		}(w)
-	}
-	wg.Wait()
-	n := 0
-	seen := map[LSN]bool{}
-	if err := l.Scan(func(r *Record) error {
-		if seen[r.LSN] {
-			t.Fatalf("duplicate LSN %d", r.LSN)
-		}
-		seen[r.LSN] = true
-		n++
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if n != writers*per {
-		t.Fatalf("scanned %d, want %d", n, writers*per)
 	}
 }

@@ -1,13 +1,12 @@
 // Package workload provides the benchmark driver used by every
 // experiment: configurable client counts, think times, transaction
-// mixes, and skewed key generators (including the demo's movable
+// mixes, and key generators (uniform, and the demo's movable
 // hot spot), with throughput/latency/abort accounting and an optional
 // throughput timeline for the re-balancing experiments.
 package workload
 
 import (
 	"math/rand"
-	"sync"
 	"sync/atomic"
 )
 
@@ -31,46 +30,6 @@ func (u Uniform) Next(rng *rand.Rand) int64 { return u.Lo + rng.Int63n(u.Hi-u.Lo
 
 // Domain implements KeyGen.
 func (u Uniform) Domain() (int64, int64) { return u.Lo, u.Hi }
-
-// Zipf draws Zipf-distributed keys: rank r drawn with P(r) ∝ 1/(r+1)^S,
-// then mapped onto [Lo, Hi] via a fixed pseudo-random permutation so the
-// hot keys are scattered (as TATP prescribes) unless Sequential is set.
-type Zipf struct {
-	Lo, Hi     int64
-	S          float64 // skew exponent, > 1
-	Sequential bool    // hot keys at the start of the domain (for demos)
-
-	zipfs sync.Map // *rand.Rand -> *rand.Zipf, lazily built per client rng
-}
-
-// NewZipf returns a Zipf generator with exponent s over [lo, hi].
-func NewZipf(lo, hi int64, s float64) *Zipf {
-	if s <= 1 {
-		s = 1.001
-	}
-	return &Zipf{Lo: lo, Hi: hi, S: s}
-}
-
-// Next implements KeyGen.
-func (z *Zipf) Next(rng *rand.Rand) int64 {
-	var zf *rand.Zipf
-	if v, ok := z.zipfs.Load(rng); ok {
-		zf = v.(*rand.Zipf)
-	} else {
-		zf = rand.NewZipf(rng, z.S, 1, uint64(z.Hi-z.Lo))
-		z.zipfs.Store(rng, zf)
-	}
-	rank := int64(zf.Uint64())
-	if z.Sequential {
-		return z.Lo + rank
-	}
-	// Scatter via a multiplicative hash permutation within the domain.
-	n := z.Hi - z.Lo + 1
-	return z.Lo + (rank*2654435761)%n
-}
-
-// Domain implements KeyGen.
-func (z *Zipf) Domain() (int64, int64) { return z.Lo, z.Hi }
 
 // Hotspot sends HotFrac of draws into a narrow window of the domain whose
 // center can be moved at runtime — the demo's "slide it around to vary

@@ -24,8 +24,7 @@ type AsyncEngine interface {
 // exposes latency under overload: when offered load exceeds capacity the
 // in-flight population grows to the cap, latency reflects the queueing,
 // and the drop rate measures the excess. This is the right instrument
-// for "what happens past the knee" experiments (E15's overload row and
-// successors).
+// for "what happens past the knee" measurements.
 type OpenLoop struct {
 	Engine AsyncEngine
 	Mix    Mix

@@ -428,7 +428,8 @@ type batchScanSubscribers struct {
 // lo <= s_id <= hi under ONE ranged S lock instead of a lock per id:
 // the hierarchical local lock table grants it as a handful of
 // granule-level locks (or a single partition-level lock for wide
-// spans) instead of one lock per id — experiment E19 counts them. The
+// spans) instead of one lock per id (TestBatchScanLockAcquisitions
+// counts them). The
 // action routes to the partition owning lo; the lock protects the
 // interval's intersection with that partition's ranges, so callers
 // wanting full coverage keep [lo, hi] inside one partition (the scan
@@ -639,20 +640,8 @@ func (db *DB) NewMix(opt MixOptions) workload.Mix {
 }
 
 // ReadOnlyMix returns only the three read transactions (80% of standard
-// TATP); useful for the intra-transaction-parallelism experiment.
+// TATP).
 func (db *DB) ReadOnlyMix(opt MixOptions) workload.Mix {
 	m := db.NewMix(opt)
 	return workload.Mix{m[0], m[1], m[2]}
-}
-
-// WriteMix returns a write-heavy TATP variant — the two update
-// transactions at elevated weight over a thin read background — used by
-// experiment E15 to stress the owner write path and the page cleaner.
-func (db *DB) WriteMix(opt MixOptions) workload.Mix {
-	m := db.NewMix(opt)
-	return workload.Mix{
-		{Name: m[3].Name, Weight: 40, Build: m[3].Build}, // UpdateSubscriberData
-		{Name: m[4].Name, Weight: 40, Build: m[4].Build}, // UpdateLocation
-		{Name: m[0].Name, Weight: 20, Build: m[0].Build}, // GetSubscriberData
-	}
 }

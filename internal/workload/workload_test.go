@@ -22,29 +22,6 @@ func TestUniformDomain(t *testing.T) {
 	}
 }
 
-func TestZipfSkewAndDomain(t *testing.T) {
-	g := NewZipf(1, 1000, 1.2)
-	rng := rand.New(rand.NewSource(2))
-	counts := map[int64]int{}
-	for i := 0; i < 20000; i++ {
-		k := g.Next(rng)
-		if k < 1 || k > 1000 {
-			t.Fatalf("key %d out of domain", k)
-		}
-		counts[k]++
-	}
-	// Skew: the most common key appears far above uniform expectation.
-	max := 0
-	for _, c := range counts {
-		if c > max {
-			max = c
-		}
-	}
-	if max < 200 { // uniform would be ~20
-		t.Fatalf("zipf max count %d — not skewed", max)
-	}
-}
-
 func TestHotspotMoves(t *testing.T) {
 	g := NewHotspot(1, 1000, 1.0, 10) // all draws hot
 	rng := rand.New(rand.NewSource(3))
