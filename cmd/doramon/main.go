@@ -50,8 +50,7 @@ func main() {
 		hotFrac = flag.Float64("hot", 0.8, "fraction of accesses hitting the hot spot")
 		replica = flag.Bool("replica", true, "run an in-process read replica of the DORA database")
 		semiK   = flag.Int("semisync", 0, "semi-sync commit rule: acks required per commit (0 = async)")
-		redoW   = flag.Int("redo-workers", 4, "replica parallel-redo appliers (0 or 1 = serial replay)")
-		adaptW  = flag.Bool("adaptive-redo", false, "let the replica's applier pool resize itself from queue depth")
+		redoW   = flag.Int("redo-workers", 4, "replica redo appliers (0 or 1 = inline on the delivery thread)")
 		httpOn  = flag.String("http", "", "HTTP observability address (/metrics, /snapshot, /debug/pprof; empty = off)")
 		sample  = flag.Int("trace-sample", 64, "latency tracer: trace 1 in N transactions (0 = tracing off)")
 		slowMS  = flag.Int("trace-slow-ms", 0, "emit JSON span trees for traced txns slower than this (0 = off)")
@@ -125,7 +124,7 @@ func main() {
 		sh, err := repl.AttachPrimary(doraDB.SM, doraStore, repl.Rule{K: *semiK})
 		fatal(err)
 		defer sh.Close()
-		rep, err = repl.NewReplica(repl.Options{Frames: 1 << 13, RedoWorkers: *redoW, AdaptiveRedo: *adaptW, Tracer: tracer, DDL: func(s *sm.SM) error {
+		rep, err = repl.NewReplica(repl.Options{Frames: 1 << 13, RedoWorkers: *redoW, Tracer: tracer, DDL: func(s *sm.SM) error {
 			var derr error
 			repDB, derr = tatp.Schema(s, *subs)
 			return derr

@@ -53,10 +53,9 @@
 // write-back. Crash recovery is
 // exactly-once whether the crash lands mid-snapshot or mid-write-back:
 // the on-disk image is always a consistent page at a known LSN and
-// ARIES redo-skip does the rest. The open-loop arrival-rate driver
-// (workload.OpenLoop over dora.ExecAsync: Poisson arrivals, bounded
-// in-flight cap, drop and latency accounting) measures behaviour past
-// the saturation knee.
+// ARIES redo-skip does the rest. perfbench's open-loop driver (a fixed
+// arrival rate over dora.ExecAsync) measures behaviour past the
+// saturation knee.
 //
 // Cross-partition execution is asynchronous end to end: a foreign
 // operation ships to its owner together with a
@@ -98,9 +97,10 @@
 // unparked; a merge that retires a resolved owner before the phase is
 // enqueued makes the enqueue re-resolve rather than strand the action.
 //
-// The backward paths are partitioned too: crash-
-// recovery redo and replica streaming apply share a partition-parallel
-// redo pipeline (sm.Options.RedoWorkers / repl.Options.RedoWorkers). A
+// The backward paths are partitioned too, and share one log-replay
+// pipeline: restart recovery, replica bootstrap, replica streaming apply
+// and promotion all feed one redo pool (sm.Options.RedoWorkers /
+// repl.Options.RedoWorkers). A
 // dispatcher scans records in LSN order and keeps everything global —
 // committed-prefix admission, checkpoint attachments, transaction
 // resolutions, index maintenance, commit-horizon advancement — while
@@ -108,15 +108,16 @@
 // applier drains a FIFO, so per-page LSN order (the redo-skip
 // idempotence invariant) holds by construction while distinct pages
 // redo concurrently, and the dispatcher consumes completions through a
-// reorder buffer in dispatch order. Replica delivery syncs the pool at
-// each extent boundary inside the state lock, so bounded-staleness
-// readers still observe only extent-consistent states; any applier
-// error fail-stops the whole pool; promotion drains and retires it
-// before the serial winner/loser pass. Undo orders losers
-// deterministically, so parallel recovery is byte-for-byte identical to
-// serial, which sm's tests assert as digest equality at 1/2/4/8
-// appliers; repl's race a serial against a parallel replica on one
-// shipped stream.
+// reorder buffer in dispatch order. With one applier or none the
+// dispatcher applies and finishes each record itself. Replica delivery
+// syncs the pool at each extent boundary inside the state lock, so
+// bounded-staleness readers still observe only extent-consistent states;
+// any applier error fail-stops the whole pool; promotion drains and
+// retires the appliers before the loser pass. Restart and promotion undo
+// losers with one routine, in descending id order, so recovery is
+// byte-for-byte identical at any applier count, which sm's tests assert
+// as digest equality at 1/2/4/8 appliers; repl's race an inline against
+// a parallel replica on one shipped stream.
 // Buffer-pool write-back pipelines its owner-coordinated snapshot ships
 // the same way — checkpoint FlushAll, the cleaner's paced sweep and its
 // eviction hints alike: all stamped frames' ships go out at once and the
@@ -136,10 +137,7 @@
 // Prometheus text exposition on /metrics (dependency-free) alongside
 // /snapshot JSON and the explicitly wired /debug/pprof profiles; and
 // traced transactions past a slow threshold emit their full span tree
-// as one JSON line. The parallel-redo pool feeds the same stats back
-// into itself: with AdaptiveRedo set, the dispatcher resizes the
-// applier pool from windowed queue-depth averages, only at barrier
-// points where the drained queues make the page remap order-safe.
+// as one JSON line.
 //
 // See README.md for the package tour, quickstart, and the experiment
 // index (E1, E2 and E4–E9, one per panel of the demonstrated system,

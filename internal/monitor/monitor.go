@@ -121,8 +121,8 @@ type ReplicationView struct {
 	// the previous snapshot — negative while the replica catches up,
 	// positive while it falls behind (zero with no previous sample).
 	LagTrendBps int64 `json:"lag_trend_bps,omitempty"`
-	// Redo is the parallel-redo applier pool's view (nil when replaying
-	// serially): worker count, high-water queue depth, and each applier's
+	// Redo is the redo applier pool's view (nil when replaying inline):
+	// worker count, high-water queue depth, and each applier's
 	// last-applied LSN and current queue depth.
 	Redo *sm.RedoStats `json:"redo,omitempty"`
 }

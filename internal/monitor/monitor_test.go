@@ -155,7 +155,7 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 				StalenessBytes: 2000, ReplicaReads: 17, OpenTxns: 2, Warming: 1,
 				Failed: "boom", ApplyLagBytes: 500, LagTrendBps: -128,
 				Redo: &sm.RedoStats{
-					Workers: 4, MaxQueueDepth: 9, Resizes: 2,
+					Workers: 4, MaxQueueDepth: 9,
 					Appliers: []sm.RedoApplierStat{{AppliedLSN: 7400, QueueDepth: 3}},
 				},
 			},
@@ -173,7 +173,7 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 		t.Fatalf("round trip diverged:\n got %+v\nwant %+v", &got, want)
 	}
 	// Spot-check the field names the clients grep for.
-	for _, key := range []string{`"stage_latency"`, `"coverage_pct"`, `"total_p50_us"`, `"resizes"`, `"apply_lag_bytes"`} {
+	for _, key := range []string{`"stage_latency"`, `"coverage_pct"`, `"total_p50_us"`, `"max_queue_depth"`, `"apply_lag_bytes"`} {
 		if !strings.Contains(string(b), key) {
 			t.Fatalf("wire format missing %s in %s", key, b)
 		}

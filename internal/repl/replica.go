@@ -159,15 +159,12 @@ type Options struct {
 	Bootstrap bool
 	// CS receives critical-section accounting (optional).
 	CS *metrics.CriticalSectionStats
-	// RedoWorkers sets the replica's parallel-redo applier count (see
-	// sm.Options.RedoWorkers): 0 or 1 replays serially, >1 fans physical
+	// RedoWorkers sets the replica's redo applier count (see
+	// sm.Options.RedoWorkers): 0 or 1 replays inline, >1 fans physical
 	// records out to page-sharded appliers while delivery stays the
 	// dispatcher. Each extent still becomes visible to readers atomically —
 	// Deliver syncs the pool before releasing the state lock.
 	RedoWorkers int
-	// AdaptiveRedo lets the applier pool grow/shrink between extent
-	// barriers from observed queue depth (sm.Options.AdaptiveRedo).
-	AdaptiveRedo bool
 	// Tracer, when non-nil, samples deliveries for the latency tracer's
 	// repl_deliver (stream hardening) and repl_apply (redo + barrier)
 	// stages.
@@ -224,8 +221,8 @@ func NewReplica(opt Options) (*Replica, error) {
 	rlog := &replicaLog{store: opt.LogStore, durable: next}
 	s, err := sm.Open(sm.Options{
 		Frames: opt.Frames, Disk: opt.Disk, Log: rlog, CS: opt.CS,
-		RedoWorkers: opt.RedoWorkers, AdaptiveRedo: opt.AdaptiveRedo,
-		Spans: opt.Tracer,
+		RedoWorkers: opt.RedoWorkers,
+		Spans:       opt.Tracer,
 	})
 	if err != nil {
 		return nil, err
@@ -348,7 +345,7 @@ func (r *Replica) Deliver(base uint64, data []byte) (uint64, error) {
 			return r.rlog.Durable(), r.fail(err)
 		}
 	}
-	// Extent barrier: with parallel redo, wait until every applier has
+	// Extent barrier: wait until every applier has
 	// finished and the dispatcher has consumed the completion stream before
 	// readers are readmitted — reads only ever observe extent-consistent
 	// states. An applier error fail-stops the replica like any replay error.
@@ -477,7 +474,7 @@ func (r *Replica) Promote() (*sm.SM, sm.PromoteStats, error) {
 func (r *Replica) Redone() int64 { return r.replayer.Redone() }
 
 // RedoStats exposes the replayer's applier-pool monitoring view (zero
-// workers when replaying serially or after promotion retired the pool).
+// workers when replaying inline or after promotion retired the pool).
 func (r *Replica) RedoStats() sm.RedoStats { return r.replayer.RedoStats() }
 
 // Close shuts the replica down: the applier pool drains and joins first,

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"dora/internal/catalog"
 	"dora/internal/page"
 	"dora/internal/wal"
 )
@@ -86,15 +87,22 @@ func (s *SM) applyAttachments(payload []byte) error {
 			return fmt.Errorf("sm: checkpoint references unknown table %d", tid)
 		}
 		for i := 0; i < n; i++ {
-			pid := page.ID(binary.LittleEndian.Uint32(payload[4*i:]))
-			for int(pid) >= s.Disk.NumPages() {
-				if _, err := s.Disk.Allocate(); err != nil {
-					return err
-				}
+			if err := s.attach(tbl, page.ID(binary.LittleEndian.Uint32(payload[4*i:]))); err != nil {
+				return err
 			}
-			tbl.Heap.AttachPage(pid)
 		}
 		payload = payload[4*n:]
 	}
+	return nil
+}
+
+// attach makes page pid exist on the disk and belong to tbl's heap.
+func (s *SM) attach(tbl *catalog.Table, pid page.ID) error {
+	for int(pid) >= s.Disk.NumPages() {
+		if _, err := s.Disk.Allocate(); err != nil {
+			return err
+		}
+	}
+	tbl.Heap.AttachPage(pid)
 	return nil
 }

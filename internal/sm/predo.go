@@ -1,25 +1,29 @@
 package sm
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 
+	"dora/internal/storage"
 	"dora/internal/tuple"
 	"dora/internal/wal"
 )
 
-// Partition-parallel redo: the paper's thread-to-data principle applied
-// to the backward paths. Crash-recovery redo and replica streaming apply
-// both replay physical log records whose only ordering requirement is
-// PER PAGE — page-LSN idempotence and RedoInsert's slot-allocation
-// determinism are per-page invariants, and two records touching distinct
-// pages commute. So a single dispatcher scans the log in LSN order and
-// fans physical records (KInsert/KUpdate/KDelete/KCLR) out to a pool of
-// applier workers sharded by page id (wal.PageKey): each worker drains
-// its own FIFO queue, which preserves LSN order within every page while
-// distinct pages redo concurrently — each applier exclusively "owns" the
-// slice of pages that hash to it, exactly the ownership discipline the
-// forward path uses.
+// The redo pool is the one way a log record reaches a heap: restart
+// recovery, replica bootstrap, live replica apply and promotion all feed
+// it. It is the paper's thread-to-data principle applied to the backward
+// paths. Physical log records (KInsert/KUpdate/KDelete/KCLR) have only
+// one ordering requirement, PER PAGE — page-LSN idempotence and
+// RedoInsert's slot-allocation determinism are per-page invariants, and
+// two records touching distinct pages commute. So a single dispatcher
+// scans the log in LSN order and fans physical records out to applier
+// workers sharded by page id: each worker drains its own
+// FIFO queue, which preserves LSN order within every page while distinct
+// pages redo concurrently — each applier exclusively "owns" the slice of
+// pages that hash to it, exactly the ownership discipline the forward
+// path uses. With Options.RedoWorkers ≤ 1 there are no workers: the
+// dispatcher applies and finishes each record itself, right away.
 //
 // Everything with global ordering requirements stays on the dispatcher:
 // transaction-resolution records (commit-horizon advancement must not
@@ -36,19 +40,20 @@ import (
 //
 // Failure is fail-stop for the whole pool: the first applier error
 // latches, subsequent tasks complete without applying, and the barrier
-// reports the first error — callers (recovery, the replica's delivery
-// path) treat it exactly like a serial redo error.
+// reports the first error.
 
 // redoTask is one log record in flight through the pool.
 type redoTask struct {
 	rec *wal.Record
-	// oldRec/newRec are decoded on the applier: the pre-redo before image
-	// (updates and deletes; nil when the slot was empty or undecodable,
-	// matching the serial path's tolerance) and the after image. The
-	// dispatcher's in-order completion uses them for index maintenance.
+	// oldRec/newRec are decoded on the applier when the pool captures
+	// images: the pre-redo before image (updates and deletes; nil when the
+	// slot was empty or undecodable) and the after image. The
+	// dispatcher's in-order finish uses them for index maintenance.
 	oldRec tuple.Record
 	newRec tuple.Record
 	err    error
+	// images asks the applier for oldRec and newRec.
+	images bool
 	// done is guarded by the pool mutex.
 	done bool
 }
@@ -107,10 +112,7 @@ func (w *redoWorker) run() {
 		}
 		p.mu.Lock()
 		t.done = true
-		if t.err != nil && p.err == nil {
-			p.err = t.err
-			p.failed.Store(true)
-		}
+		p.failLocked(t.err)
 		p.cond.Broadcast()
 		p.mu.Unlock()
 		if t.err == nil {
@@ -121,10 +123,19 @@ func (w *redoWorker) run() {
 
 // redoPool is the dispatcher-side handle: sharded applier queues plus the
 // in-order completion stream. The dispatcher is single-threaded (callers
-// serialize on the recovery pass or the replayer's mutex); only the
-// completion bookkeeping is shared with appliers, under mu.
+// serialize on the replayer's mutex); only the completion bookkeeping is
+// shared with appliers, under mu.
 type redoPool struct {
-	apply   func(*redoTask) // applier-side work; must only touch the record's page
+	s *SM
+	// images makes apply capture before and after images for finish's
+	// index maintenance; consumers that rebuild the indexes afterwards
+	// leave it off. Dispatcher-only: each task carries its own copy.
+	images bool
+	// finish consumes each record in dispatch order on the dispatcher.
+	finish func(*redoTask)
+	// inline is the one task an inline pool (no workers) reuses.
+	inline redoTask
+
 	workers []*redoWorker
 	wg      sync.WaitGroup
 
@@ -136,139 +147,126 @@ type redoPool struct {
 	failed   atomic.Bool
 
 	maxDepth int64 // high-water applier queue depth (monitoring)
-
-	// Adaptive sizing (setAdaptive): the pool grows or shrinks between
-	// barriers from observed queue depth. The window counters are mutated
-	// only by the dispatcher thread (dispatch/maybeResize run under the
-	// caller's dispatcher lock), so they need no synchronization of their
-	// own; resizes is atomic because stats() may race a resize in
-	// recovery-style callers.
-	adaptive      bool
-	minWorkers    int
-	maxWorkers    int
-	winDispatches int64 // physical tasks dispatched since the last resize decision
-	winDepthSum   int64 // sum of post-push queue depths over the window
-	resizes       atomic.Int64
 }
 
-func newRedoPool(n int, apply func(*redoTask)) *redoPool {
-	p := &redoPool{apply: apply}
+// newRedoPool starts s's configured number of appliers; with
+// Options.RedoWorkers ≤ 1 it starts none and runs inline.
+func newRedoPool(s *SM, images bool, finish func(*redoTask)) *redoPool {
+	p := &redoPool{s: s, images: images, finish: finish}
 	p.cond = sync.NewCond(&p.mu)
+	n := s.redoWorkers
+	if n == 1 {
+		n = 0 // one applier would only add a hand-off
+	}
 	for i := 0; i < n; i++ {
-		p.spawnWorker()
+		w := &redoWorker{pool: p}
+		w.cond = sync.NewCond(&w.mu)
+		p.workers = append(p.workers, w)
+		p.wg.Add(1)
+		go w.run()
 	}
 	return p
 }
 
-func (p *redoPool) spawnWorker() {
-	w := &redoWorker{pool: p}
-	w.cond = sync.NewCond(&w.mu)
-	p.workers = append(p.workers, w)
-	p.wg.Add(1)
-	go w.run()
-}
-
-// setAdaptive arms barrier-point resizing: between [min, max] appliers,
-// driven by the queue depth dispatch observes. Call before the first
-// dispatch, from the dispatcher thread.
-func (p *redoPool) setAdaptive(min, max int) {
-	if min < 1 {
-		min = 1
-	}
-	if max < min {
-		max = min
-	}
-	p.adaptive, p.minWorkers, p.maxWorkers = true, min, max
-}
-
-// Resize thresholds: average post-push queue depth above depthGrow means
-// appliers are the bottleneck (the dispatcher outruns them) — double the
-// pool; at or below depthShrink the appliers keep pace with dispatch
-// (post-push depth is never below 1: it counts the task just pushed), so
-// the fan-out is idle overhead — halve it. The window must hold enough
-// samples for the average to mean anything.
-const (
-	redoDepthGrow    = 8
-	redoDepthShrink  = 1
-	redoResizeWindow = 64
-)
-
-// maybeResize applies the sizing policy. It must only run at a barrier
-// point — every dispatched task consumed, all applier queues empty —
-// because changing len(workers) remaps pages to appliers, and the
-// per-page FIFO guarantee only survives a remap across an empty pool.
-// Dispatcher thread only.
-func (p *redoPool) maybeResize() {
-	if !p.adaptive || p.winDispatches < redoResizeWindow || p.failed.Load() {
-		return
-	}
-	avg := p.winDepthSum / p.winDispatches
-	p.winDispatches, p.winDepthSum = 0, 0
-	n := len(p.workers)
-	switch {
-	case avg > redoDepthGrow && n < p.maxWorkers:
-		n *= 2
-		if n > p.maxWorkers {
-			n = p.maxWorkers
+// apply redoes t's physical record onto its table's heap — the only code
+// that replays a log record into a heap. With t.images set it also
+// captures the slot's pre-redo before image and its after image. The
+// record's page is attached (so its table exists) before dispatch.
+func (p *redoPool) apply(t *redoTask) {
+	r := t.rec
+	h := p.s.Cat.TableByID(r.Table).Heap
+	rid := storage.RID{Page: r.Page, Slot: r.Slot}
+	var err error
+	switch wal.PhysicalKind(r) {
+	case wal.KInsert:
+		if err = h.RedoInsert(rid, r.Redo, r.LSN); err == nil && t.images {
+			t.newRec, err = tuple.Decode(r.Redo)
 		}
-	case avg <= redoDepthShrink && n > p.minWorkers:
-		n /= 2
-		if n < p.minWorkers {
-			n = p.minWorkers
+	case wal.KUpdate:
+		if t.images {
+			t.oldRec, t.newRec, err = redoUpdate(h, r)
+		} else {
+			_, err = h.RedoPatch(r)
 		}
-	default:
-		return
+	case wal.KDelete:
+		if t.images {
+			if img, gerr := h.Get(rid); gerr == nil {
+				t.oldRec, _ = tuple.Decode(img)
+			}
+		}
+		err = h.RedoDelete(rid, r.LSN)
 	}
-	p.resize(n)
+	if err != nil {
+		t.err = fmt.Errorf("sm: redo lsn %d: %w", r.LSN, err)
+	}
 }
 
-// resize grows or shrinks the applier set to n. Caller guarantees the
-// pool is drained (see maybeResize); excess workers have empty queues,
-// so closing them lets run() return at once (wg tracks the exit — close
-// still joins whatever set is live then).
-func (p *redoPool) resize(n int) {
-	for len(p.workers) > n {
-		w := p.workers[len(p.workers)-1]
-		p.workers = p.workers[:len(p.workers)-1]
-		w.mu.Lock()
-		w.closed = true
-		w.cond.Broadcast()
-		w.mu.Unlock()
+// redoUpdate redoes the update patch r and returns the record before and
+// after it, for index maintenance: the after image is the pre-redo image
+// spliced with the patch, which the redo has just verified. A redo the
+// page LSN skips returns two nil records, as does one whose slot cannot
+// be read before it (the redo then fails on that slot). Get and Decode
+// both copy, so the records cannot alias page bytes a later record on
+// this page mutates.
+func redoUpdate(h *storage.Heap, r *wal.Record) (old, rec tuple.Record, err error) {
+	img, gerr := h.Get(storage.RID{Page: r.Page, Slot: r.Slot})
+	applied, err := h.RedoPatch(r)
+	if err != nil || !applied || gerr != nil {
+		return nil, nil, err
 	}
-	for len(p.workers) < n {
-		p.spawnWorker()
+	if old, err = tuple.Decode(img); err != nil {
+		return nil, nil, err
 	}
-	p.resizes.Add(1)
+	rec, err = tuple.Decode(wal.Splice(nil, img, int(r.Off), r.Redo, len(r.Undo)))
+	return old, rec, err
 }
 
-// dispatch hands a physical record's task to the applier owning its page.
-// Tasks for one page always land on the same worker queue, so per-page
-// LSN order is preserved by FIFO; the task also joins the in-order
-// completion stream.
-func (p *redoPool) dispatch(t *redoTask) {
-	w := p.workers[int(uint64(t.rec.Page))%len(p.workers)]
+// dispatch feeds one record into the pool, in LSN order. With redo set,
+// a physical record's heap work goes to the applier owning its page —
+// tasks for one page always land on the same worker queue, so per-page
+// LSN order is preserved by FIFO; every other record only joins the
+// completion stream, already done, so finish sees every record in
+// order. An inline pool applies and finishes the record right here and
+// returns its error; a pool with workers reports errors at the barrier.
+func (p *redoPool) dispatch(r *wal.Record, redo bool) error {
+	redo = redo && wal.PhysicalKind(r) != 0
+	if len(p.workers) == 0 {
+		if p.failed.Load() {
+			return p.Err()
+		}
+		t := &p.inline
+		*t = redoTask{rec: r, images: p.images}
+		if redo {
+			p.apply(t)
+		}
+		if t.err != nil {
+			p.mu.Lock()
+			p.failLocked(t.err)
+			p.mu.Unlock()
+			return t.err
+		}
+		p.finish(t)
+		return nil
+	}
+	t := &redoTask{rec: r, images: p.images, done: !redo}
 	p.mu.Lock()
 	p.inflight = append(p.inflight, t)
 	p.mu.Unlock()
-	d := int64(w.push(t))
-	if d > atomic.LoadInt64(&p.maxDepth) {
-		atomic.StoreInt64(&p.maxDepth, d)
+	if redo {
+		w := p.workers[int(uint64(r.Page))%len(p.workers)]
+		if d := int64(w.push(t)); d > atomic.LoadInt64(&p.maxDepth) {
+			atomic.StoreInt64(&p.maxDepth, d)
+		}
 	}
-	if p.adaptive {
-		p.winDispatches++
-		p.winDepthSum += d
-	}
+	return nil
 }
 
-// dispatchLocal appends a task that needs no applier work (transaction
-// resolution, checkpoints) to the completion stream, already done — it
-// exists so the dispatcher's in-order consumption sees EVERY record in
-// LSN order, physical or not.
-func (p *redoPool) dispatchLocal(t *redoTask) {
-	p.mu.Lock()
-	t.done = true
-	p.inflight = append(p.inflight, t)
-	p.mu.Unlock()
+// failLocked latches err as the pool's first error (mu held).
+func (p *redoPool) failLocked(err error) {
+	if err != nil && p.err == nil {
+		p.err = err
+		p.failed.Store(true)
+	}
 }
 
 // takeReadyLocked pops the completed prefix of the stream (mu held).
@@ -285,21 +283,21 @@ func (p *redoPool) takeReadyLocked() []*redoTask {
 	return batch
 }
 
-// drainReady consumes completed head tasks in dispatch (= LSN) order
-// without blocking. consume runs with no pool locks held, so it may take
-// whatever caller locks it needs (the replayer calls it under rp.mu).
-func (p *redoPool) drainReady(consume func(*redoTask) error) error {
+// drainReady finishes completed head tasks in dispatch (= LSN) order
+// without blocking. finish runs with no pool locks held, so it may take
+// whatever caller locks it needs (the replayer runs it under rp.mu).
+func (p *redoPool) drainReady() error {
 	p.mu.Lock()
 	batch := p.takeReadyLocked()
 	p.mu.Unlock()
-	return p.consumeBatch(batch, consume)
+	return p.finishBatch(batch)
 }
 
 // barrier blocks until every dispatched task has completed and been
-// consumed in order — the epoch boundary recovery places at the end of
+// finished in order — the epoch boundary restart places at the end of
 // redo and the replica places at the end of every extent (before
 // releasing stateMu to readers). Returns the pool's first error.
-func (p *redoPool) barrier(consume func(*redoTask) error) error {
+func (p *redoPool) barrier() error {
 	for {
 		p.mu.Lock()
 		for p.head < len(p.inflight) && !p.inflight[p.head].done {
@@ -308,7 +306,7 @@ func (p *redoPool) barrier(consume func(*redoTask) error) error {
 		batch := p.takeReadyLocked()
 		empty := p.head == len(p.inflight)
 		p.mu.Unlock()
-		if err := p.consumeBatch(batch, consume); err != nil {
+		if err := p.finishBatch(batch); err != nil {
 			return err
 		}
 		if empty {
@@ -317,22 +315,14 @@ func (p *redoPool) barrier(consume func(*redoTask) error) error {
 	}
 }
 
-func (p *redoPool) consumeBatch(batch []*redoTask, consume func(*redoTask) error) error {
+// finishBatch finishes batch in order, stopping at the first sign of a
+// failed pool: a task that completed after the failure was not applied.
+func (p *redoPool) finishBatch(batch []*redoTask) error {
 	for _, t := range batch {
-		if t.err != nil {
+		if p.failed.Load() {
 			return p.Err()
 		}
-		if consume != nil {
-			if err := consume(t); err != nil {
-				p.mu.Lock()
-				if p.err == nil {
-					p.err = err
-					p.failed.Store(true)
-				}
-				p.mu.Unlock()
-				return err
-			}
-		}
+		p.finish(t)
 	}
 	return nil
 }
@@ -344,8 +334,8 @@ func (p *redoPool) Err() error {
 	return p.err
 }
 
-// close drains and joins the appliers. Callers barrier first; close only
-// tears the goroutines down.
+// close joins the appliers; the pool runs inline from then on. Callers
+// barrier first; close only tears the goroutines down.
 func (p *redoPool) close() {
 	for _, w := range p.workers {
 		w.mu.Lock()
@@ -354,6 +344,7 @@ func (p *redoPool) close() {
 		w.mu.Unlock()
 	}
 	p.wg.Wait()
+	p.workers = nil
 }
 
 // RedoApplierStat is one applier's monitoring sample.
@@ -370,7 +361,6 @@ type RedoApplierStat struct {
 type RedoStats struct {
 	Workers       int               `json:"workers"`
 	MaxQueueDepth int64             `json:"max_queue_depth"`
-	Resizes       int64             `json:"resizes,omitempty"` // adaptive grow/shrink events
 	Appliers      []RedoApplierStat `json:"appliers,omitempty"`
 }
 
@@ -378,7 +368,6 @@ func (p *redoPool) stats() RedoStats {
 	st := RedoStats{
 		Workers:       len(p.workers),
 		MaxQueueDepth: atomic.LoadInt64(&p.maxDepth),
-		Resizes:       p.resizes.Load(),
 	}
 	for _, w := range p.workers {
 		st.Appliers = append(st.Appliers, RedoApplierStat{

@@ -5,11 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"testing"
 
 	"dora/internal/buffer"
-	"dora/internal/page"
+	"dora/internal/catalog"
 	"dora/internal/tuple"
 	"dora/internal/wal"
 )
@@ -134,191 +133,74 @@ func TestParallelRecoveryEquivalence(t *testing.T) {
 	}
 }
 
-// TestParallelReplayFailStop poisons the applier pool with a physically
-// impossible record (update of a slot that does not exist): the first
-// applier error must latch, surface at the extent barrier, and stay
-// sticky for every later barrier — fail-stop for the whole pool.
-func TestParallelReplayFailStop(t *testing.T) {
-	s, err := Open(Options{Frames: 64, RedoWorkers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl := testTable(t, s)
-	rp := NewReplayer(s)
-	defer rp.Close()
-
+// failStopFeed is a log whose second transaction updates a slot that
+// was never inserted: a physically impossible record.
+func failStopFeed(tbl *catalog.Table) []*wal.Record {
 	img := tuple.Encode(acct(1, "a", 1))
-	feed := []*wal.Record{
+	return []*wal.Record{
 		{LSN: 0, TxnID: 1, Kind: wal.KInsert, Table: tbl.ID, Page: 0, Slot: 0, Key: 1, Redo: img},
 		{LSN: 100, TxnID: 1, Kind: wal.KCommit},
-		// Slot 99 was never inserted: the applier's RedoPatch must error.
 		{LSN: 200, TxnID: 2, Kind: wal.KUpdate, Table: tbl.ID, Page: 0, Slot: 99, Key: 1, Redo: img},
 		{LSN: 300, TxnID: 2, Kind: wal.KCommit},
 	}
-	var applyErr error
-	for _, r := range feed {
-		if applyErr = rp.Apply(r); applyErr != nil {
-			break
-		}
-	}
-	if applyErr == nil {
-		applyErr = rp.Sync()
-	}
-	if applyErr == nil {
-		t.Fatal("poisoned stream applied without error")
-	}
-	if err := rp.Sync(); err == nil {
-		t.Fatal("pool error not sticky across barriers")
-	}
 }
 
-// redoRec fabricates a physical record for pool-level tests; only Page
-// (sharding) and a well-formed encoding (end-LSN accounting) matter.
-func redoRec(i int) *redoTask {
-	return &redoTask{rec: &wal.Record{LSN: wal.LSN(1000 + i*100), TxnID: 1, Kind: wal.KInsert, Page: page.ID(i)}}
-}
-
-// TestAdaptiveRedoGrowShrink drives the pool-level sizing policy through
-// a full cycle: a backlogged window doubles the applier set (up to the
-// cap), an idle window halves it (down to the floor), and a window with
-// too few samples decides nothing.
-func TestAdaptiveRedoGrowShrink(t *testing.T) {
-	gate := make(chan struct{})
-	p := newRedoPool(2, func(t *redoTask) { <-gate })
-	p.setAdaptive(1, 8)
-	defer p.close()
-
-	// Backlogged: appliers parked on the gate, so post-push depth climbs
-	// far past the grow threshold across the window.
-	for i := 0; i < 2*redoResizeWindow; i++ {
-		p.dispatch(redoRec(i))
-	}
-	close(gate)
-	if err := p.barrier(nil); err != nil {
-		t.Fatal(err)
-	}
-	p.maybeResize()
-	if got := len(p.workers); got != 4 {
-		t.Fatalf("after backlogged window: %d workers, want 4", got)
-	}
-
-	// Idle: a barrier between dispatches keeps every queue empty, so each
-	// post-push depth is exactly 1 — at the shrink threshold.
-	idleWindow := func() {
-		t.Helper()
-		for i := 0; i < redoResizeWindow; i++ {
-			p.dispatch(redoRec(i))
-			if err := p.barrier(nil); err != nil {
+// TestParallelReplayFailStop poisons the redo pool with a physically
+// impossible record, inline and with appliers: the first error must
+// latch, surface by the extent barrier at the latest, and stay sticky
+// for every later barrier — fail-stop for the whole pool.
+func TestParallelReplayFailStop(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			s, err := Open(Options{Frames: 64, RedoWorkers: workers})
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		p.maybeResize()
-	}
-	idleWindow()
-	if got := len(p.workers); got != 2 {
-		t.Fatalf("after idle window: %d workers, want 2", got)
-	}
-	idleWindow()
-	if got := len(p.workers); got != 1 {
-		t.Fatalf("after second idle window: %d workers, want 1", got)
-	}
-	idleWindow() // at the floor: no further shrink
-	if got := len(p.workers); got != 1 {
-		t.Fatalf("below floor: %d workers, want 1", got)
-	}
-	if got := p.stats().Resizes; got != 3 {
-		t.Fatalf("resizes = %d, want 3", got)
-	}
-
-	// Too few samples: an undersized window must not decide.
-	for i := 0; i < redoResizeWindow/2; i++ {
-		p.dispatch(redoRec(i))
-	}
-	if err := p.barrier(nil); err != nil {
-		t.Fatal(err)
-	}
-	p.maybeResize()
-	if got := len(p.workers); got != 1 {
-		t.Fatalf("undersized window resized: %d workers, want 1", got)
+			rp := NewReplayer(s)
+			defer rp.Close()
+			var applyErr error
+			for _, r := range failStopFeed(testTable(t, s)) {
+				if applyErr = rp.Apply(r); applyErr != nil {
+					break
+				}
+			}
+			if applyErr == nil {
+				applyErr = rp.Sync()
+			}
+			if applyErr == nil {
+				t.Fatal("poisoned stream applied without error")
+			}
+			if err := rp.Sync(); err == nil {
+				t.Fatal("pool error not sticky across barriers")
+			}
+		})
 	}
 }
 
-// TestAdaptiveRedoCap verifies growth saturates at the configured cap.
-func TestAdaptiveRedoCap(t *testing.T) {
-	p := newRedoPool(2, func(t *redoTask) {})
-	p.setAdaptive(1, 3)
-	defer p.close()
-	// Force a grow decision regardless of scheduling: feed the window
-	// counters directly (they are dispatcher-state, and this test is the
-	// dispatcher).
-	p.winDispatches = redoResizeWindow
-	p.winDepthSum = redoResizeWindow * (redoDepthGrow + 1)
-	p.maybeResize()
-	if got := len(p.workers); got != 3 {
-		t.Fatalf("growth past cap: %d workers, want 3", got)
-	}
-}
-
-// TestAdaptiveRedoCorrectAcrossResize replays the same stream through an
-// adaptively resizing pool and a serial replayer; the resize barrier
-// discipline must keep per-page order, so both must apply identically.
-func TestAdaptiveRedoCorrectAcrossResize(t *testing.T) {
-	gate := make(chan struct{})
-	var applied []uint64
-	var mu sync.Mutex
-	p := newRedoPool(2, func(t *redoTask) {
-		<-gate
-		mu.Lock()
-		applied = append(applied, uint64(t.rec.LSN))
-		mu.Unlock()
-	})
-	p.setAdaptive(1, 8)
-	defer p.close()
-
-	// Phase 1: backlog on few pages so per-worker FIFOs hold multiple
-	// records per page, then grow.
-	n := 0
-	for i := 0; i < 2*redoResizeWindow; i++ {
-		task := redoRec(i % 4) // 4 pages → contended queues
-		task.rec.LSN = wal.LSN(1000 + n*100)
-		n++
-		p.dispatch(task)
-	}
-	close(gate)
-	var order []uint64
-	consume := func(t *redoTask) error {
-		order = append(order, uint64(t.rec.LSN))
-		return nil
-	}
-	if err := p.barrier(consume); err != nil {
-		t.Fatal(err)
-	}
-	p.maybeResize()
-	if len(p.workers) <= 2 {
-		t.Fatalf("expected growth, still %d workers", len(p.workers))
-	}
-	// Phase 2: same pages land on remapped appliers after the resize.
-	for i := 0; i < redoResizeWindow; i++ {
-		task := redoRec(i % 4)
-		task.rec.LSN = wal.LSN(1000 + n*100)
-		n++
-		p.dispatch(task)
-	}
-	if err := p.barrier(consume); err != nil {
-		t.Fatal(err)
-	}
-	// The completion stream must be in dispatch order, gap-free.
-	if len(order) != n {
-		t.Fatalf("consumed %d tasks, want %d", len(order), n)
-	}
-	for i, lsn := range order {
-		if lsn != uint64(1000+i*100) {
-			t.Fatalf("completion %d out of order: lsn %d", i, lsn)
-		}
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(applied) != n {
-		t.Fatalf("applied %d tasks, want %d", len(applied), n)
+// TestRecoverFailStop: restart over a log holding a physically
+// impossible update returns an error, inline and with appliers.
+func TestRecoverFailStop(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			store := wal.NewMemStore()
+			s, err := Open(Options{Frames: 64, LogStore: store})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range failStopFeed(testTable(t, s)) {
+				s.Log.Append(r)
+			}
+			if err := s.Log.FlushAll(); err != nil {
+				t.Fatal(err)
+			}
+			s2, err := Open(Options{Frames: 64, LogStore: store.CrashCopy(), RedoWorkers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			testTable(t, s2)
+			if _, err := s2.Recover(); err == nil {
+				t.Fatal("poisoned log recovered without error")
+			}
+		})
 	}
 }

@@ -2,9 +2,10 @@ package sm
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
+	"dora/internal/catalog"
 	"dora/internal/storage"
 	"dora/internal/tuple"
 	"dora/internal/wal"
@@ -40,19 +41,21 @@ import (
 // transaction's analysis state goes when its commit is delivered, and
 // its resolution marker when the commit applies.
 //
-// With SM.Options.RedoWorkers > 1 the replayer splits into dispatcher
-// and appliers (predo.go): Apply becomes the dispatcher — analysis,
-// admission, page attachment, checkpoint handling stay here, in LSN
-// order — while the heap redo of physical records fans out to applier
-// workers sharded by page id. Appliers capture the pre-redo before image
-// of each slot; the dispatcher consumes the completion stream strictly
-// in dispatch (= LSN) order and performs everything order-sensitive
-// there: incremental index maintenance (a key's index operations can
-// span pages — an update relocation deletes on one page and reinserts on
-// another — so they cannot ride the page shard), commit-horizon
-// advancement, and applied-LSN accounting. Sync is the epoch barrier the
-// delivery path places at every extent boundary, so readers admitted
-// under the replica's stateMu only ever observe extent-consistent state.
+// Every record goes through the redo pool (predo.go), which Apply drives
+// as its dispatcher: analysis, admission, page attachment and checkpoint
+// handling stay here, in LSN order, while the heap redo of physical
+// records runs on the applier owning the record's page — or, with
+// SM.Options.RedoWorkers ≤ 1, inline. Appliers capture the pre-redo
+// before image of each slot; the pool finishes each record strictly in
+// dispatch (= LSN) order, and everything order-sensitive happens there:
+// incremental index maintenance (a key's index operations can span pages
+// — an update relocation deletes on one page and reinserts on another —
+// so they cannot ride the page shard), commit-horizon advancement, and
+// applied-LSN accounting. Sync is the epoch barrier the delivery path
+// places at every extent boundary, so readers admitted under the
+// replica's stateMu only ever observe extent-consistent state. The same
+// pipeline serves restart: Recover runs it over a private replayer, and
+// Bootstrap over this one.
 //
 // Lock ordering: rp.mu is the OUTER lock; the pool's internal mutexes
 // are strictly inner and never held while acquiring rp.mu (appliers
@@ -69,8 +72,11 @@ import (
 type Replayer struct {
 	sm *SM
 
-	mu        sync.Mutex
-	txns      map[uint64]*rtxn
+	mu sync.Mutex
+	// txns holds the records of every unresolved transaction, in LSN
+	// order: its undo chain.
+	txns      map[uint64][]*wal.Record
+	spare     [][]*wal.Record // emptied chains of resolved transactions, for reuse
 	resolved  map[uint64]bool // txns whose KCommit/KEnd is delivered, not yet applied
 	pending   []*wal.Record   // delivered but unapplied records, LSN order
 	warm      map[uint64]struct{}
@@ -79,59 +85,63 @@ type Replayer struct {
 	applied   uint64 // end LSN of the last record applied
 	redone    int64  // physical operations replayed
 
-	// pool is the partition-parallel applier pool; nil = serial replay.
-	// Guarded by mu (created at construction, torn down by Promote/Close).
+	// pool is the redo pipeline, guarded by mu. Close and Promote retire
+	// its appliers; it runs inline from then on.
 	pool *redoPool
-}
-
-// rtxn is the live analysis state of one unresolved transaction.
-type rtxn struct {
-	lastLSN uint64
-	recs    map[uint64]*wal.Record // the txn's records, for undo chains
 }
 
 // NewReplayer creates a replayer over s. Tables must already be
 // registered (schema DDL is code, not logged), in the same order as on
 // the primary, so table ids line up. When s was opened with RedoWorkers
-// > 1 the replayer runs the partition-parallel pipeline; Close tears the
-// pool down.
-func NewReplayer(s *SM) *Replayer {
-	rp := &Replayer{sm: s, txns: make(map[uint64]*rtxn), resolved: make(map[uint64]bool)}
-	if s.redoWorkers > 1 {
-		rp.pool = newRedoPool(s.redoWorkers, rp.applierApply)
-		if s.adaptiveRedo {
-			// Grow up to 4x the configured fan-out, shrink down to serial;
-			// decisions only ever fire at the Sync barrier below.
-			rp.pool.setAdaptive(1, 4*s.redoWorkers)
-		}
-	}
+// > 1 the replayer starts that many appliers; Close stops them.
+func NewReplayer(s *SM) *Replayer { return newReplayer(s, true) }
+
+// newReplayer creates a replayer whose redo captures the images
+// incremental index maintenance needs, or not.
+func newReplayer(s *SM, images bool) *Replayer {
+	rp := &Replayer{sm: s, txns: make(map[uint64][]*wal.Record), resolved: make(map[uint64]bool)}
+	rp.pool = newRedoPool(s, images, rp.finishLocked)
 	return rp
 }
 
-// Close stops the applier pool (no-op for a serial replayer). The caller
-// must not Apply afterwards.
+// Close stops the applier pool; a replayer replays inline afterwards.
 func (rp *Replayer) Close() {
 	rp.mu.Lock()
 	defer rp.mu.Unlock()
-	rp.closePoolLocked()
+	rp.closeLocked()
 }
 
-func (rp *Replayer) closePoolLocked() {
-	if rp.pool == nil {
-		return
-	}
-	rp.pool.barrier(nil)
+// closeLocked finishes every dispatched record and retires the appliers.
+func (rp *Replayer) closeLocked() error {
+	err := rp.pool.barrier()
 	rp.pool.close()
-	rp.pool = nil
+	return err
 }
 
-func (rp *Replayer) ensure(id uint64) *rtxn {
-	ts := rp.txns[id]
-	if ts == nil {
-		ts = &rtxn{recs: make(map[uint64]*wal.Record)}
-		rp.txns[id] = ts
+// analyze folds r into the analysis state: the transaction-id high-water
+// mark and the chains of open transactions. A commit or end record — its
+// transaction's last — resolves the transaction and drops its chain, and
+// analyze reports true for it.
+func (rp *Replayer) analyze(r *wal.Record) bool {
+	if r.TxnID == 0 {
+		return false
 	}
-	return ts
+	rp.maxTxn = max(rp.maxTxn, r.TxnID)
+	chain, open := rp.txns[r.TxnID]
+	if r.Kind == wal.KCommit || r.Kind == wal.KEnd {
+		if open {
+			// Keep the chain's array for the next transaction to open.
+			clear(chain)
+			rp.spare = append(rp.spare, chain[:0])
+			delete(rp.txns, r.TxnID)
+		}
+		return true
+	}
+	if !open && len(rp.spare) > 0 {
+		chain, rp.spare = rp.spare[len(rp.spare)-1], rp.spare[:len(rp.spare)-1]
+	}
+	rp.txns[r.TxnID] = append(chain, r)
+	return false
 }
 
 // Apply ingests one delivered record: analysis state updates immediately,
@@ -141,32 +151,20 @@ func (rp *Replayer) ensure(id uint64) *rtxn {
 func (rp *Replayer) Apply(r *wal.Record) error {
 	rp.mu.Lock()
 	defer rp.mu.Unlock()
-	if r.TxnID != 0 {
-		if r.TxnID > rp.maxTxn {
-			rp.maxTxn = r.TxnID
-		}
-		switch r.Kind {
-		case wal.KCommit, wal.KEnd:
-			delete(rp.txns, r.TxnID)
-			rp.resolved[r.TxnID] = true
-		default:
-			ts := rp.ensure(r.TxnID)
-			ts.lastLSN = r.LSN
-			ts.recs[r.LSN] = r
-		}
+	if rp.analyze(r) {
+		rp.resolved[r.TxnID] = true
 	}
 	rp.delivered = r.LSN + uint64(wal.EncodedSize(r))
 	rp.pending = append(rp.pending, r)
 	return rp.drainLocked()
 }
 
-// drainLocked applies the transaction-consistent prefix of the pending
+// drainLocked dispatches the transaction-consistent prefix of the pending
 // queue: it stops at the first record whose transaction has not delivered
 // its commit or end yet, so nothing uncommitted — and no partial slice of
-// a committed transaction — ever reaches the heap. In parallel mode the
-// prefix is dispatched to the applier pool instead, and whatever
-// completions are already in — in LSN order — are finished
-// opportunistically (the extent-boundary Sync finishes the rest).
+// a committed transaction — ever reaches the heap. Whatever completions
+// are already in are finished, in LSN order (the extent-boundary Sync
+// finishes the rest).
 func (rp *Replayer) drainLocked() error {
 	n := 0
 	for ; n < len(rp.pending); n++ {
@@ -174,13 +172,7 @@ func (rp *Replayer) drainLocked() error {
 		if r.TxnID != 0 && !rp.resolved[r.TxnID] {
 			break
 		}
-		var err error
-		if rp.pool != nil {
-			err = rp.dispatchOneLocked(r)
-		} else {
-			err = rp.applyOneLocked(r)
-		}
-		if err != nil {
+		if err := rp.dispatchLocked(r, true); err != nil {
 			rp.pending = rp.pending[n:]
 			return err
 		}
@@ -190,48 +182,33 @@ func (rp *Replayer) drainLocked() error {
 	} else {
 		rp.pending = rp.pending[n:]
 	}
-	if rp.pool != nil {
-		return rp.pool.drainReady(rp.finishOneLocked)
-	}
-	return nil
+	return rp.pool.drainReady()
 }
 
-// Sync is the epoch barrier of parallel replay: it blocks until every
-// dispatched record has been applied by its applier AND finished in LSN
-// order by the dispatcher (index maintenance, commit horizon, applied
-// accounting). The replica's delivery path calls it before releasing
-// stateMu at the end of each extent, so read-only sessions only ever
-// observe extent-consistent states; Promote calls it before undoing
-// losers. Serial replayers return immediately.
+// Sync is the epoch barrier of replay: it blocks until every dispatched
+// record has been applied by its applier AND finished in LSN order
+// (index maintenance, commit horizon, applied accounting). The replica's
+// delivery path calls it before releasing stateMu at the end of each
+// extent, so read-only sessions only ever observe extent-consistent
+// states. It returns the pool's first error, for good.
 func (rp *Replayer) Sync() error {
 	rp.mu.Lock()
 	defer rp.mu.Unlock()
-	return rp.syncLocked()
+	return rp.pool.barrier()
 }
 
-func (rp *Replayer) syncLocked() error {
-	if rp.pool == nil {
-		return nil
-	}
-	if err := rp.pool.barrier(rp.finishOneLocked); err != nil {
-		return err
-	}
-	// The barrier left every applier queue empty, so the page→applier
-	// remap a resize implies cannot reorder any page's records: adaptive
-	// sizing decisions are only ever taken here.
-	rp.pool.maybeResize()
-	return nil
-}
-
-// dispatchOneLocked is the dispatcher half of applyOneLocked: checkpoint
-// handling and page attachment run here in LSN order (attachment must
-// precede the page's task, and the per-worker FIFO orders the task after
-// anything already queued for its page), the heap work ships to the
-// applier owning the record's page, and everything else rides the
-// completion stream so finishOneLocked sees every record in order.
-func (rp *Replayer) dispatchOneLocked(r *wal.Record) error {
+// dispatchLocked feeds r to the redo pool, redoing its heap effect if
+// redo is set. Checkpoint handling and page attachment run here first, in
+// LSN order: attachment must precede the page's task, and the
+// per-worker FIFO orders the task after anything already queued for its
+// page.
+func (rp *Replayer) dispatchLocked(r *wal.Record, redo bool) error {
 	s := rp.sm
 	if r.Kind == wal.KCheckpoint {
+		// A checkpoint raises the truncation floor (a promoted replica
+		// trims from where the primary left off) and re-declares page
+		// attachment for logs that no longer hold the records that
+		// created the pages.
 		if ck := uint64(r.Key); ck > s.lastCkptRedo.Load() {
 			s.lastCkptRedo.Store(ck)
 		}
@@ -240,100 +217,30 @@ func (rp *Replayer) dispatchOneLocked(r *wal.Record) error {
 		}
 	}
 	if err := s.attachOne(r); err != nil {
-		return err
+		return fmt.Errorf("sm: attach lsn %d: %w", r.LSN, err)
 	}
-	t := &redoTask{rec: r}
-	if _, ok := wal.PageKey(r); ok {
-		rp.pool.dispatch(t)
-	} else {
-		rp.pool.dispatchLocal(t)
-	}
-	return nil
-}
-
-// applierApply runs on an applier worker's thread: heap-only redo of one
-// physical record plus before/after-image capture for the dispatcher's
-// in-order index maintenance. It touches nothing guarded by rp.mu.
-func (rp *Replayer) applierApply(t *redoTask) {
-	r := t.rec
-	kind := physicalKind(r)
-	if kind == 0 {
-		return
-	}
-	s := rp.sm
-	tbl := s.Cat.TableByID(r.Table)
-	if tbl == nil {
-		t.err = fmt.Errorf("sm: replay references unknown table %d", r.Table)
-		return
-	}
-	rid := storage.RID{Page: r.Page, Slot: r.Slot}
-	switch kind {
-	case wal.KInsert:
-		if err := tbl.Heap.RedoInsert(rid, r.Redo, r.LSN); err != nil {
-			t.err = err
-			return
-		}
-		t.newRec, t.err = tuple.Decode(r.Redo)
-	case wal.KUpdate:
-		// Pre-redo before image: per-page FIFO makes this exactly the
-		// state the serial path would have read at this record's turn.
-		// (Get and Decode both copy, so the captured records cannot alias
-		// page bytes a later record on this page mutates.)
-		t.oldRec, t.newRec, t.err = redoUpdate(tbl.Heap, r)
-	case wal.KDelete:
-		if img, err := tbl.Heap.Get(rid); err == nil {
-			t.oldRec, _ = tuple.Decode(img)
-		}
-		t.err = tbl.Heap.RedoDelete(rid, r.LSN)
-	}
-}
-
-// finishOneLocked consumes one completed task in dispatch (= LSN) order
-// on the dispatcher, under rp.mu: the order-sensitive remainder of
-// applyOneLocked — index maintenance from the applier's captured images,
-// commit-horizon advancement, resolution cleanup, applied accounting.
-func (rp *Replayer) finishOneLocked(t *redoTask) error {
-	r := t.rec
-	s := rp.sm
-	if kind := physicalKind(r); kind != 0 {
-		tbl := s.Cat.TableByID(r.Table)
-		if tbl == nil {
-			return fmt.Errorf("sm: replay references unknown table %d", r.Table)
-		}
-		rid := storage.RID{Page: r.Page, Slot: r.Slot}
-		switch kind {
-		case wal.KInsert:
-			_ = tbl.Primary.Tree.PutAs(nil, tbl.Primary.Key(t.newRec), rid.Pack())
-			for _, ix := range tbl.Secondaries {
-				_ = ix.Tree.PutAs(nil, ix.Key(t.newRec), rid.Pack())
-			}
-		case wal.KUpdate:
-			if t.oldRec != nil {
-				for _, ix := range tbl.Secondaries {
-					if ok, nk := ix.Key(t.oldRec), ix.Key(t.newRec); ok != nk {
-						ix.Tree.DeleteAs(nil, ok)
-						_ = ix.Tree.PutAs(nil, nk, rid.Pack())
-					}
-				}
-			}
-		case wal.KDelete:
-			if t.oldRec != nil {
-				tbl.Primary.Tree.DeleteAs(nil, tbl.Primary.Key(t.oldRec))
-				for _, ix := range tbl.Secondaries {
-					ix.Tree.DeleteAs(nil, ix.Key(t.oldRec))
-				}
-			}
-		}
+	if redo && wal.PhysicalKind(r) != 0 {
 		rp.redone++
 	}
-	rp.resolveLocked(r)
-	return nil
+	return rp.pool.dispatch(r, redo)
 }
 
-// resolveLocked is the in-order tail of applying r: a commit advances the
-// commit horizon, and a commit or end — the last record of its
-// transaction — drops the transaction's resolution marker.
-func (rp *Replayer) resolveLocked(r *wal.Record) {
+// finishLocked consumes one record in dispatch (= LSN) order on the
+// dispatcher, under rp.mu: index maintenance from the images the applier
+// captured, then commit-horizon advancement, resolution cleanup and
+// applied accounting. A commit advances the commit horizon, and a commit
+// or end — the last record of its transaction — drops the transaction's
+// resolution marker.
+func (rp *Replayer) finishLocked(t *redoTask) {
+	r := t.rec
+	if t.oldRec != nil || t.newRec != nil {
+		tbl := rp.sm.Cat.TableByID(r.Table)
+		rid := storage.RID{Page: r.Page, Slot: r.Slot}.Pack()
+		fixIndex(tbl.Primary, rid, t.oldRec, t.newRec)
+		for _, ix := range tbl.Secondaries {
+			fixIndex(ix, rid, t.oldRec, t.newRec)
+		}
+	}
 	switch r.Kind {
 	case wal.KCommit:
 		rp.sm.NoteCommitLSN(r.LSN)
@@ -342,115 +249,23 @@ func (rp *Replayer) resolveLocked(r *wal.Record) {
 		delete(rp.resolved, r.TxnID)
 		delete(rp.warm, r.TxnID)
 	}
-	rp.applied = r.LSN + uint64(wal.EncodedSize(r))
+	rp.applied = t.end()
 }
 
-// applyOneLocked redoes one record into the live engine, in strict LSN
-// order across calls.
-func (rp *Replayer) applyOneLocked(r *wal.Record) error {
-	s := rp.sm
-	if r.Kind == wal.KCheckpoint {
-		// The primary's checkpoint raises the replica's truncation floor
-		// too (a promoted replica trims from where the primary left off)
-		// and re-declares page attachment for streams joined past the
-		// records that created the pages.
-		if ck := uint64(r.Key); ck > s.lastCkptRedo.Load() {
-			s.lastCkptRedo.Store(ck)
-		}
-		if err := s.applyAttachments(r.Redo); err != nil {
-			return err
-		}
+// fixIndex moves ix's entry for a redone record from the key of its
+// before image to the key of its after image, mirroring what the live
+// write path does on the primary. A nil image has no key: an insert has
+// no before image, a delete no after image.
+func fixIndex(ix *catalog.Index, rid uint64, old, rec tuple.Record) {
+	if old != nil && rec != nil && ix.Key(old) == ix.Key(rec) {
+		return
 	}
-	if err := s.attachOne(r); err != nil {
-		return err
+	if old != nil {
+		ix.Tree.DeleteAs(nil, ix.Key(old))
 	}
-	if err := rp.applyPhysical(r); err != nil {
-		return err
+	if rec != nil {
+		_ = ix.Tree.PutAs(nil, ix.Key(rec), rid)
 	}
-	rp.resolveLocked(r)
-	return nil
-}
-
-// applyPhysical redoes one physical record and maintains the indexes
-// incrementally: before images are read from the heap (pre-redo) so
-// moved or removed index keys can be fixed, mirroring what the live
-// write path does on the primary.
-func (rp *Replayer) applyPhysical(r *wal.Record) error {
-	kind := physicalKind(r)
-	if kind == 0 {
-		return nil
-	}
-	s := rp.sm
-	tbl := s.Cat.TableByID(r.Table)
-	if tbl == nil {
-		return fmt.Errorf("sm: replay references unknown table %d", r.Table)
-	}
-	rid := storage.RID{Page: r.Page, Slot: r.Slot}
-	switch kind {
-	case wal.KInsert:
-		if err := tbl.Heap.RedoInsert(rid, r.Redo, r.LSN); err != nil {
-			return err
-		}
-		rec, err := tuple.Decode(r.Redo)
-		if err != nil {
-			return err
-		}
-		_ = tbl.Primary.Tree.PutAs(nil, tbl.Primary.Key(rec), rid.Pack())
-		for _, ix := range tbl.Secondaries {
-			_ = ix.Tree.PutAs(nil, ix.Key(rec), rid.Pack())
-		}
-		rp.redone++
-
-	case wal.KUpdate:
-		old, rec, err := redoUpdate(tbl.Heap, r)
-		if err != nil {
-			return err
-		}
-		if old != nil {
-			for _, ix := range tbl.Secondaries {
-				if ok, nk := ix.Key(old), ix.Key(rec); ok != nk {
-					ix.Tree.DeleteAs(nil, ok)
-					_ = ix.Tree.PutAs(nil, nk, rid.Pack())
-				}
-			}
-		}
-		rp.redone++
-
-	case wal.KDelete:
-		var old tuple.Record
-		if img, err := tbl.Heap.Get(rid); err == nil {
-			old, _ = tuple.Decode(img)
-		}
-		if err := tbl.Heap.RedoDelete(rid, r.LSN); err != nil {
-			return err
-		}
-		if old != nil {
-			tbl.Primary.Tree.DeleteAs(nil, tbl.Primary.Key(old))
-			for _, ix := range tbl.Secondaries {
-				ix.Tree.DeleteAs(nil, ix.Key(old))
-			}
-		}
-		rp.redone++
-	}
-	return nil
-}
-
-// redoUpdate redoes the update patch r and returns the record before and
-// after it, for index maintenance: the after image is the pre-redo image
-// spliced with the patch, which the redo has just verified. A redo the
-// page LSN skips returns two nil records, as does one whose slot cannot
-// be read before it (the redo then fails on that slot).
-func redoUpdate(h *storage.Heap, r *wal.Record) (old, rec tuple.Record, err error) {
-	img, gerr := h.Get(storage.RID{Page: r.Page, Slot: r.Slot})
-	applied, err := h.RedoPatch(r)
-	if err != nil || !applied || gerr != nil {
-		return nil, nil, err
-	}
-	if old, err = tuple.Decode(img); err != nil {
-		return nil, nil, err
-	}
-	rec, err = tuple.Decode(wal.Splice(nil, img, int(r.Off), r.Redo, len(r.Undo)))
-	return old, rec, err
 }
 
 // AppliedLSN returns the end LSN of the last record applied — the
@@ -495,14 +310,11 @@ func (rp *Replayer) Redone() int64 {
 	return rp.redone
 }
 
-// RedoStats returns the applier pool's monitoring view. A serial replayer
-// (or one whose pool Promote retired) reports zero workers.
+// RedoStats returns the applier pool's monitoring view. An inline
+// replayer (or one whose appliers Promote retired) reports zero workers.
 func (rp *Replayer) RedoStats() RedoStats {
 	rp.mu.Lock()
 	defer rp.mu.Unlock()
-	if rp.pool == nil {
-		return RedoStats{}
-	}
 	return rp.pool.stats()
 }
 
@@ -529,54 +341,57 @@ func (rp *Replayer) Promote() (PromoteStats, error) {
 	defer rp.mu.Unlock()
 	s := rp.sm
 	var st PromoteStats
-	// Drain the applier pool first: every dispatched record finishes and is
-	// consumed in order before the stream's tail is applied, and the pool
-	// retires — promotion's loser undo and everything the new primary does
-	// afterwards run single-threaded on this side, like restart undo.
-	if err := rp.syncLocked(); err != nil {
+	// Retire the appliers first: every dispatched record finishes in
+	// order, and the stream's tail, loser undo and everything the new
+	// primary does afterwards run on this side, like restart undo.
+	if err := rp.closeLocked(); err != nil {
 		return st, err
 	}
-	rp.closePoolLocked()
 	// Delivery ends here: apply everything still queued — including the
 	// records of unresolved transactions held back from readers — so the
 	// heap reflects the full delivered stream before losers are undone
 	// (undo walks before-images that must be present).
 	for _, r := range rp.pending {
-		if err := rp.applyOneLocked(r); err != nil {
+		if err := rp.dispatchLocked(r, true); err != nil {
 			return st, err
 		}
 	}
 	rp.pending = nil
 	rp.warm = nil
 	st.Open = len(rp.txns)
-	// Descending-id order, like recovery's loser undo: deterministic, so a
-	// serial and a parallel replica promoted from the same stream append
-	// identical CLR/KEnd sequences and leave byte-identical pages.
+	var err error
+	if st.Losers, st.Undone, err = rp.undoLosers(); err != nil {
+		return st, err
+	}
+	s.SetTxnIDFloor(rp.maxTxn + 1)
+	if st.Rebuilt, err = s.rebuildIndexes(); err != nil {
+		return st, err
+	}
+	return st, s.Log.FlushAll()
+}
+
+// undoLosers rolls back every transaction still open, in descending id
+// order: deterministic, so two undos of the same log — restart or
+// promotion, inline or with appliers — append identical CLR/KEnd
+// sequences and leave byte-identical pages. Callers hold rp.mu, or own
+// the replayer outright (Recover).
+func (rp *Replayer) undoLosers() (losers, undone int, err error) {
 	ids := make([]uint64, 0, len(rp.txns))
 	for id := range rp.txns {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] > ids[j] })
-	for _, id := range ids {
-		ts := rp.txns[id]
-		n, err := s.undoLoser(id, ts.lastLSN, ts.recs)
+	slices.Sort(ids)
+	for i := len(ids) - 1; i >= 0; i-- {
+		id := ids[i]
+		n, err := rp.sm.undoLoser(id, rp.txns[id])
 		if err != nil {
-			return st, fmt.Errorf("sm: promote undo txn %d: %w", id, err)
+			return losers, undone, fmt.Errorf("sm: undo txn %d: %w", id, err)
 		}
-		st.Losers++
-		st.Undone += n
+		losers++
+		undone += n
 		delete(rp.txns, id)
 	}
-	s.SetTxnIDFloor(rp.maxTxn + 1)
-	n, err := s.rebuildIndexes()
-	if err != nil {
-		return st, err
-	}
-	st.Rebuilt = n
-	if err := s.Log.FlushAll(); err != nil {
-		return st, err
-	}
-	return st, nil
+	return losers, undone, nil
 }
 
 // Bootstrap replays the storage manager's existing log content — restart
@@ -594,63 +409,13 @@ func (rp *Replayer) Promote() (PromoteStats, error) {
 func (rp *Replayer) Bootstrap() (RecoveryStats, error) {
 	rp.mu.Lock()
 	defer rp.mu.Unlock()
-	s := rp.sm
-	var st RecoveryStats
-	var recs []*wal.Record
-	if err := s.Log.Scan(func(r *wal.Record) error {
-		recs = append(recs, r)
-		return nil
-	}); err != nil {
+	// The indexes are rebuilt below, so this redo captures no images.
+	rp.pool.images = false
+	st, err := rp.replayLog()
+	rp.pool.images = true
+	if err != nil {
 		return st, err
 	}
-	st.Records = len(recs)
-	redoPoint := uint64(0)
-	for _, r := range recs {
-		if r.Kind == wal.KCheckpoint && uint64(r.Key) > redoPoint {
-			redoPoint = uint64(r.Key)
-		}
-	}
-	s.lastCkptRedo.Store(redoPoint)
-	for _, r := range recs {
-		if r.TxnID != 0 {
-			if r.TxnID > rp.maxTxn {
-				rp.maxTxn = r.TxnID
-			}
-			switch r.Kind {
-			case wal.KCommit:
-				s.NoteCommitLSN(r.LSN)
-				delete(rp.txns, r.TxnID)
-			case wal.KEnd:
-				delete(rp.txns, r.TxnID)
-			default:
-				ts := rp.ensure(r.TxnID)
-				ts.lastLSN = r.LSN
-				ts.recs[r.LSN] = r
-			}
-		}
-		if err := s.attachOne(r); err != nil {
-			return st, fmt.Errorf("sm: attach lsn %d: %w", r.LSN, err)
-		}
-		if r.Kind == wal.KCheckpoint {
-			if err := s.applyAttachments(r.Redo); err != nil {
-				return st, err
-			}
-		}
-		rp.applied = r.LSN + uint64(wal.EncodedSize(r))
-		rp.delivered = rp.applied
-		if r.LSN < redoPoint {
-			continue
-		}
-		if err := s.redoOne(r); err != nil {
-			return st, fmt.Errorf("sm: redo lsn %d: %w", r.LSN, err)
-		}
-		switch r.Kind {
-		case wal.KInsert, wal.KUpdate, wal.KDelete, wal.KCLR:
-			st.Redone++
-			rp.redone++
-		}
-	}
-	s.SetTxnIDFloor(rp.maxTxn + 1)
 	// Unlike live delivery, bootstrap redo applies every retained record,
 	// so effects of transactions still in flight at the truncation point
 	// are in the heap now. They resolve through the stream (the new
@@ -665,12 +430,48 @@ func (rp *Replayer) Bootstrap() (RecoveryStats, error) {
 	if err := rp.checkDivergence(); err != nil {
 		return st, err
 	}
-	n, err := s.rebuildIndexes()
-	if err != nil {
+	st.Rebuilt, err = rp.sm.rebuildIndexes()
+	return st, err
+}
+
+// replayLog is the restart pipeline Recover and Bootstrap share: it scans
+// the storage manager's log, folds each record into the analysis state,
+// feeds it through the redo pool and returns at the barrier. Records
+// below the latest checkpoint's redo point only attach their pages:
+// their heap effects reached disk with that checkpoint. Transactions
+// still open at the end of the log stay in rp.txns, and the
+// transaction-id floor rises past every id seen. Callers hold rp.mu, or
+// own the replayer outright (Recover).
+func (rp *Replayer) replayLog() (RecoveryStats, error) {
+	s := rp.sm
+	var st RecoveryStats
+	var recs []*wal.Record
+	var redoPoint uint64
+	if err := s.Log.Scan(func(r *wal.Record) error {
+		recs = append(recs, r)
+		if r.Kind == wal.KCheckpoint {
+			redoPoint = max(redoPoint, uint64(r.Key))
+		}
+		return nil
+	}); err != nil {
 		return st, err
 	}
-	st.Rebuilt = n
-	return st, nil
+	st.Records = len(recs)
+	redone := rp.redone
+	var err error
+	for _, r := range recs {
+		rp.analyze(r)
+		if err = rp.dispatchLocked(r, r.LSN >= redoPoint); err != nil {
+			break
+		}
+	}
+	if berr := rp.pool.barrier(); err == nil {
+		err = berr
+	}
+	st.Redone = int(rp.redone - redone)
+	rp.delivered = rp.applied
+	s.SetTxnIDFloor(rp.maxTxn + 1)
+	return st, err
 }
 
 // checkDivergence refuses a bootstrap whose disk holds pages flushed

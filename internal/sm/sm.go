@@ -54,15 +54,12 @@ type Options struct {
 	CS *metrics.CriticalSectionStats
 	// Tracer receives record-access events (optional, experiment E1).
 	Tracer *metrics.AccessTracer
-	// RedoWorkers selects partition-parallel redo for the backward paths:
-	// restart recovery (Recover) and replica streaming apply (Replayer)
-	// fan physical records out to this many applier workers sharded by
-	// page id. 0 or 1 keeps the classic serial redo.
+	// RedoWorkers is the applier count of the redo pool every backward
+	// path shares — restart recovery (Recover), replica bootstrap, replica
+	// streaming apply (Replayer) and promotion: physical records fan out
+	// to this many appliers sharded by page id. ≤ 1 applies inline on the
+	// dispatcher.
 	RedoWorkers int
-	// AdaptiveRedo lets the parallel-redo pool grow and shrink between
-	// extent barriers from observed per-applier queue depth (RedoWorkers
-	// becomes the starting size).
-	AdaptiveRedo bool
 	// Spans, when non-nil, is the end-to-end latency tracer: the commit
 	// pipeline (log append, flush wait, ack wait) records spans for
 	// sampled transactions, and the clog log manager records its
@@ -103,11 +100,9 @@ type SM struct {
 	// the analysis/redo floor a truncated log must preserve.
 	lastCkptRedo atomic.Uint64
 
-	// redoWorkers is Options.RedoWorkers: the applier fan-out of the
-	// partition-parallel redo pipeline (0/1 = serial); adaptiveRedo
-	// enables queue-depth-driven pool resizing between extent barriers.
-	redoWorkers  int
-	adaptiveRedo bool
+	// redoWorkers is Options.RedoWorkers: the redo pool's applier count
+	// (≤ 1 = inline).
+	redoWorkers int
 
 	// spans is Options.Spans: the end-to-end latency tracer (nil = off).
 	spans *trace.Tracer
@@ -162,22 +157,17 @@ func Open(opt Options) (*SM, error) {
 		cl.SetTracer(opt.Spans)
 	}
 	return &SM{
-		Disk:         opt.Disk,
-		Pool:         pool,
-		Log:          log,
-		Cat:          catalog.New(),
-		CS:           opt.CS,
-		Tracer:       opt.Tracer,
-		active:       make(map[*tx.Txn]struct{}),
-		redoWorkers:  opt.RedoWorkers,
-		adaptiveRedo: opt.AdaptiveRedo,
-		spans:        opt.Spans,
+		Disk:        opt.Disk,
+		Pool:        pool,
+		Log:         log,
+		Cat:         catalog.New(),
+		CS:          opt.CS,
+		Tracer:      opt.Tracer,
+		active:      make(map[*tx.Txn]struct{}),
+		redoWorkers: opt.RedoWorkers,
+		spans:       opt.Spans,
 	}, nil
 }
-
-// RedoWorkers returns the configured applier fan-out of the partition-
-// parallel redo pipeline (0/1 = serial).
-func (s *SM) RedoWorkers() int { return s.redoWorkers }
 
 // AdoptLog swaps the storage manager's log manager and rewires the buffer
 // pool's write-ahead rule to it. The caller must quiesce appenders first;

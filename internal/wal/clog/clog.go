@@ -565,6 +565,11 @@ func (l *Log) completeWaiters(err error) {
 		}
 		clear(l.waiters[len(keep):])
 		l.waiters = keep
+		// One of the forces this sync hardened paid for it; the rest
+		// rode along.
+		if len(fire) > 1 {
+			l.GroupedCommits.Add(int64(len(fire) - 1))
+		}
 	}
 	l.nwait.Add(-int64(len(fire)))
 	l.waitMu.Unlock()

@@ -582,6 +582,44 @@ func (s *gateStore) Sync() error {
 	return s.MemStore.Sync()
 }
 
+// TestQueuedForcesCountGrouped: forces that queue behind one held sync
+// and harden together count as grouped commits, all but the one that
+// paid for the sync.
+func TestQueuedForcesCountGrouped(t *testing.T) {
+	store := &gateStore{MemStore: wal.NewMemStore()}
+	l, err := New(store, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	store.open = make(chan struct{})
+	const n = 8
+	// Append everything first, so one flush holds every record.
+	lsns := make([]wal.LSN, n)
+	for i := range lsns {
+		lsns[i] = l.Append(&wal.Record{Kind: wal.KCommit, TxnID: uint64(i + 1)})
+	}
+	syncs, grouped := l.Syncs.Load(), l.GroupedCommits.Load()
+	var wg sync.WaitGroup
+	for _, lsn := range lsns {
+		wg.Add(1)
+		go func(lsn wal.LSN) {
+			defer wg.Done()
+			if err := l.Force(lsn); err != nil {
+				t.Error(err)
+			}
+		}(lsn)
+	}
+	for l.nwait.Load() < n {
+		time.Sleep(time.Millisecond)
+	}
+	close(store.open)
+	wg.Wait()
+	if ds, dg := l.Syncs.Load()-syncs, l.GroupedCommits.Load()-grouped; ds != 1 || dg != n-1 {
+		t.Fatalf("%d forces over %d syncs counted %d grouped, want 1 sync and %d grouped", n, ds, dg, n-1)
+	}
+}
+
 // TestBlockingAndAsyncForcesShareABatch: blocking forces and callbacks
 // that become due in the same flushes all complete, and a callback that
 // blocks holds up neither the blocking forces due with it nor later ones.

@@ -515,8 +515,9 @@ func DecodeStream(origin LSN, body []byte, fn func(*Record) error) (int, error) 
 // PhysicalKind returns the heap operation r performs — KInsert, KUpdate
 // or KDelete, resolving a KCLR to the compensating operation carried in
 // Sub — or 0 for records with no physical page effect (commit, abort,
-// end, checkpoint). Recovery redo, replica replay and the partition-
-// parallel redo dispatcher all classify records with it.
+// end, checkpoint). The redo pool classifies and shards records with
+// it: records with the same page must apply in LSN order, records on
+// different pages commute.
 func PhysicalKind(r *Record) Kind {
 	kind := r.Kind
 	if kind == KCLR {
@@ -527,20 +528,6 @@ func PhysicalKind(r *Record) Kind {
 		return kind
 	}
 	return 0
-}
-
-// PageKey returns the heap page r physically touches — the shard key of
-// partition-parallel redo. Records with the same page key must apply in
-// LSN order (the page-LSN idempotence invariant and the slot-allocation
-// determinism of RedoInsert both ride per-page ordering); records with
-// different keys touch disjoint pages and redo concurrently. ok is false
-// for records with no physical effect — transaction resolution and
-// checkpoints — which stay on the redo dispatcher.
-func PageKey(r *Record) (page.ID, bool) {
-	if PhysicalKind(r) == 0 {
-		return 0, false
-	}
-	return r.Page, true
 }
 
 // Record layout. Every frame starts with a fixed 17-byte prefix:

@@ -141,81 +141,3 @@ func TestDriverThinkTimeLimitsRate(t *testing.T) {
 		t.Fatalf("think time ignored: %d committed", res.Committed)
 	}
 }
-
-// slowAsyncEngine completes every transaction after a fixed service
-// delay on a background goroutine (an engine with bounded capacity).
-type slowAsyncEngine struct {
-	delay    time.Duration
-	inflight atomic.Int64
-	maxSeen  atomic.Int64
-}
-
-func (e *slowAsyncEngine) ExecAsync(_ int, _ *xct.Flow, done func(error)) {
-	n := e.inflight.Add(1)
-	for {
-		m := e.maxSeen.Load()
-		if n <= m || e.maxSeen.CompareAndSwap(m, n) {
-			break
-		}
-	}
-	go func() {
-		time.Sleep(e.delay)
-		e.inflight.Add(-1)
-		done(nil)
-	}()
-}
-
-func openLoopMix() Mix {
-	return Mix{{Name: "noop", Weight: 1, Build: func(*rand.Rand) *xct.Flow {
-		return xct.NewFlow("noop")
-	}}}
-}
-
-// TestOpenLoopAccounting: arrivals partition exactly into dropped +
-// completed, and overload against a tiny in-flight cap produces drops.
-func TestOpenLoopAccounting(t *testing.T) {
-	eng := &slowAsyncEngine{delay: 5 * time.Millisecond}
-	d := OpenLoop{
-		Engine: eng, Mix: openLoopMix(),
-		Rate: 5000, MaxInFlight: 4, Duration: 150 * time.Millisecond, Seed: 3,
-	}
-	res := d.Run()
-	if res.Offered == 0 {
-		t.Fatal("no arrivals offered")
-	}
-	if got := res.Dropped + res.Committed + res.Aborted; got != res.Offered {
-		t.Fatalf("accounting: dropped(%d)+committed(%d)+aborted(%d) = %d, offered %d",
-			res.Dropped, res.Committed, res.Aborted, got, res.Offered)
-	}
-	// 5000/s offered against a capacity of 4/5ms = 800/s: most arrivals
-	// must be dropped at the cap.
-	if res.Dropped == 0 {
-		t.Fatal("overload produced no drops")
-	}
-	if res.Committed == 0 {
-		t.Fatal("no transactions completed")
-	}
-	if eng.maxSeen.Load() > 4 {
-		t.Fatalf("in-flight cap violated: %d > 4", eng.maxSeen.Load())
-	}
-	if res.P99US == 0 {
-		t.Fatal("latency accounting missing")
-	}
-}
-
-// TestOpenLoopUnderload: at an offered rate far below capacity nothing
-// is dropped and throughput tracks the arrival rate.
-func TestOpenLoopUnderload(t *testing.T) {
-	eng := &slowAsyncEngine{delay: time.Millisecond}
-	d := OpenLoop{
-		Engine: eng, Mix: openLoopMix(),
-		Rate: 200, MaxInFlight: 64, Duration: 150 * time.Millisecond, Seed: 4,
-	}
-	res := d.Run()
-	if res.Dropped != 0 {
-		t.Fatalf("underload dropped %d arrivals", res.Dropped)
-	}
-	if res.Committed != res.Offered {
-		t.Fatalf("committed %d of %d offered", res.Committed, res.Offered)
-	}
-}
